@@ -62,11 +62,10 @@ class RunConfig:
     depth: int = 12
     seed: int = 0
     tol_ineq: float = 1e-9
-    tol_quad: float = 1e-10
     tol_identity: float = 1e-12
 
     def tolerances(self) -> Tolerances:
-        return Tolerances(self.tol_ineq, self.tol_quad, self.tol_identity)
+        return Tolerances(self.tol_ineq, self.tol_identity)
 
     def psi(self):
         if self.psi_family == "parametric":
@@ -167,8 +166,7 @@ def cmd_verify(args) -> int:
         normalize=not args.no_normalize,
         corpus=args.corpus or "", out=args.out or _default_out(),
         workers=args.workers, depth=args.depth, seed=args.seed,
-        tol_ineq=args.tolerance_ineq, tol_quad=args.tolerance_quad,
-        tol_identity=args.tolerance_identity)
+        tol_ineq=args.tolerance_ineq, tol_identity=args.tolerance_identity)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -178,7 +176,11 @@ def cmd_verify(args) -> int:
         return 3
 
     if args.theorem == "failure-demo":
-        demo = failure_demo(6, cfg.depth, psi, cfg.tolerances())
+        try:
+            demo = failure_demo(6, cfg.depth, psi, cfg.tolerances())
+        except ValueError as exc:
+            print(f"failure demo not run: {exc}", file=sys.stderr)
+            return 3
         report = {
             "depths": list(demo.depths),
             "classical_ratios": list(demo.classical_ratios),
@@ -351,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--depth", type=int, default=12)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tolerance-ineq", type=float, default=1e-9)
-    v.add_argument("--tolerance-quad", type=float, default=1e-10)
     v.add_argument("--tolerance-identity", type=float, default=1e-12)
     _add_psi_flags(v)
     v.set_defaults(func=cmd_verify)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     ineq_slack: float = 1e-9      # per-node and global inequality slack
-    quadrature: float = 1e-10     # s-space quadrature targets
     identity: float = 1e-12       # exact identities (decompositions, telescoping inputs)
 
     def slack(self, *scales: float) -> float:

@@ -233,8 +233,11 @@ def psi_closed_form(alpha: float, family: str = "log-bump",
 
     The clamp keeps s*Psi(s) increasing: constant value on [s0, 1] with s0
     at the monotonicity knot (ln(1/s0) = alpha for the log family).  Raises
-    for alpha <= 1, where 1/(s Psi) is not integrable at 0.
+    for a non-finite alpha and for alpha <= 1, where 1/(s Psi) is not
+    integrable at 0.
     """
+    if not math.isfinite(alpha):
+        raise ConstructionError(f"alpha must be finite, got {alpha}")
     if alpha <= 1:
         raise ConstructionError("alpha must exceed 1 (integrability of 1/(s Psi))")
     if family == "log-bump":

@@ -1,10 +1,14 @@
 """Theorem verifiers: Bellman induction over the dyadic tree plus one
 certificate per embedding statement.
 
-Each verifier walks the tree under a root J, checks the per-node inequality
-supplied by the Bellman engine, telescopes the node gains, and emits a
-Certificate with an explicit constant.  Intervals on which the weight
-vanishes identically are skipped everywhere.
+Every bounded certificate runs over one walk (`_walk`): the nodes under a
+root J, level by level with the index ascending, each with its distribution
+function and its two children's.  Nodes on which the weight vanishes
+identically are skipped; they carry no term and no inequality.  Each node
+check supplies its own left-side term, the gains telescope, and the
+verifier emits a Certificate with an explicit constant.  `d-embed` and
+`embed` accumulate through `bellman_induction`; `embed2` and `fd-embed`
+are one loop each over the same walk.
 
 Certificate constants (derived, documented in the module docstrings of
 `bellman`):
@@ -22,6 +26,7 @@ which is the failure the bounded certificates above repair.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,83 +67,102 @@ class Certificate:
     per_node: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
+        """Plain-JSON form; a non-finite float (the report-only constants,
+        the fd-embed fields when d-embed fails) is written as null."""
+        return _strict_json({
             "theorem": self.theorem,
-            "root": list(self.root),
+            "root": self.root,
             "lhs": self.lhs,
             "rhs_base": self.rhs_base,
             "constant": self.constant,
             "ratio": self.ratio,
             "verdict": "pass" if self.passed else "fail",
             "node_count": self.node_count,
-            "failures": [list(f) for f in self.failures],
+            "failures": self.failures,
             "breakdown": self.breakdown,
-        }
+        })
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _node_distributions(w: DyadicWeight, j: DyadicInterval) -> dict:
-    """Distribution of w at every subtree node, keyed by (level, index)."""
-    out = {}
-    for lev in range(j.level, w.depth + 1):
+def _strict_json(x):
+    """x with every non-finite float replaced by None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(v) for v in x]
+    return x
+
+
+def _walk(w: DyadicWeight, j: DyadicInterval, phantom: bool = False):
+    """Yield (node, d_I, children) for every node under j on which w is not
+    identically zero, level by level with the index ascending.
+
+    children is (d_minus, d_plus).  Finest-level nodes have no children and
+    are yielded, with children None, only when phantom is set.  Only the
+    current level's distributions and the next level's are held.
+    """
+    def level(lev: int):
         width = 2 ** (lev - j.level)
         cells = 2 ** (w.depth - lev)
-        for idx in range(j.index * width, (j.index + 1) * width):
-            sl = w.values[idx * cells : (idx + 1) * cells]
-            out[(lev, idx)] = DistributionFunction.from_values(sl)
-    return out
+        first = j.index * width
+        return first, [DistributionFunction.from_values(w.values[k * cells:(k + 1) * cells])
+                       for k in range(first, first + width)]
 
-
-def _internal_nodes(w: DyadicWeight, j: DyadicInterval):
+    first, current = level(j.level)
     for lev in range(j.level, w.depth):
-        width = 2 ** (lev - j.level)
-        for idx in range(j.index * width, (j.index + 1) * width):
-            yield DyadicInterval(lev, idx)
+        next_first, below = level(lev + 1)
+        for k, d_i in enumerate(current):
+            if not d_i.is_zero:
+                yield DyadicInterval(lev, first + k), d_i, (below[2 * k], below[2 * k + 1])
+        first, current = next_first, below
+    if phantom:
+        for k, d_i in enumerate(current):
+            if not d_i.is_zero:
+                yield DyadicInterval(w.depth, first + k), d_i, None
 
 
 def bellman_induction(w: DyadicWeight, j: DyadicInterval, step_check,
-                      leaf_bound, constant: float, rhs_base: float,
-                      theorem: str, direction: str = "convex",
+                      constant: float, rhs_base: float, theorem: str,
+                      breakdown: dict, phantom: bool = False,
                       keep_ledger: bool = False,
                       tol: Tolerances = DEFAULT_TOL) -> Certificate:
-    """Telescope per-node gains over the tree under j.
+    """Telescope per-node gains over the walk under j.
 
-    step_check(node) -> StepGain or None (None = skipped zero node).  The
-    telescoping identity sum |I| gain_I = +-(leaf potential - root
-    potential) is bookkeeping; the certificate asserts
+    step_check(node, d_I, children) -> (StepGain, term).  The telescoping
+    identity sum |I| gain_I = +-(leaf potential - root potential) is
+    bookkeeping; the certificate asserts
 
-        lhs := sum |I| * stage2_I / factor  <=  constant * rhs_base
+        lhs := sum |I| * term_I  <=  constant * rhs_base
 
-    where each verifier fixes its own stage2/lhs relation before calling.
-    Any failed node inequality fails the certificate with the node recorded.
+    where each verifier derives term_I from its own stage2.  Any failed node
+    inequality fails the certificate with the node recorded.
     """
     lhs = 0.0
     gain_total = 0.0
     failures = []
     ledger = []
     count = 0
-    for node in _internal_nodes(w, j):
-        res = step_check(node)
-        if res is None:
-            continue
+    for node, d_i, children in _walk(w, j, phantom):
+        res, term = step_check(node, d_i, children)
         count += 1
         length = node.length
-        lhs += length * res.detail["term"]
+        lhs += length * term
         gain_total += length * res.gain
         if not res.passed:
             failures.append((node.level, node.index, res.gain, res.stage1, res.stage2))
         if keep_ledger:
-            ledger.append((node.level, node.index, res.detail["term"], res.gain))
+            ledger.append((node.level, node.index, term, res.gain))
     bound = constant * rhs_base
     global_ok = lhs <= bound + tol.slack(bound, lhs)
     passed = global_ok and not failures
     return Certificate(theorem, (j.level, j.index), lhs, rhs_base, constant,
                        passed, lhs / rhs_base if rhs_base > 0 else 0.0,
                        node_count=count, failures=tuple(failures),
-                       breakdown={"telescoped_gain": gain_total,
-                                  "leaf_bound": leaf_bound},
+                       breakdown={**breakdown, "telescoped_gain": gain_total},
                        per_node=tuple(ledger))
 
 
@@ -215,24 +239,16 @@ def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
     telescoped potential is bounded by B(1) <= B'(1) at the leaves.
     """
     kernel = BellmanKernel(psi)
-    dists = _node_distributions(w, j)
 
-    def step(node: DyadicInterval):
-        d_i = dists[(node.level, node.index)]
-        if d_i.is_zero:
-            return None
-        d_m = dists[(node.level + 1, 2 * node.index)]
-        d_p = dists[(node.level + 1, 2 * node.index + 1)]
-        res = check_pde_step(w, node, psi, kernel, (d_i, d_m, d_p), tol)
+    def step(node: DyadicInterval, d_i, children):
+        res = check_pde_step(w, node, psi, kernel, (d_i, *children), tol)
         # certificate lhs counts (Delta_I w)^2 / n_psi = stage2 / final factor
-        res.detail["term"] = res.stage2 / PDE_FINAL_FACTOR
-        return res
+        return res, res.stage2 / PDE_FINAL_FACTOR
 
-    constant = 16.0 * kernel.C
-    cert = bellman_induction(w, j, step, leaf_bound=kernel.C,
-                             constant=constant, rhs_base=w.mass(j),
-                             theorem="d-embed", keep_ledger=keep_ledger, tol=tol)
-    return cert
+    return bellman_induction(w, j, step, constant=16.0 * kernel.C,
+                             rhs_base=w.mass(j), theorem="d-embed",
+                             breakdown={"leaf_bound": kernel.C},
+                             keep_ledger=keep_ledger, tol=tol)
 
 
 def verify_embed(w: DyadicWeight, seq: CarlesonSequence, psi: PsiFunction,
@@ -252,78 +268,30 @@ def verify_embed(w: DyadicWeight, seq: CarlesonSequence, psi: PsiFunction,
     normalization = 1.0
     if norm > 1.0 + 1e-12:
         seq, normalization = seq.normalized()
-    dists = _node_distributions(w, j)
     acc = seq.accumulators
 
-    lhs = 0.0
-    for node, term in _embed2_lhs_terms(w, w, seq, j, kernel, dists):
-        lhs += node.length * term
+    def step(node: DyadicInterval, d_i, children):
+        lev, idx = node.level, node.index
+        alpha_i = float(seq.levels[lev][idx])
+        a_par = float(acc[lev][idx])
+        if children is None:
+            # phantom generation below the finest level: identical
+            # children carrying the remaining accumulator mass (zero)
+            children = (d_i, d_i)
+            a_m = a_p = a_par - alpha_i
+        else:
+            a_m = float(acc[lev + 1][2 * idx])
+            a_p = float(acc[lev + 1][2 * idx + 1])
+        res = check_embed_step(w, node, psi, alpha_i, a_par, a_m, a_p,
+                               kernel, (d_i, *children), tol)
+        # lhs term a_I <w>_I^2 / n_psi = stage2 / step factor
+        return res, res.stage2 / EMBED_STEP_FACTOR
 
-    failures = []
-    ledger = []
-    gain_total = 0.0
-    count = 0
-    for lev in range(j.level, w.depth + 1):
-        width = 2 ** (lev - j.level)
-        for idx in range(j.index * width, (j.index + 1) * width):
-            node = DyadicInterval(lev, idx)
-            d_i = dists[(lev, idx)]
-            if d_i.is_zero:
-                continue
-            count += 1
-            alpha_i = float(seq.levels[lev][idx])
-            a_par = float(acc[lev][idx])
-            if lev < w.depth:
-                d_m = dists[(lev + 1, 2 * idx)]
-                d_p = dists[(lev + 1, 2 * idx + 1)]
-                a_m = float(acc[lev + 1][2 * idx])
-                a_p = float(acc[lev + 1][2 * idx + 1])
-            else:
-                # phantom generation below the finest level: identical
-                # children carrying the remaining accumulator mass (zero)
-                d_m = d_p = d_i
-                a_m = a_p = a_par - alpha_i
-            res = check_embed_step(w, node, psi, alpha_i, a_par, a_m, a_p,
-                                   kernel, (d_i, d_m, d_p), tol)
-            gain_total += node.length * res.gain
-            if not res.passed:
-                failures.append((lev, idx, res.gain, res.stage1, res.stage2))
-            if keep_ledger:
-                ledger.append((lev, idx, res.stage2 / EMBED_STEP_FACTOR, res.gain))
-
-    base = w.mass(j)
-    constant = 4.0 * kernel.C
-    bound = constant * base
-    passed = (lhs <= bound + tol.slack(bound, lhs)) and not failures
-    return Certificate("embed", (j.level, j.index), lhs, base, constant,
-                       passed, lhs / base if base > 0 else 0.0,
-                       node_count=count, failures=tuple(failures),
-                       breakdown={"normalization": normalization,
-                                  "telescoped_gain": gain_total,
-                                  "leaf_bound": kernel.C},
-                       per_node=tuple(ledger))
-
-
-def _embed2_lhs_terms(w: DyadicWeight, fw: StepFunction, seq: CarlesonSequence,
-                      j: DyadicInterval, kernel: BellmanKernel, dists: dict):
-    """Shared summation path for the bump embedding left side.
-
-    Iterates nodes in a fixed order and yields (node, term) with
-    term = a_I <fw>_I^2 / n_psi(N_I); verify_embed with f == 1 reproduces
-    these values bit for bit.
-    """
-    for lev in range(j.level, w.depth + 1):
-        width = 2 ** (lev - j.level)
-        for idx in range(j.index * width, (j.index + 1) * width):
-            d_i = dists[(lev, idx)]
-            if d_i.is_zero:
-                continue
-            a_i = float(seq.levels[lev][idx])
-            if a_i == 0.0:
-                yield DyadicInterval(lev, idx), 0.0
-                continue
-            avg = fw.average(DyadicInterval(lev, idx))
-            yield DyadicInterval(lev, idx), a_i * avg * avg / kernel.n_of(d_i)
+    return bellman_induction(w, j, step, constant=4.0 * kernel.C,
+                             rhs_base=w.mass(j), theorem="embed",
+                             breakdown={"normalization": normalization,
+                                        "leaf_bound": kernel.C},
+                             phantom=True, keep_ledger=keep_ledger, tol=tol)
 
 
 def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
@@ -337,7 +305,9 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     via Bellman induction on B~(f, N, M) = (f)^2 / u(N, M) with the
     Carleson accumulators as the M variable.  Each node asserts the
     paraproduct step inequality with constant 1/16; leaves are bounded by
-    Cauchy-Schwarz <fw>^2/<w> <= <f^2 w>.
+    Cauchy-Schwarz <fw>^2/<w> <= <f^2 w>.  The lhs term of a node is its
+    step's right side over the constant, so f == 1 reproduces verify_embed's
+    lhs bit for bit.
     """
     kernel = BellmanKernel(psi)
     norm = carleson_norm(seq)
@@ -346,46 +316,35 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
         seq, normalization = seq.normalized()
     fw = f.product(w)
     f2w = f.squared().product(w)
-    dists = _node_distributions(w, j)
     acc = seq.accumulators
 
     lhs = 0.0
     failures = []
     count = 0
-    for node, term in _embed2_lhs_terms(w, fw, seq, j, kernel, dists):
-        lhs += node.length * term
-    for lev in range(j.level, w.depth + 1):
-        width = 2 ** (lev - j.level)
-        for idx in range(j.index * width, (j.index + 1) * width):
-            node = DyadicInterval(lev, idx)
-            d_i = dists[(lev, idx)]
-            if d_i.is_zero:
-                continue
-            count += 1
-            a_i = float(seq.levels[lev][idx])
-            m_i = float(acc[lev][idx])
-            f_i = fw.average(node)
-            if lev < w.depth:
-                d_m = dists[(lev + 1, 2 * idx)]
-                d_p = dists[(lev + 1, 2 * idx + 1)]
-                m_m = float(acc[lev + 1][2 * idx])
-                m_p = float(acc[lev + 1][2 * idx + 1])
-                kids_f = [fw.average(node.minus), fw.average(node.plus)]
-                kids_d = [d_m, d_p]
-                kids_m = [m_m, m_p]
-                alphas = [0.5, 0.5]
-            else:
-                # phantom generation: the finest-level sequence mass enters
-                # as a pure shift of the accumulator variable
-                kids_f = [f_i]
-                kids_d = [d_i]
-                kids_m = [m_i - a_i]
-                alphas = [1.0]
-            rep = check_paraproduct_step(
-                psi, f_i, d_i, m_i, kids_f, kids_d, kids_m, alphas, a_i,
-                kernel, spot_check_derivative, tol)
-            if not rep.passed:
-                failures.append((lev, idx, rep.lhs, rep.rhs))
+    for node, d_i, children in _walk(w, j, phantom=True):
+        lev, idx = node.level, node.index
+        count += 1
+        a_i = float(seq.levels[lev][idx])
+        m_i = float(acc[lev][idx])
+        f_i = fw.average(node)
+        if children is None:
+            # phantom generation: the finest-level sequence mass enters
+            # as a pure shift of the accumulator variable
+            kids_f = [f_i]
+            kids_d = [d_i]
+            kids_m = [m_i - a_i]
+            alphas = [1.0]
+        else:
+            kids_f = [fw.average(node.minus), fw.average(node.plus)]
+            kids_d = list(children)
+            kids_m = [float(acc[lev + 1][2 * idx]), float(acc[lev + 1][2 * idx + 1])]
+            alphas = [0.5, 0.5]
+        rep = check_paraproduct_step(
+            psi, f_i, d_i, m_i, kids_f, kids_d, kids_m, alphas, a_i,
+            kernel, spot_check_derivative, tol)
+        lhs += node.length * (rep.rhs / PARAPRODUCT_CONSTANT)
+        if not rep.passed:
+            failures.append((lev, idx, rep.lhs, rep.rhs))
     base = f2w.integral(j)
     constant = 1.0 / PARAPRODUCT_CONSTANT
     bound = constant * base
@@ -417,8 +376,6 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
     psi_min = psi.min_psi
     fw = f.product(w)
     f2w = f.squared().product(w)
-    dists = _node_distributions(w, j)
-
     # upfront: the drift sequence beta_I = (Delta_I w)^2 / n_psi must be
     # w-Carleson with the differential embedding constant at every prefix
     # (pass a precomputed certificate when sweeping many f over one w)
@@ -437,10 +394,7 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
     failures = []
     count = 0
     max_alpha_excess = -float("inf")
-    for node in _internal_nodes(w, j):
-        d_i = dists[(node.level, node.index)]
-        if d_i.is_zero:
-            continue
+    for node, d_i, _ in _walk(w, j):
         count += 1
         split = weighted_haar_decompose(w, f, node, tol, fw=fw)
         n_val = kernel.n_of(d_i)
@@ -533,6 +487,8 @@ def failure_demo(depth_lo: int = 6, depth_hi: int = 12,
 
     if depth_lo < 6:
         raise ValueError("depth_lo must be >= 6")
+    if depth_hi < depth_lo:
+        raise ValueError(f"depth_hi = {depth_hi} is below depth_lo = {depth_lo}")
     psi = psi or psi_closed_form(2.0)
     depths = tuple(range(depth_lo, depth_hi + 1))
     classical = []

@@ -55,14 +55,24 @@ def test_verify_d_embed_small(small_corpus, tmp_path):
     assert len(rows) == 7
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
 def test_verify_buc_classic_reports_without_assertion(small_corpus, tmp_path):
-    rc = main(["verify", "--theorem", "buc-classic", "--corpus", str(small_corpus),
-               "--out", str(tmp_path)])
-    assert rc == 0
+    # report-only ratios: verdict pass, constant null, strict JSON
+    for theorem in ("buc-classic", "folk"):
+        rc = main(["verify", "--theorem", theorem, "--corpus", str(small_corpus),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        text = (tmp_path / f"certificates_{theorem}.json").read_text()
+        results = json.loads(text, parse_constant=_reject_constant)
+        assert all(r["verdict"] == "pass" for r in results)
+        assert any(r["constant"] is None for r in results)
     results = json.loads((tmp_path / "certificates_buc-classic.json").read_text())
     spike = [r for r in results if "spike" in r["weight"]][0]
     assert spike["ratio"] == pytest.approx(28.0)  # 4 * depth at depth 7
-    assert spike["verdict"] == "pass"
+    assert spike["constant"] is None
 
 
 def test_verify_workers_byte_identical(small_corpus, tmp_path):
@@ -110,6 +120,20 @@ def test_psi_table(tmp_path):
 def test_psi_table_inadmissible_reports(tmp_path):
     rc = main(["psi-table", "--alpha", "0.8", "--out", str(tmp_path)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_nonfinite_alpha_is_config_error(alpha, tmp_path):
+    assert main(["psi-table", "--alpha", alpha, "--out", str(tmp_path)]) == 3
+    assert main(["verify", "--theorem", "d-embed", "--alpha", alpha,
+                 "--out", str(tmp_path)]) == 3
+
+
+def test_failure_demo_shallow_depth_is_config_error(tmp_path):
+    rc = main(["verify", "--theorem", "failure-demo", "--depth", "3",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert not (tmp_path / "failure_demo.json").exists()
 
 
 def test_bump_embed_alias(small_corpus, tmp_path):

@@ -9,6 +9,7 @@ from dyadembed import (
     DyadicInterval,
     DyadicWeight,
     SignedStepFunction,
+    carleson_norm,
     failure_demo,
     gen_carleson_sequence,
     gen_test_function,
@@ -118,14 +119,35 @@ def test_d_embed_telescoping_ledger(psi2):
 
 
 def test_d_embed_subtree_decomposition(psi2):
-    # lhs over J = sum of children lhs + root term
-    w = gen_weight(CorpusSpec("lacunary", 7, (0.3,)))
-    full = verify_d_embed(w, psi2)
-    left = verify_d_embed(w, psi2, DyadicInterval(1, 0))
-    right = verify_d_embed(w, psi2, DyadicInterval(1, 1))
+    # for every bounded certificate: lhs over J = sum of children lhs + root
+    # term, and every nonzero node is counted once.  The spike's right half
+    # vanishes, so its subtree contributes no term and no node.
     kernel = BellmanKernel(psi2)
-    root_term = w.haar_difference(ROOT) ** 2 / kernel.n_of(w.distribution(ROOT))
-    assert full.lhs == pytest.approx(left.lhs + right.lhs + root_term, rel=1e-11)
+    seq, _ = gen_carleson_sequence("random", 7, 9).normalized()
+    assert carleson_norm(seq) <= 1.0 + 1e-12  # no renormalization per subtree
+    f = gen_test_function("random-bounded", 7, 5)
+    for w in (gen_weight(CorpusSpec("lacunary", 7, (0.3,))), spike_weight(7)):
+        n_root = kernel.n_of(w.distribution(ROOT))
+        fw = f.product(w)
+        a_root = float(seq.levels[0][0])
+        cases = {
+            "d-embed": (lambda j: verify_d_embed(w, psi2, j),
+                        w.haar_difference(ROOT) ** 2 / n_root),
+            "embed": (lambda j: verify_embed(w, seq, psi2, j),
+                      a_root * w.average(ROOT) ** 2 / n_root),
+            "embed2": (lambda j: verify_embed2(w, f, seq, psi2, j),
+                       a_root * fw.average(ROOT) ** 2 / n_root),
+            "fd-embed": (lambda j: verify_fd_embed(w, f, psi2, j),
+                         fw.haar_difference(ROOT) ** 2 / n_root),
+        }
+        for theorem, (verify, root_term) in cases.items():
+            full = verify(ROOT)
+            left = verify(DyadicInterval(1, 0))
+            right = verify(DyadicInterval(1, 1))
+            assert full.passed and left.passed and right.passed, theorem
+            assert full.lhs == pytest.approx(left.lhs + right.lhs + root_term,
+                                             rel=1e-11), theorem
+            assert full.node_count == left.node_count + right.node_count + 1, theorem
 
 
 def test_d_embed_depth2_manual(psi2):
@@ -176,6 +198,23 @@ def test_embed_corpus_smoke(psi2):
         for skind in ("level-uniform", "random", "stopping-time"):
             cert = verify_embed(w, gen_carleson_sequence(skind, depth, 3), psi2)
             assert cert.passed, (kind, skind)
+
+
+def test_embed_telescoping_ledger(psi2):
+    w = gen_weight(CorpusSpec("random-martingale", 6, (0.5,), 4))
+    seq, _ = gen_carleson_sequence("random", 6, 3).normalized()
+    cert = verify_embed(w, seq, psi2, keep_ledger=True)
+    assert cert.passed and cert.breakdown["normalization"] == 1.0
+    kernel = BellmanKernel(psi2)
+    # one entry per node of every level, the finest (phantom) one included
+    assert len(cert.per_node) == cert.node_count == 2 ** 7 - 1
+    for lev, idx, term, gain in cert.per_node:
+        i = DyadicInterval(lev, idx)
+        expect = seq.levels[lev][idx] * w.average(i) ** 2 / kernel.n_of(w.distribution(i))
+        assert term == pytest.approx(expect, rel=1e-12)
+    # ledger terms add up to the certificate lhs
+    total = sum(2.0 ** -lev * term for lev, idx, term, gain in cert.per_node)
+    assert total == pytest.approx(cert.lhs, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +313,8 @@ def test_failure_demo_values(psi2):
 def test_failure_demo_depth_guard():
     with pytest.raises(ValueError):
         failure_demo(4, 8)
+    with pytest.raises(ValueError):
+        failure_demo(6, 3)
 
 
 def test_certificate_json_stable(psi2):
