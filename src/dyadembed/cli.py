@@ -160,6 +160,10 @@ def cmd_verify(args) -> int:
         print(f"unknown theorem id {args.theorem!r}; choose from {THEOREMS}",
               file=sys.stderr)
         return 3
+    if args.theorem == "bellman-checks" and args.depth < 3:
+        print(f"bellman-checks needs --depth >= 3 (its sweep draws trees of "
+              f"depth 3..min(8, depth)), got {args.depth}", file=sys.stderr)
+        return 3
     cfg = RunConfig(
         command="verify", theorem=args.theorem, psi_family=args.psi_family,
         alpha=args.alpha, clamp_s0=args.clamp_s0,

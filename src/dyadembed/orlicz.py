@@ -234,10 +234,13 @@ def psi_closed_form(alpha: float, family: str = "log-bump",
     The clamp keeps s*Psi(s) increasing: constant value on [s0, 1] with s0
     at the monotonicity knot (ln(1/s0) = alpha for the log family).  Raises
     for a non-finite alpha and for alpha <= 1, where 1/(s Psi) is not
-    integrable at 0.
+    integrable at 0, and for a clamp_s0 that is not finite and positive or
+    lies beyond the knot.
     """
     if not math.isfinite(alpha):
         raise ConstructionError(f"alpha must be finite, got {alpha}")
+    if clamp_s0 is not None and not (math.isfinite(clamp_s0) and clamp_s0 > 0):
+        raise ConstructionError(f"clamp_s0 must be finite and positive, got {clamp_s0}")
     if alpha <= 1:
         raise ConstructionError("alpha must exceed 1 (integrability of 1/(s Psi))")
     if family == "log-bump":
@@ -247,7 +250,10 @@ def psi_closed_form(alpha: float, family: str = "log-bump",
         clamp_value = math.log(1.0 / s0) ** alpha
         mode = "clamped-log"
     elif family == "loglog-bump":
-        x0 = _loglog_clamp_knot(alpha) if clamp_s0 is None else math.log(1.0 / clamp_s0)
+        knot = _loglog_clamp_knot(alpha)
+        x0 = knot if clamp_s0 is None else math.log(1.0 / clamp_s0)
+        if x0 < knot - 1e-12:
+            raise ConstructionError("clamp_s0 beyond the monotonicity knot")
         s0 = math.exp(-x0)
         clamp_value = x0 * math.log(x0) ** alpha
         mode = "clamped-loglog"

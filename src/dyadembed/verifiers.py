@@ -1,14 +1,32 @@
 """Theorem verifiers: Bellman induction over the dyadic tree plus one
 certificate per embedding statement.
 
-Every bounded certificate runs over one walk (`_walk`): the nodes under a
-root J, level by level with the index ascending, each with its distribution
-function and its two children's.  Nodes on which the weight vanishes
-identically are skipped; they carry no term and no inequality.  Each node
-check supplies its own left-side term, the gains telescope, and the
-verifier emits a Certificate with an explicit constant.  `d-embed` and
-`embed` accumulate through `bellman_induction`; `embed2` and `fd-embed`
-are one loop each over the same walk.
+Every bounded certificate runs on one level-batched engine.  Level l of the
+subtree under a root J is the (2^(l - J.level), m) matrix of sorted cell
+blocks, m = 2^(depth - l): row r holds the values of w on the node
+(l, first + r) in ascending order, s_0 <= ... <= s_{m-1}.  On the piece
+[s_{k-1}, s_k) (s_{-1} = 0) the node's normalized distribution function is
+exactly N_I(t) = (m - k)/m, a survival grid that every node of the level
+shares.  So every t-integral int g(N_I(t)) dt is a row sum of piece lengths
+times g on the grid, and n_psi, script-B, int N^2/phi, T(A+1, .) and
+u(N, M) are array passes over a level; no per-node distribution object is
+built.  Ties and zero cells are pieces of length zero.  Row sums run left to
+right, so those pieces add exact zeros: two equal children have bitwise
+equal potentials, and their parent's gain is exactly zero.
+
+A node's potential (script-B, script-T or f^2/u) is computed once, on its
+own level, and its parent reads it there; only two adjacent levels are held
+at a time.  The cost is O(2^depth) array work per level.
+
+Skip rule: nodes on which w vanishes identically carry no term and no
+inequality.  They are computed with the rest of their level, then dropped,
+and not counted.  Every per-node inequality is checked on a whole level at
+once; failed nodes are reported level-major with the index ascending, as
+plain Python numbers.  `d-embed`, `embed` and `embed2` reduce their
+per-level checks through `bellman_induction`; `fd-embed` sums its weighted
+Haar split level by level.  The per-node functions of `bellman` and
+`carleson` (check_pde_step, check_embed_step, check_paraproduct_step,
+weighted_haar_decompose) compute the same quantities one node at a time.
 
 Certificate constants (derived, documented in the module docstrings of
 `bellman`):
@@ -28,25 +46,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .bellman import (
     BellmanKernel,
-    PDE_FINAL_FACTOR,
     EMBED_STEP_FACTOR,
     PARAPRODUCT_CONSTANT,
-    check_embed_step,
-    check_paraproduct_step,
-    check_pde_step,
+    PDE_FINAL_FACTOR,
+    PDE_STAGE1_FACTOR,
+    _require_normalized,
 )
-from .carleson import (
-    CarlesonSequence,
-    carleson_norm,
-    weighted_haar_decompose,
-)
+from .carleson import CarlesonSequence, carleson_norm
 from .config import DEFAULT_TOL, Tolerances
-from .distribution import DistributionFunction
 from .intervals import ROOT, DyadicInterval
 from .orlicz import PsiFunction
 from .weights import DyadicWeight, StepFunction
@@ -97,68 +111,175 @@ def _strict_json(x):
     return x
 
 
-def _walk(w: DyadicWeight, j: DyadicInterval, phantom: bool = False):
-    """Yield (node, d_I, children) for every node under j on which w is not
-    identically zero, level by level with the index ascending.
+# ---------------------------------------------------------------------------
+# the level engine
+# ---------------------------------------------------------------------------
 
-    children is (d_minus, d_plus).  Finest-level nodes have no children and
-    are yielded, with children None, only when phantom is set.  Only the
-    current level's distributions and the next level's are held.
-    """
-    def level(lev: int):
-        width = 2 ** (lev - j.level)
-        cells = 2 ** (w.depth - lev)
+class _Level(NamedTuple):
+    """One level of the subtree under J as a matrix of sorted cell blocks."""
+
+    level: int
+    first: int              # index of the level's leftmost node under J
+    grid: np.ndarray        # (m,) survival values (m - k)/m
+    phi: np.ndarray         # (m,) phi on the grid
+    pieces: np.ndarray      # (W, m) piece lengths s_k - s_{k-1}
+    plus: np.ndarray        # (W, m) the sorted cell lies in the right child
+    live: np.ndarray        # (W,) w is not identically zero on the node
+
+    def integral(self, g: np.ndarray) -> np.ndarray:
+        """int g(N_I(t)) dt of every row, for g sampled on the grid: one
+        (m,) array for the level or one (W, m) row per node.  Summed left
+        to right, so zero-length pieces add exact zeros."""
+        return np.cumsum(self.pieces * g, axis=1)[:, -1]
+
+    def n_psi(self) -> np.ndarray:
+        return self.integral(self.phi)
+
+    def own(self, per_level) -> np.ndarray:
+        """The rows' entries of a per-level sequence of arrays."""
+        return per_level[self.level][self.first:self.first + self.live.size]
+
+    def kids(self, per_level) -> tuple[np.ndarray, np.ndarray]:
+        """The (minus, plus) children's entries of a per-level sequence."""
+        part = per_level[self.level + 1][2 * self.first:2 * (self.first + self.live.size)]
+        return part[0::2], part[1::2]
+
+    def half_difference(self) -> np.ndarray:
+        """(N_{I+} - N_{I-})/2 on every piece, exact: N_{I+} counts the
+        right-child cells at or above each sorted position."""
+        m = self.grid.size
+        plus_above = np.cumsum(self.plus[:, ::-1], axis=1)[:, ::-1]
+        return (2 * plus_above - (m - np.arange(m))) / m
+
+
+def _top_grid(w: DyadicWeight, j: DyadicInterval) -> np.ndarray:
+    """The survival grid of j's own level.  Every grid below it is a slice,
+    grid[::2^(l - j.level)], so a kernel is evaluated on it once per tree."""
+    m = 2 ** (w.depth - j.level)
+    return (m - np.arange(m)) / m
+
+
+def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
+    """The levels of the subtree under j, from j's own down to the finest."""
+    grid = _top_grid(w, j)
+    phi = psi.phi(grid)
+    for lev in range(j.level, w.depth + 1):
+        width, m = 2 ** (lev - j.level), 2 ** (w.depth - lev)
         first = j.index * width
-        return first, [DistributionFunction.from_values(w.values[k * cells:(k + 1) * cells])
-                       for k in range(first, first + width)]
-
-    first, current = level(j.level)
-    for lev in range(j.level, w.depth):
-        next_first, below = level(lev + 1)
-        for k, d_i in enumerate(current):
-            if not d_i.is_zero:
-                yield DyadicInterval(lev, first + k), d_i, (below[2 * k], below[2 * k + 1])
-        first, current = next_first, below
-    if phantom:
-        for k, d_i in enumerate(current):
-            if not d_i.is_zero:
-                yield DyadicInterval(w.depth, first + k), d_i, None
+        blocks = w.values[first * m:(first + width) * m].reshape(width, m)
+        order = np.argsort(blocks, axis=1, kind="stable")
+        cells = np.take_along_axis(blocks, order, axis=1)
+        yield _Level(lev, first, grid[::width], phi[::width],
+                     np.diff(cells, axis=1, prepend=0.0), order >= m // 2,
+                     cells[:, -1] > 0)
 
 
-def bellman_induction(w: DyadicWeight, j: DyadicInterval, step_check,
+def _pairs(levels, potential):
+    """Yield (level, pot, below, pot_below) for consecutive levels, with
+    below and pot_below None for the finest one.  potential(level) is
+    computed once per level; the parents read it from pot_below."""
+    levels = iter(levels)
+    cur = next(levels)
+    pot = potential(cur)
+    for below in levels:
+        pot_below = potential(below)
+        yield cur, pot, below, pot_below
+        cur, pot = below, pot_below
+    yield cur, pot, None, None
+
+
+def _level_averages(g: StepFunction) -> tuple[np.ndarray, ...]:
+    return tuple(g.level_averages(lev) for lev in range(g.depth + 1))
+
+
+def _running_sum(total: float, values: np.ndarray) -> float:
+    """total + values[0] + values[1] + ..., added one at a time: the order of
+    a node-by-node walk, level-major with the index ascending."""
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
+
+
+def _slack(tol: Tolerances, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tolerances.slack(a, b), elementwise."""
+    return tol.ineq_slack * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def _bump_term(alpha: np.ndarray, avg: np.ndarray, n_psi: np.ndarray) -> np.ndarray:
+    """alpha <g>^2 / n_psi: the lhs term of both embed (g = w) and embed2
+    (g = fw), so embed2 with f == 1 reproduces embed's lhs bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):   # n_psi = 0 off the live rows
+        return alpha * avg * avg / n_psi
+
+
+def _T(kernel: BellmanKernel, lv: _Level, divisor: np.ndarray) -> np.ndarray:
+    """T(divisor, N) = N G(N / divisor) on the grid, one row per node, from a
+    single 2-D kernel evaluation."""
+    x = lv.grid / divisor[:, None]
+    return lv.grid * kernel.G(x.ravel()).reshape(x.shape)
+
+
+def _normalized(seq: CarlesonSequence) -> tuple[CarlesonSequence, float]:
+    """seq scaled to Carleson norm 1 if its norm exceeds 1, and the factor."""
+    if carleson_norm(seq) > 1.0 + 1e-12:
+        return seq.normalized()
+    return seq, 1.0
+
+
+class LevelChecks(NamedTuple):
+    """The checked nodes of one level: the live ones, index ascending."""
+
+    level: int
+    index: np.ndarray       # node indices
+    term: np.ndarray        # certificate lhs term of each node
+    gain: np.ndarray        # left side of each node inequality
+    bounds: tuple           # what the gain must dominate: (stage1, stage2) or (rhs,)
+    passed: np.ndarray
+
+
+def _live(lv: _Level, term, gain, bounds, passed) -> LevelChecks:
+    live = lv.live
+    return LevelChecks(lv.level, lv.first + np.flatnonzero(live), term[live],
+                       gain[live], tuple(b[live] for b in bounds), passed[live])
+
+
+def _chain(lv: _Level, term, gain, stage1, stage2, tol: Tolerances) -> LevelChecks:
+    """The two-stage chain gain >= stage1 >= stage2, within slack."""
+    passed = ((gain >= stage1 - _slack(tol, gain, stage1))
+              & (stage1 >= stage2 - _slack(tol, stage1, stage2)))
+    return _live(lv, term, gain, (stage1, stage2), passed)
+
+
+def bellman_induction(levels: Iterable[LevelChecks], j: DyadicInterval,
                       constant: float, rhs_base: float, theorem: str,
-                      breakdown: dict, phantom: bool = False,
-                      keep_ledger: bool = False,
+                      breakdown: dict, keep_ledger: bool = False,
                       tol: Tolerances = DEFAULT_TOL) -> Certificate:
-    """Telescope per-node gains over the walk under j.
+    """Reduce the per-level node checks of the subtree under j.
 
-    step_check(node, d_I, children) -> (StepGain, term).  The telescoping
-    identity sum |I| gain_I = +-(leaf potential - root potential) is
-    bookkeeping; the certificate asserts
+    The telescoping identity sum |I| gain_I = +-(leaf potential - root
+    potential) is bookkeeping; the certificate asserts
 
         lhs := sum |I| * term_I  <=  constant * rhs_base
 
-    where each verifier derives term_I from its own stage2.  Any failed node
-    inequality fails the certificate with the node recorded.
+    and fails if any node inequality failed, each such node recorded as
+    (level, index, gain, *bounds).  keep_ledger keeps (level, index, term,
+    gain) for every node in per_node.
     """
-    lhs = 0.0
-    gain_total = 0.0
+    lhs = gain_total = 0.0
+    count = 0
     failures = []
     ledger = []
-    count = 0
-    for node, d_i, children in _walk(w, j, phantom):
-        res, term = step_check(node, d_i, children)
-        count += 1
-        length = node.length
-        lhs += length * term
-        gain_total += length * res.gain
-        if not res.passed:
-            failures.append((node.level, node.index, res.gain, res.stage1, res.stage2))
+    for lc in levels:
+        length = 2.0 ** -lc.level
+        lhs = _running_sum(lhs, length * lc.term)
+        gain_total = _running_sum(gain_total, length * lc.gain)
+        count += lc.index.size
+        bad = ~lc.passed
+        failures += zip(repeat(lc.level), lc.index[bad].tolist(), lc.gain[bad].tolist(),
+                        *(b[bad].tolist() for b in lc.bounds))
         if keep_ledger:
-            ledger.append((node.level, node.index, term, res.gain))
+            ledger += zip(repeat(lc.level), lc.index.tolist(), lc.term.tolist(),
+                          lc.gain.tolist())
     bound = constant * rhs_base
-    global_ok = lhs <= bound + tol.slack(bound, lhs)
-    passed = global_ok and not failures
+    passed = lhs <= bound + tol.slack(bound, lhs) and not failures
     return Certificate(theorem, (j.level, j.index), lhs, rhs_base, constant,
                        passed, lhs / rhs_base if rhs_base > 0 else 0.0,
                        node_count=count, failures=tuple(failures),
@@ -203,7 +324,7 @@ def verify_folk(w: DyadicWeight, seq: CarlesonSequence,
     """
     from .corpus import check_rhi  # local import, corpus builds on this module
 
-    seqn, norm = seq.normalized() if carleson_norm(seq) > 1 + 1e-12 else (seq, 1.0)
+    seqn, norm = _normalized(seq)
     lhs = 0.0
     count = 0
     for lev in range(j.level, w.depth + 1):
@@ -230,6 +351,106 @@ def verify_folk(w: DyadicWeight, seq: CarlesonSequence,
 # the bounded certificates
 # ---------------------------------------------------------------------------
 
+def _pde_levels(w: DyadicWeight, kernel: BellmanKernel, j: DyadicInterval,
+                tol: Tolerances):
+    """check_pde_step on every level above the finest."""
+    avgs = _level_averages(w)
+    b_top = kernel.B(_top_grid(w, j))
+    script_B = lambda lv: lv.integral(b_top[::b_top.size // lv.grid.size])
+    for lv, pot, below, pot_kids in _pairs(_levels(w, kernel.psi, j), script_B):
+        if below is None:
+            return
+        minus, plus = lv.kids(avgs)
+        dw = plus - minus
+        gain = 0.5 * (pot_kids[0::2] + pot_kids[1::2]) - pot
+        stage1 = PDE_STAGE1_FACTOR * lv.integral(lv.half_difference() ** 2 / lv.phi)
+        with np.errstate(divide="ignore", invalid="ignore"):   # n_psi = 0 off the live rows
+            stage2 = PDE_FINAL_FACTOR * dw * dw / lv.n_psi()
+        # certificate lhs counts (Delta_I w)^2 / n_psi = stage2 / final factor
+        yield _chain(lv, stage2 / PDE_FINAL_FACTOR, gain, stage1, stage2, tol)
+
+
+def _embed_levels(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
+                  j: DyadicInterval, tol: Tolerances):
+    """check_embed_step on every level, the finest through a phantom
+    generation."""
+    acc = seq.accumulators
+    avgs = _level_averages(w)
+    script_T = lambda lv, divisor: lv.integral(_T(kernel, lv, divisor))
+    own_T = lambda lv: script_T(lv, lv.own(acc) + 1.0)
+    for lv, pot, below, pot_kids in _pairs(_levels(w, kernel.psi, j), own_T):
+        a_par, alpha = lv.own(acc), lv.own(seq.levels)
+        over = lv.live & (a_par > 1.0 + 1e-9)
+        if over.any():
+            raise ValueError(f"Carleson accumulator {a_par[over][0]} exceeds 1; "
+                             "normalize first")
+        if below is None:
+            # phantom generation below the finest level: identical
+            # children carrying the remaining accumulator mass (zero)
+            t_minus = t_plus = script_T(lv, (a_par - alpha) + 1.0)
+        else:
+            t_minus, t_plus = pot_kids[0::2], pot_kids[1::2]
+        gain = 0.5 * (t_minus + t_plus) - pot
+        stage1 = EMBED_STEP_FACTOR * alpha * lv.integral(lv.grid * lv.grid / lv.phi)
+        # the lhs term a_I <w>_I^2 / n_psi is stage2 over the step factor
+        term = _bump_term(alpha, lv.own(avgs), lv.n_psi())
+        yield _chain(lv, term, gain, stage1, EMBED_STEP_FACTOR * term, tol)
+
+
+def _paraproduct_levels(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
+                        kernel: BellmanKernel, j: DyadicInterval,
+                        spot_check_derivative: bool, tol: Tolerances):
+    """check_paraproduct_step on every level, the finest through a phantom
+    generation."""
+    acc = seq.accumulators
+    f_avgs = _level_averages(f.product(w))
+
+    def bellman(lv, m_budget):
+        """B~(f, N_I, M) = f^2 / u(N_I, M), u(N, M) = int (2N - T(M+1, N)) dt."""
+        out = (m_budget < -1e-9) | (m_budget > 1.0 + 1e-9)
+        if out.any():
+            raise ValueError(f"M = {m_budget[out][0]} outside [0, 1]")
+        u = lv.integral(2.0 * lv.grid - _T(kernel, lv, m_budget + 1.0))
+        fv = lv.own(f_avgs)
+        if np.any((u <= 0) & (fv != 0)):
+            raise ValueError("f^2/u undefined: u <= 0 with f != 0")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(u > 0, fv * fv / u, 0.0)
+
+    own_B = lambda lv: bellman(lv, lv.own(acc))
+    for lv, pot, below, pot_kids in _pairs(_levels(w, kernel.psi, j), own_B):
+        f_i, a, m_i = lv.own(f_avgs), lv.own(seq.levels), lv.own(acc)
+        if below is None:
+            # phantom generation: the finest-level sequence mass enters
+            # as a pure shift of the accumulator variable
+            lhs = -pot + bellman(lv, m_i - a)
+            f_sum, m_sum = f_i, a + (m_i - a)
+        else:
+            f_minus, f_plus = lv.kids(f_avgs)
+            m_minus, m_plus = lv.kids(acc)
+            lhs = -pot + 0.5 * pot_kids[0::2] + 0.5 * pot_kids[1::2]
+            f_sum, m_sum = 0.5 * f_minus + 0.5 * f_plus, a + (0.5 * m_minus + 0.5 * m_plus)
+        if np.any(lv.live & (np.abs(f_sum - f_i) > tol.identity * np.maximum(1.0, np.abs(f_i)))):
+            raise ValueError("f inconsistent with sum alpha_k f_k")
+        if np.any(lv.live & (np.abs(m_sum - m_i) > tol.identity * np.maximum(1.0, np.abs(m_i)))):
+            raise ValueError("M inconsistent with a + sum alpha_k M_k")
+        n_val = lv.n_psi()
+        term = _bump_term(a, f_i, n_val)
+        rhs = PARAPRODUCT_CONSTANT * term
+        passed = lhs >= rhs - _slack(tol, lhs, rhs)
+        if spot_check_derivative:
+            # central difference of B~ in M against its bound f^2 / (16 n_psi)
+            inside = (1e-4 < m_i) & (m_i < 1.0 - 1e-4)
+            mid = np.where(inside, m_i, 0.5)
+            h = 1e-5
+            slope = -(bellman(lv, mid + h) - bellman(lv, mid - h)) / (2 * h)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                target = PARAPRODUCT_CONSTANT * f_i * f_i / n_val
+            passed &= ~(inside & (slope < target * (1 - 1e-6) - 1e-12))
+        # the lhs term a_I <fw>_I^2 / n_psi is the step's right side over its constant
+        yield _live(lv, term, lhs, (rhs,), passed)
+
+
 def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
                    keep_ledger: bool = False,
                    tol: Tolerances = DEFAULT_TOL) -> Certificate:
@@ -239,15 +460,9 @@ def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
     telescoped potential is bounded by B(1) <= B'(1) at the leaves.
     """
     kernel = BellmanKernel(psi)
-
-    def step(node: DyadicInterval, d_i, children):
-        res = check_pde_step(w, node, psi, kernel, (d_i, *children), tol)
-        # certificate lhs counts (Delta_I w)^2 / n_psi = stage2 / final factor
-        return res, res.stage2 / PDE_FINAL_FACTOR
-
-    return bellman_induction(w, j, step, constant=16.0 * kernel.C,
-                             rhs_base=w.mass(j), theorem="d-embed",
-                             breakdown={"leaf_bound": kernel.C},
+    return bellman_induction(_pde_levels(w, kernel, j, tol), j,
+                             constant=16.0 * kernel.C, rhs_base=w.mass(j),
+                             theorem="d-embed", breakdown={"leaf_bound": kernel.C},
                              keep_ledger=keep_ledger, tol=tol)
 
 
@@ -264,34 +479,13 @@ def verify_embed(w: DyadicWeight, seq: CarlesonSequence, psi: PsiFunction,
     normalized to Carleson norm 1 if needed (recorded).
     """
     kernel = BellmanKernel(psi)
-    norm = carleson_norm(seq)
-    normalization = 1.0
-    if norm > 1.0 + 1e-12:
-        seq, normalization = seq.normalized()
-    acc = seq.accumulators
-
-    def step(node: DyadicInterval, d_i, children):
-        lev, idx = node.level, node.index
-        alpha_i = float(seq.levels[lev][idx])
-        a_par = float(acc[lev][idx])
-        if children is None:
-            # phantom generation below the finest level: identical
-            # children carrying the remaining accumulator mass (zero)
-            children = (d_i, d_i)
-            a_m = a_p = a_par - alpha_i
-        else:
-            a_m = float(acc[lev + 1][2 * idx])
-            a_p = float(acc[lev + 1][2 * idx + 1])
-        res = check_embed_step(w, node, psi, alpha_i, a_par, a_m, a_p,
-                               kernel, (d_i, *children), tol)
-        # lhs term a_I <w>_I^2 / n_psi = stage2 / step factor
-        return res, res.stage2 / EMBED_STEP_FACTOR
-
-    return bellman_induction(w, j, step, constant=4.0 * kernel.C,
-                             rhs_base=w.mass(j), theorem="embed",
+    seq, normalization = _normalized(seq)
+    return bellman_induction(_embed_levels(w, seq, kernel, j, tol), j,
+                             constant=4.0 * kernel.C, rhs_base=w.mass(j),
+                             theorem="embed",
                              breakdown={"normalization": normalization,
                                         "leaf_bound": kernel.C},
-                             phantom=True, keep_ledger=keep_ledger, tol=tol)
+                             keep_ledger=keep_ledger, tol=tol)
 
 
 def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
@@ -310,50 +504,55 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     lhs bit for bit.
     """
     kernel = BellmanKernel(psi)
-    norm = carleson_norm(seq)
-    normalization = 1.0
-    if norm > 1.0 + 1e-12:
-        seq, normalization = seq.normalized()
-    fw = f.product(w)
-    f2w = f.squared().product(w)
-    acc = seq.accumulators
+    _require_normalized(kernel)
+    seq, normalization = _normalized(seq)
+    levels = _paraproduct_levels(w, f, seq, kernel, j, spot_check_derivative, tol)
+    return bellman_induction(levels, j, constant=1.0 / PARAPRODUCT_CONSTANT,
+                             rhs_base=f.squared().product(w).integral(j),
+                             theorem="embed2",
+                             breakdown={"normalization": normalization,
+                                        "leaf_bound": "cauchy-schwarz"},
+                             tol=tol)
 
-    lhs = 0.0
-    failures = []
-    count = 0
-    for node, d_i, children in _walk(w, j, phantom=True):
-        lev, idx = node.level, node.index
-        count += 1
-        a_i = float(seq.levels[lev][idx])
-        m_i = float(acc[lev][idx])
-        f_i = fw.average(node)
-        if children is None:
-            # phantom generation: the finest-level sequence mass enters
-            # as a pure shift of the accumulator variable
-            kids_f = [f_i]
-            kids_d = [d_i]
-            kids_m = [m_i - a_i]
-            alphas = [1.0]
-        else:
-            kids_f = [fw.average(node.minus), fw.average(node.plus)]
-            kids_d = list(children)
-            kids_m = [float(acc[lev + 1][2 * idx]), float(acc[lev + 1][2 * idx + 1])]
-            alphas = [0.5, 0.5]
-        rep = check_paraproduct_step(
-            psi, f_i, d_i, m_i, kids_f, kids_d, kids_m, alphas, a_i,
-            kernel, spot_check_derivative, tol)
-        lhs += node.length * (rep.rhs / PARAPRODUCT_CONSTANT)
-        if not rep.passed:
-            failures.append((lev, idx, rep.lhs, rep.rhs))
-    base = f2w.integral(j)
-    constant = 1.0 / PARAPRODUCT_CONSTANT
-    bound = constant * base
-    passed = (lhs <= bound + tol.slack(bound, lhs)) and not failures
-    return Certificate("embed2", (j.level, j.index), lhs, base, constant,
-                       passed, lhs / base if base > 0 else 0.0,
-                       node_count=count, failures=tuple(failures),
-                       breakdown={"normalization": normalization,
-                                  "leaf_bound": "cauchy-schwarz"})
+
+class _HaarLevel(NamedTuple):
+    """weighted_haar_decompose on the live nodes of one level, in full (not
+    half) differences: full = haar + drift up to rounding."""
+
+    level: int
+    index: np.ndarray
+    n_psi: np.ndarray
+    full: np.ndarray        # Delta_I(fw)
+    haar: np.ndarray        # w-Haar part, 0 where a child carries no w-mass
+    drift: np.ndarray       # (<fw>_I / <w>_I) Delta_I w
+    inner: np.ndarray       # (f, h_I^w)_{L2(w)}, 0 where a child carries no w-mass
+    alpha: np.ndarray       # Haar coefficient, 0 where a child carries no w-mass
+    root_avg: np.ndarray    # sqrt(<w>_I), the bound on alpha
+
+
+def _haar_levels(w: DyadicWeight, fw: StepFunction, psi: PsiFunction,
+                 j: DyadicInterval):
+    """The weighted Haar split of fw on every level above the finest."""
+    w_avgs, fw_avgs = _level_averages(w), _level_averages(fw)
+    for lv in _levels(w, psi, j):
+        if lv.level == w.depth:
+            return
+        live = lv.live
+        q, p = (v[live] for v in lv.kids(w_avgs))
+        y, x = (v[live] for v in lv.kids(fw_avgs))
+        length = 2.0 ** -lv.level
+        avg = lv.own(w_avgs)[live]
+        drift = lv.own(fw_avgs)[live] / avg * 0.5 * (p - q)
+        two_sided = (p != 0.0) & (q != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mass_p, mass_q = p * length / 2.0, q * length / 2.0
+            kappa = np.sqrt(mass_p * mass_q / (mass_p + mass_q))
+            inner = np.where(two_sided, kappa * (x / p - y / q), 0.0)
+            alpha = np.where(two_sided, np.sqrt(2.0 * p * q / (p + q)), 0.0)
+        haar = alpha * inner / np.sqrt(length)
+        yield _HaarLevel(lv.level, lv.first + np.flatnonzero(live), lv.n_psi()[live],
+                         2.0 * (0.5 * (x - y)), 2.0 * haar, 2.0 * drift,
+                         inner, alpha, np.sqrt(avg))
 
 
 def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
@@ -394,27 +593,26 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
     failures = []
     count = 0
     max_alpha_excess = -float("inf")
-    for node, d_i, _ in _walk(w, j):
-        count += 1
-        split = weighted_haar_decompose(w, f, node, tol, fw=fw)
-        n_val = kernel.n_of(d_i)
-        full = 2.0 * split.half_difference          # Delta_I(fw)
-        haar = 2.0 * split.haar_term
-        drift = 2.0 * split.drift_term
-        err = abs(full - (haar + drift))
-        if err > tol.identity * max(1.0, abs(full)) * 10:
-            failures.append((node.level, node.index, "identity", err))
-        if split.alpha > np.sqrt(w.average(node)) * (1 + 1e-12):
-            failures.append((node.level, node.index, "alpha-bound", split.alpha))
-        max_alpha_excess = max(max_alpha_excess,
-                               split.alpha - float(np.sqrt(w.average(node))))
-        length = node.length
-        lhs += length * full * full / n_val
-        s_haar += length * haar * haar / n_val
-        s_drift += length * drift * drift / n_val
-        s_cross += 2.0 * length * haar * drift / n_val
-        if not split.degenerate:
-            parseval += split.inner_product ** 2
+    for s in _haar_levels(w, fw, psi, j):
+        count += s.index.size
+        err = np.abs(s.full - (s.haar + s.drift))
+        identity = err > tol.identity * np.maximum(1.0, np.abs(s.full)) * 10
+        bound = s.alpha > s.root_avg * (1 + 1e-12)
+        # per failed node: the identity failure first, then the alpha bound
+        failed = sorted(
+            [(i, 0, "identity", e) for i, e in zip(s.index[identity].tolist(),
+                                                   err[identity].tolist())]
+            + [(i, 1, "alpha-bound", a) for i, a in zip(s.index[bound].tolist(),
+                                                        s.alpha[bound].tolist())])
+        failures += [(s.level, i, kind, v) for i, _, kind, v in failed]
+        if s.index.size:
+            max_alpha_excess = max(max_alpha_excess, float(np.max(s.alpha - s.root_avg)))
+        length = 2.0 ** -s.level
+        lhs = _running_sum(lhs, length * s.full * s.full / s.n_psi)
+        s_haar = _running_sum(s_haar, length * s.haar * s.haar / s.n_psi)
+        s_drift = _running_sum(s_drift, length * s.drift * s.drift / s.n_psi)
+        s_cross = _running_sum(s_cross, 2.0 * length * s.haar * s.drift / s.n_psi)
+        parseval = _running_sum(parseval, s.inner ** 2)
 
     base = f2w.integral(j)
     constant = 8.0 / psi_min + 128.0 * kernel.C

@@ -90,7 +90,7 @@ def test_criterion_1_differential_embedding_corpus():
         assert cert.lhs <= cert.constant * cert.rhs_base + 1e-9 * max(1.0, cert.lhs)
         worst_ratio = max(worst_ratio, cert.ratio)
     elapsed = time.perf_counter() - start
-    assert elapsed < 60.0, f"single-threaded sweep took {elapsed:.1f}s"
+    assert elapsed < 10.0, f"single-threaded sweep took {elapsed:.1f}s"
     _report("criterion 1", True,
             f"50 certificates <= 16*B'(1), worst ratio {worst_ratio:.3f}, "
             f"{elapsed:.1f}s single-threaded")

@@ -129,6 +129,30 @@ def test_nonfinite_alpha_is_config_error(alpha, tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("family", ["log-bump", "loglog-bump"])
+@pytest.mark.parametrize("clamp, message", [
+    ("nan", "clamp_s0 must be finite and positive"),
+    ("-1", "clamp_s0 must be finite and positive"),
+    ("0", "clamp_s0 must be finite and positive"),
+    ("1", "clamp_s0 beyond the monotonicity knot"),
+])
+def test_bad_clamp_s0_is_config_error(clamp, message, family, tmp_path, capsys):
+    for command in (["psi-table"], ["verify", "--theorem", "d-embed"]):
+        rc = main(command + ["--psi-family", family, "--clamp-s0", clamp,
+                             "--out", str(tmp_path)])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", ["0", "2"])
+def test_bellman_checks_shallow_depth_is_config_error(depth, tmp_path, capsys):
+    rc = main(["verify", "--theorem", "bellman-checks", "--depth", depth,
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "--depth >= 3" in capsys.readouterr().err
+    assert not (tmp_path / "bellman_checks.json").exists()
+
+
 def test_failure_demo_shallow_depth_is_config_error(tmp_path):
     rc = main(["verify", "--theorem", "failure-demo", "--depth", "3",
                "--out", str(tmp_path)])

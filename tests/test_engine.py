@@ -1,0 +1,258 @@
+"""The level-batched certificate engine against independent oracles.
+
+* The per-node path: every node's term, stage1, stage2 and verdict from the
+  engine (`verifiers._pde_levels` and its siblings) must match the per-node
+  checks of `bellman` and `carleson`, evaluated on `w.distribution(node)`.
+  The per-node t-integrals run over the distinct values of a node, the
+  engine's over its sorted cell block with zero-length pieces for ties and
+  zero cells, so the two agree up to the order of at most 2^8 positive
+  terms: 1e-13 relative, and 1e-13 * max(1, potential) absolute for a gain,
+  which is a difference of potentials.
+* Exact invariants: the spike closed form at depth 18, zero gain between
+  equal children, and bit-identical ratios and verdicts under w -> 2^k w.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from dyadembed import (
+    DEFAULT_TOL,
+    ROOT,
+    BellmanKernel,
+    CorpusSpec,
+    DyadicInterval,
+    DyadicWeight,
+    Tolerances,
+    check_embed_step,
+    check_paraproduct_step,
+    check_pde_step,
+    gen_carleson_sequence,
+    gen_test_function,
+    gen_weight,
+    n_psi,
+    psi_closed_form,
+    spike_d_embed_closed_form,
+    spike_weight,
+    verify_d_embed,
+    verify_embed,
+    verify_embed2,
+    verify_fd_embed,
+    weighted_haar_decompose,
+)
+from dyadembed.bellman import (
+    EMBED_STEP_FACTOR,
+    PARAPRODUCT_CONSTANT,
+    PDE_FINAL_FACTOR,
+    scalar_bellman,
+)
+from dyadembed.verifiers import (
+    _embed_levels,
+    _haar_levels,
+    _paraproduct_levels,
+    _pde_levels,
+)
+
+PSI = psi_closed_form(2.0)
+KERNEL = BellmanKernel(PSI)
+REL = 1e-13
+# negative slack: every node whose margin is below 1e-3 fails, so the two
+# paths must agree on a nonempty failure set, not only on "all pass"
+STRICT = Tolerances(ineq_slack=-1e-3)
+
+ORACLE_WEIGHTS = [
+    CorpusSpec("spike", 8),
+    CorpusSpec("lacunary", 8, (0.25,)),
+    CorpusSpec("two-level-gap", 7, (1.0,)),
+    CorpusSpec("constant", 6, (3.0,)),
+    CorpusSpec("random-martingale", 8, (0.6,), 3),
+]
+
+
+def _rel(a: float, b: float) -> bool:
+    return abs(a - b) <= REL * max(abs(a), abs(b))
+
+
+def _live_nodes(w, lev):
+    return [k for k in range(2 ** lev) if not w.is_zero_on(DyadicInterval(lev, k))]
+
+
+def _compare_levels(w, levels, oracle, phantom):
+    """Engine LevelChecks against oracle(node) -> (term, gain, bounds,
+    passed, potential), node by node; returns the number of nodes."""
+    top = w.depth if phantom else w.depth - 1
+    levels = list(levels)
+    assert [lc.level for lc in levels] == list(range(top + 1))
+    count = 0
+    for lc in levels:
+        assert lc.index.tolist() == _live_nodes(w, lc.level)
+        for r, idx in enumerate(lc.index.tolist()):
+            term, gain, bounds, passed, potential = oracle(DyadicInterval(lc.level, idx))
+            assert _rel(float(lc.term[r]), term), (lc.level, idx)
+            assert abs(float(lc.gain[r]) - gain) <= REL * max(1.0, abs(potential)), (lc.level, idx)
+            for got, want in zip(lc.bounds, bounds):
+                assert _rel(float(got[r]), want), (lc.level, idx)
+            assert bool(lc.passed[r]) == passed, (lc.level, idx)
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
+def test_pde_levels_match_per_node(spec, tol):
+    w = gen_weight(spec)
+
+    def oracle(node):
+        res = check_pde_step(w, node, PSI, KERNEL, tol=tol)
+        return (res.stage2 / PDE_FINAL_FACTOR, res.gain, (res.stage1, res.stage2),
+                res.passed, KERNEL.script_B(w.distribution(node)))
+
+    count = _compare_levels(w, _pde_levels(w, KERNEL, ROOT, tol), oracle, phantom=False)
+    cert = verify_d_embed(w, PSI, tol=tol)
+    assert cert.node_count == count
+    if tol is DEFAULT_TOL:
+        assert cert.passed and cert.failures == ()
+
+
+@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
+def test_embed_levels_match_per_node(spec, tol):
+    w = gen_weight(spec)
+    seq, _ = gen_carleson_sequence("random", w.depth, 4).normalized()
+    acc = seq.accumulators
+
+    def oracle(node):
+        lev, idx = node.level, node.index
+        alpha, a_par = float(seq.levels[lev][idx]), float(acc[lev][idx])
+        d_i = w.distribution(node)
+        if lev == w.depth:   # the phantom generation
+            dists, a_m = (d_i, d_i, d_i), a_par - alpha
+            a_p = a_m
+        else:
+            dists = (d_i, w.distribution(node.minus), w.distribution(node.plus))
+            a_m, a_p = float(acc[lev + 1][2 * idx]), float(acc[lev + 1][2 * idx + 1])
+        res = check_embed_step(w, node, PSI, alpha, a_par, a_m, a_p, KERNEL, dists, tol)
+        return (res.stage2 / EMBED_STEP_FACTOR, res.gain, (res.stage1, res.stage2),
+                res.passed, KERNEL.script_T(a_par + 1.0, d_i))
+
+    count = _compare_levels(w, _embed_levels(w, seq, KERNEL, ROOT, tol), oracle,
+                            phantom=True)
+    assert verify_embed(w, seq, PSI, tol=tol).node_count == count
+
+
+@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
+def test_paraproduct_levels_match_per_node(spec, tol):
+    w = gen_weight(spec)
+    f = gen_test_function("random-bounded", w.depth, 7)
+    fw = f.product(w)
+    seq, _ = gen_carleson_sequence("random", w.depth, 5).normalized()
+    acc = seq.accumulators
+
+    def oracle(node):
+        lev, idx = node.level, node.index
+        a, m_i = float(seq.levels[lev][idx]), float(acc[lev][idx])
+        f_i, d_i = fw.average(node), w.distribution(node)
+        if lev == w.depth:   # the phantom generation
+            kids = ([f_i], [d_i], [m_i - a], [1.0])
+        else:
+            kids = ([fw.average(node.minus), fw.average(node.plus)],
+                    [w.distribution(node.minus), w.distribution(node.plus)],
+                    [float(acc[lev + 1][2 * idx]), float(acc[lev + 1][2 * idx + 1])],
+                    [0.5, 0.5])
+        rep = check_paraproduct_step(PSI, f_i, d_i, m_i, *kids, a, KERNEL,
+                                     spot_check_derivative=True, tol=tol)
+        potential = scalar_bellman(f_i, KERNEL.u_of_m(d_i, m_i))
+        return (rep.rhs / PARAPRODUCT_CONSTANT, rep.lhs, (rep.rhs,), rep.passed, potential)
+
+    levels = _paraproduct_levels(w, f, seq, KERNEL, ROOT, True, tol)
+    count = _compare_levels(w, levels, oracle, phantom=True)
+    assert verify_embed2(w, f, seq, PSI, tol=tol).node_count == count
+
+
+@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
+def test_haar_levels_match_per_node(spec):
+    w = gen_weight(spec)
+    f = gen_test_function("random-bounded", w.depth, 8)
+    fw = f.product(w)
+    count = 0
+    for s in _haar_levels(w, fw, PSI, ROOT):
+        assert s.index.tolist() == _live_nodes(w, s.level)
+        for r, idx in enumerate(s.index.tolist()):
+            node = DyadicInterval(s.level, idx)
+            split = weighted_haar_decompose(w, f, node, fw=fw)
+            n_val = n_psi(PSI, w.distribution(node))
+            full = 2.0 * split.half_difference
+            assert _rel(float(s.n_psi[r]), n_val)
+            assert float(s.full[r]) == full
+            assert _rel(float(s.full[r] ** 2 / s.n_psi[r]), full * full / n_val)
+            assert float(s.drift[r]) == 2.0 * split.drift_term
+            assert float(s.haar[r]) == 2.0 * split.haar_term
+            assert float(s.inner[r]) == split.inner_product
+            assert float(s.alpha[r]) == split.alpha
+            count += 1
+    cert = verify_fd_embed(w, f, PSI)
+    assert cert.passed and cert.failures == ()
+    assert cert.node_count == count
+
+
+def test_spike_closed_form_depth_18():
+    cert = verify_d_embed(spike_weight(18), PSI)
+    assert cert.passed and cert.node_count == 18
+    assert cert.lhs == pytest.approx(spike_d_embed_closed_form(18, PSI), rel=1e-12)
+
+
+def test_equal_children_have_zero_gain():
+    # every node of levels 0..2 has two equal children with 64 distinct
+    # values; at this scale a rounding difference between their potentials
+    # would exceed the slack and fail the certificate
+    block = np.random.default_rng(1).uniform(1.0, 2.0, 64)
+    w = DyadicWeight(9, np.tile(block, 8) * 1e100)
+    levels = list(_pde_levels(w, KERNEL, ROOT, DEFAULT_TOL))
+    for lc in levels[:3]:
+        assert np.all(lc.gain == 0.0) and np.all(lc.bounds[0] == 0.0)
+    assert verify_d_embed(w, PSI).passed
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: power-of-two scaling is exact
+# ---------------------------------------------------------------------------
+
+@st.composite
+def weights(draw):
+    """Weights with zeros, ties and a 1e-100 .. 1e100 dynamic range."""
+    depth = draw(st.integers(1, 5))
+    mantissa = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+    scale = st.sampled_from([1e-100, 1.0, 1e100])
+    cells = draw(st.lists(st.tuples(mantissa, scale), min_size=2 ** depth,
+                          max_size=2 ** depth))
+    values = np.array([m * s for m, s in cells])
+    assume(values.max() > 0)
+    return DyadicWeight(depth, values)
+
+
+def _certificates(w, f, seq):
+    d_cert = verify_d_embed(w, PSI)
+    return [d_cert, verify_embed(w, seq, PSI), verify_embed2(w, f, seq, PSI),
+            verify_fd_embed(w, f, PSI, d_cert=d_cert)]
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights(), st.integers(0, 1000))
+def test_power_of_two_scaling_is_exact(w, seed):
+    # n_psi is 1-homogeneous and the batched path scales every sum exactly,
+    # so each ratio and verdict is bit for bit unchanged
+    f = gen_test_function("random-bounded", w.depth, seed)
+    seq = gen_carleson_sequence("random", w.depth, seed)
+    base = _certificates(w, f, seq)
+    for k in range(-3, 4):
+        scaled = DyadicWeight(w.depth, w.values * 2.0 ** k)
+        for want, got in zip(base, _certificates(scaled, f, seq)):
+            assert _same_float(got.ratio, want.ratio), (want.theorem, k)
+            assert got.passed == want.passed, (want.theorem, k)
