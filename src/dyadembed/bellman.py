@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import expn, roots_legendre
 
 from .carleson import CheckReport
@@ -157,15 +157,19 @@ class BellmanKernel:
             x = np.log(1.0 / s)
         xs = np.maximum(x, x0)
         if self._integer_log:
-            n = int(round(a))
-            below = xs ** (1.0 - a) * expn(n, xs)
-            h0 = x0 ** (1.0 - a) * expn(n, x0)
+            below = xs ** (1.0 - a) * expn(int(round(a)), xs)
         else:
-            grid = self._ensure_H_grid()
-            below = grid.tail(xs)
-            h0 = float(grid.tail(x0)[0])
-        above = h0 + (np.maximum(s, psi.s0) - psi.s0) / psi.clamp_value
+            below = self._ensure_H_grid().tail(xs)
+        above = self._h0 + (np.maximum(s, psi.s0) - psi.s0) / psi.clamp_value
         return np.where(s <= psi.s0, below, above)
+
+    @cached_property
+    def _h0(self) -> float:
+        """Raw H at the clamp knot, where its linear piece above s0 starts."""
+        a, x0 = self.psi.alpha, self._x0
+        if self._integer_log:
+            return x0 ** (1.0 - a) * expn(int(round(a)), x0)
+        return float(self._ensure_H_grid().tail(x0)[0])
 
     def _ensure_H_grid(self) -> _PanelGrid:
         if self._H_grid is None:
@@ -214,12 +218,12 @@ class BellmanKernel:
     def U(self, s) -> np.ndarray | float:
         return 1.0 / self.psi.phi(s)
 
-    @property
+    @cached_property
     def C(self) -> float:
         """int_0^1 ds/phi = B'(1); the leaf-bound constant."""
         return float(self.G(1.0))
 
-    @property
+    @cached_property
     def is_normalized(self) -> bool:
         """m-profile requirements: C <= 1 and phi(s) >= s."""
         return self.C <= 1.0 + 1e-12 and self.psi.min_psi >= 1.0 - 1e-12
@@ -228,9 +232,6 @@ class BellmanKernel:
 
     def m(self, s):
         return self.B(s)
-
-    def mprime(self, s):
-        return self.G(s)
 
     # the two-variable auxiliary function -----------------------------------
 
@@ -299,10 +300,16 @@ class BellmanProfile:
     Bprime: np.ndarray
     kind: str                     # "B" or "m"
     C: float                      # B'(1)
-    interpolator: PchipInterpolator = field(repr=False, compare=False, default=None)
 
     def __call__(self, s):
-        return self.interpolator(s)
+        """Monotone cubic (Pchip) view of the grid values; nan outside the grid.
+
+        Built per call so that importing the package does not load
+        scipy.interpolate.
+        """
+        from scipy.interpolate import PchipInterpolator
+
+        return PchipInterpolator(self.grid, self.B, extrapolate=False)(s)
 
 
 def build_profile(psi: PsiFunction, kind: str = "B", points: int = 2000,
@@ -355,8 +362,7 @@ def build_profile(psi: PsiFunction, kind: str = "B", points: int = 2000,
             raise ConstructionError("m'(s) <= 1 violated")
         if np.any(Bv > s + 1e-10):
             raise ConstructionError("m(s) <= s violated")
-    interp = PchipInterpolator(s, Bv, extrapolate=False)
-    return BellmanProfile(s, Bv, Gv, kind, C, interp)
+    return BellmanProfile(s, Bv, Gv, kind, C)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +479,19 @@ def check_embed_step(w: DyadicWeight, i: DyadicInterval, psi: PsiFunction,
                     {"average": avg, "n_psi": n_val, "alpha": alpha_i})
 
 
+# offsets of the T stencil in units of (ha, hn): the centre, (a +- ha, n),
+# (a, n +- hn) and the four corners (a +- ha, n +- hn)
+_T_STENCIL = np.array([[0, 1, -1, 0, 0, 1, 1, -1, -1],
+                       [0, 0, 0, 1, -1, 1, -1, 1, -1]], dtype=np.float64)
+_T_CHECKS = ("psd", "monge-ampere", "slope-bound", "slope-fd")
+
+
+def _scalar_squares(v: np.ndarray) -> np.ndarray:
+    """v**2 rounded as libm pow rounds a scalar power, as a per-point pass
+    computes it; numpy's array square is v*v and can differ in the last bit."""
+    return np.array([x ** 2 for x in v.tolist()])
+
+
 def check_t_convexity(psi: PsiFunction,
                       grid_divisor: np.ndarray | None = None,
                       grid_n: np.ndarray | None = None,
@@ -486,50 +505,64 @@ def check_t_convexity(psi: PsiFunction,
       (c) -dT/d(divisor) >= N^2 / (4 phi(N)) via the analytic formula;
       (d) analytic dT/d(divisor) matches finite differences to 1e-6 relative.
     Points whose inner argument n/divisor falls in a small log-neighborhood
-    of the clamp knot are excluded and counted.
+    of the clamp knot are excluded and counted.  The 9-point stencils of all
+    kept points are one kernel evaluation; failures are listed point by
+    point (divisor outer, N inner), checks in the order above.
     """
     kernel = kernel or BellmanKernel(psi)
     if grid_divisor is None:
         grid_divisor = np.linspace(1.02, 1.98, 50)
     if grid_n is None:
         grid_n = np.linspace(0.02, 0.98, 50)
-    h_rel = 1e-4
-    excluded = 0
-    checked = 0
-    failures = []
-    for a in grid_divisor:
-        for n in grid_n:
-            u_in = n / a
-            if abs(math.log(u_in / psi.s0)) < 0.02 or abs(math.log(min(n, 1.0) / psi.s0)) < 0.02:
-                excluded += 1
-                continue
-            ha = h_rel * a
-            hn = h_rel * n
-            T = lambda aa, nn: float(kernel.T(aa, nn))
-            t0 = T(a, n)
-            taa = (T(a + ha, n) - 2 * t0 + T(a - ha, n)) / ha**2
-            tnn = (T(a, n + hn) - 2 * t0 + T(a, n - hn)) / hn**2
-            tan = (T(a + ha, n + hn) - T(a + ha, n - hn)
-                   - T(a - ha, n + hn) + T(a - ha, n - hn)) / (4 * ha * hn)
-            checked += 1
-            scale = abs(taa) + abs(tnn) + abs(tan) + 1e-30
-            tr = taa + tnn
-            det = taa * tnn - tan * tan
-            eig_min = 0.5 * (tr - math.sqrt(max(tr * tr - 4 * det, 0.0)))
-            if eig_min < -1e-6 * scale:
-                failures.append(("psd", a, n, eig_min))
-            if abs(det) > 1e-5 * scale * scale:
-                failures.append(("monge-ampere", a, n, det))
-            slope = float(kernel.dT_ddivisor(a, n))
-            bound = n * n / (4.0 * float(psi.phi(n)))
-            if -slope < bound * (1 - 1e-9):
-                failures.append(("slope-bound", a, n, -slope - bound))
-            fd_slope = (T(a + ha, n) - T(a - ha, n)) / (2 * ha)
-            if abs(fd_slope - slope) > 1e-6 * max(abs(slope), 1e-12):
-                failures.append(("slope-fd", a, n, fd_slope - slope))
+    checked, excluded, failures = _t_convexity_grid(psi, kernel, grid_divisor, grid_n)
     return CheckReport("t-convexity", float(len(failures)), 0.0, not failures,
                        detail={"checked": checked, "excluded": excluded,
                                "failures": failures[:20]})
+
+
+def _t_convexity_grid(psi: PsiFunction, kernel: BellmanKernel,
+                      grid_divisor, grid_n) -> tuple[int, int, list]:
+    """(checked, excluded, every failure) of check_t_convexity's grid."""
+    grid_divisor = np.asarray(grid_divisor, dtype=np.float64)
+    grid_n = np.asarray(grid_n, dtype=np.float64)
+    h_rel = 1e-4
+    ia, jn = [], []
+    for i, a in enumerate(grid_divisor):
+        for j, n in enumerate(grid_n):
+            if not (abs(math.log(n / a / psi.s0)) < 0.02
+                    or abs(math.log(min(n, 1.0) / psi.s0)) < 0.02):
+                ia.append(i)
+                jn.append(j)
+    checked = len(ia)
+    excluded = grid_divisor.size * grid_n.size - checked
+    a, n = grid_divisor[ia], grid_n[jn]
+    ha, hn = h_rel * a, h_rel * n
+    da = a + _T_STENCIL[0][:, None] * ha
+    dn = n + _T_STENCIL[1][:, None] * hn
+    if np.any(da < 1.0 - 1e-9):
+        raise ValueError("divisor below 1")
+    t0, tap, tam, tnp, tnm, tpp, tpm, tmp, tmm = (
+        dn * kernel.G((dn / da).ravel()).reshape(dn.shape))
+    taa = (tap - 2 * t0 + tam) / _scalar_squares(h_rel * grid_divisor)[ia]
+    tnn = (tnp - 2 * t0 + tnm) / _scalar_squares(h_rel * grid_n)[jn]
+    tan = (tpp - tpm - tmp + tmm) / (4 * ha * hn)
+    scale = np.abs(taa) + np.abs(tnn) + np.abs(tan) + 1e-30
+    tr = taa + tnn
+    det = taa * tnn - tan * tan
+    eig_min = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0)))
+    slope = kernel.dT_ddivisor(a, n)
+    # phi(N) once per grid value and on scalars, so its power rounds as above
+    bound = n * n / (4.0 * np.array([float(psi.phi(v)) for v in grid_n])[jn])
+    fd_slope = (tap - tam) / (2 * ha)
+    values = (eig_min, det, -slope - bound, fd_slope - slope)
+    failed = np.stack([eig_min < -1e-6 * scale,
+                       np.abs(det) > 1e-5 * scale * scale,
+                       -slope < bound * (1 - 1e-9),
+                       np.abs(fd_slope - slope) > 1e-6 * np.maximum(np.abs(slope), 1e-12)],
+                      axis=1)
+    failures = [(_T_CHECKS[c], float(a[p]), float(n[p]), float(values[c][p]))
+                for p, c in zip(*np.nonzero(failed))]
+    return checked, excluded, failures
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -160,6 +161,11 @@ def cmd_verify(args) -> int:
         print(f"unknown theorem id {args.theorem!r}; choose from {THEOREMS}",
               file=sys.stderr)
         return 3
+    for flag, value in (("--tolerance-ineq", args.tolerance_ineq),
+                        ("--tolerance-identity", args.tolerance_identity)):
+        if not (math.isfinite(value) and value >= 0.0):
+            print(f"{flag} must be finite and >= 0, got {value}", file=sys.stderr)
+            return 3
     if args.theorem == "bellman-checks" and args.depth < 3:
         print(f"bellman-checks needs --depth >= 3 (its sweep draws trees of "
               f"depth 3..min(8, depth)), got {args.depth}", file=sys.stderr)

@@ -188,10 +188,6 @@ class PsiFunction:
         """Psi(1), the minimum of Psi on (0, 1]."""
         return float(self.psi(1.0))
 
-    @property
-    def is_closed_family(self) -> bool:
-        return self.mode in ("clamped-log", "clamped-loglog")
-
     # -- admissibility ------------------------------------------------------
 
     def validate(self, grid_points: int = 1200, tol: Tolerances = DEFAULT_TOL) -> None:

@@ -239,6 +239,93 @@ def test_t_convexity_loglog():
     assert rep.passed, rep.detail["failures"]
 
 
+def _t_convexity_loop(psi, grid_divisor, grid_n, kernel):
+    """Per-point T-convexity pass: the oracle of the whole-grid pass."""
+    h_rel = 1e-4
+    excluded = 0
+    checked = 0
+    failures = []
+    for a in grid_divisor:
+        for n in grid_n:
+            u_in = n / a
+            if abs(math.log(u_in / psi.s0)) < 0.02 or abs(math.log(min(n, 1.0) / psi.s0)) < 0.02:
+                excluded += 1
+                continue
+            ha = h_rel * a
+            hn = h_rel * n
+            T = lambda aa, nn: float(kernel.T(aa, nn))
+            t0 = T(a, n)
+            taa = (T(a + ha, n) - 2 * t0 + T(a - ha, n)) / ha**2
+            tnn = (T(a, n + hn) - 2 * t0 + T(a, n - hn)) / hn**2
+            tan = (T(a + ha, n + hn) - T(a + ha, n - hn)
+                   - T(a - ha, n + hn) + T(a - ha, n - hn)) / (4 * ha * hn)
+            checked += 1
+            scale = abs(taa) + abs(tnn) + abs(tan) + 1e-30
+            tr = taa + tnn
+            det = taa * tnn - tan * tan
+            eig_min = 0.5 * (tr - math.sqrt(max(tr * tr - 4 * det, 0.0)))
+            if eig_min < -1e-6 * scale:
+                failures.append(("psd", a, n, eig_min))
+            if abs(det) > 1e-5 * scale * scale:
+                failures.append(("monge-ampere", a, n, det))
+            slope = float(kernel.dT_ddivisor(a, n))
+            bound = n * n / (4.0 * float(psi.phi(n)))
+            if -slope < bound * (1 - 1e-9):
+                failures.append(("slope-bound", a, n, -slope - bound))
+            fd_slope = (T(a + ha, n) - T(a - ha, n)) / (2 * ha)
+            if abs(fd_slope - slope) > 1e-6 * max(abs(slope), 1e-12):
+                failures.append(("slope-fd", a, n, fd_slope - slope))
+    return checked, excluded, failures
+
+
+class _WavyKernel(BellmanKernel):
+    """G with a small ripple and a too-shallow analytic slope, so that every
+    T-convexity check kind fails somewhere."""
+
+    def G(self, s):
+        return super().G(s) + 1e-3 * np.sin(40.0 * np.asarray(s))
+
+    def dT_ddivisor(self, divisor, s):
+        return 0.3 * super().dT_ddivisor(divisor, s)
+
+
+@pytest.mark.parametrize("family", ["log-bump", "loglog-bump"])
+@pytest.mark.parametrize("case", ["default", "knot", "wavy"])
+def test_t_convexity_matches_scalar_loop(family, case):
+    from dyadembed.bellman import _t_convexity_grid
+
+    psi = psi_closed_form(2.0, family=family)
+    kernel = BellmanKernel(psi)
+    grid_a = np.linspace(1.02, 1.98, 50)
+    grid_n = np.linspace(0.02, 0.98, 50)
+    if case == "knot":  # n and n/divisor sweep through the clamp knot s0
+        grid_a = np.linspace(1.01, 1.99, 13)
+        grid_n = psi.s0 * np.geomspace(0.5, 4.0, 40)
+    elif case == "wavy":
+        # grid values where a scalar power (libm pow) and numpy's array square
+        # round differently: (1e-4 * divisor)**2 at index 3 of 17 points,
+        # (1e-4 * n)**2 at index 20 of 52 and log-bump phi(n) at index 4 of 158
+        kernel = _WavyKernel(psi)
+        grid_a = np.linspace(1.02, 1.98, 17)
+        grid_n = np.append(np.linspace(0.02, 0.98, 52), np.linspace(0.02, 0.98, 158)[4])
+    checked, excluded, failures = _t_convexity_loop(psi, grid_a, grid_n, kernel)
+    rep = check_t_convexity(psi, grid_a, grid_n, kernel=kernel)
+    assert _t_convexity_grid(psi, kernel, grid_a, grid_n) == (checked, excluded, failures)
+    assert rep.passed == (not failures)
+    assert rep.lhs == len(failures)
+    assert rep.detail == {"checked": checked, "excluded": excluded,
+                          "failures": failures[:20]}
+    assert all(type(v) is float for f in rep.detail["failures"] for v in f[1:])
+    if case == "default":
+        assert not failures
+    if case == "knot":
+        assert excluded > 0
+    if case == "wavy":
+        assert {f[0] for f in failures} == {"psd", "monge-ampere", "slope-bound",
+                                            "slope-fd"}
+        assert len(failures) > 20
+
+
 # ---------------------------------------------------------------------------
 # u functionals
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -167,3 +169,20 @@ def test_bump_embed_alias(small_corpus, tmp_path):
     results = json.loads((tmp_path / "certificates_bump-embed.json").read_text())
     assert len(results) == 30  # 6 weights x 5 functions
     assert all(r["verdict"] == "pass" for r in results)
+
+
+@pytest.mark.parametrize("flag", ["--tolerance-ineq", "--tolerance-identity"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_tolerance_is_config_error(flag, value, small_corpus, tmp_path, capsys):
+    rc = main(["verify", "--theorem", "d-embed", "--corpus", str(small_corpus),
+               flag, value, "--out", str(tmp_path)])
+    assert rc == 3
+    assert f"{flag} must be finite and >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("certificates_*.json"))
+
+
+def test_import_does_not_load_scipy_interpolate():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dyadembed, dyadembed.cli; "
+            "assert 'scipy.interpolate' not in sys.modules, 'scipy.interpolate loaded'")
+    subprocess.run([sys.executable, "-c", code, str(src)], check=True)
