@@ -54,8 +54,6 @@ from .bellman import (
     check_pde_step,
     check_t_convexity,
     scalar_bellman,
-    u_of,
-    u_of_m,
 )
 from .verifiers import (
     Certificate,
@@ -86,14 +84,6 @@ from .corpus import (
     load_corpus,
     write_corpus,
 )
-from .weights import (
-    DyadicWeight,
-    SignedStepFunction,
-    StepFunction,
-    average,
-    distribution,
-    haar_difference,
-    pairwise_sum,
-)
+from .weights import DyadicWeight, StepFunction
 
 __version__ = "0.1.0"

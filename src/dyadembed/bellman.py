@@ -97,22 +97,6 @@ class _PanelGrid:
 # kernel: G, H, B for one Psi
 # ---------------------------------------------------------------------------
 
-def _solve_phidphi(phi, target: float) -> float:
-    """Solve Phi(t) Phi'(t) = target by bisection in log t."""
-    lo, hi = phi.t_min, 2.0 * phi.t_min
-    while float(phi.phi(hi) * phi.dphi(hi)) < target:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ConstructionError("Phi*Phi' bracket failed")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if float(phi.phi(mid) * phi.dphi(mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
-
-
 class BellmanKernel:
     """Vectorized G, H, B, T for a PsiFunction (normalization included)."""
 
@@ -174,21 +158,19 @@ class BellmanKernel:
     def _ensure_H_grid(self) -> _PanelGrid:
         if self._H_grid is None:
             g = lambda y: np.exp(-y) / self.psi.psi_raw(np.exp(-y))
-            panels = 300 if self.psi.mode == "parametric" else 1200
-            self._H_grid = _PanelGrid(g, knots=[self._x0], panels=panels)
+            self._H_grid = _PanelGrid(g, knots=[self._x0])
         return self._H_grid
 
     def _ensure_G_grid(self) -> _PanelGrid:
         if self._G_grid is None:
             g = lambda y: 1.0 / self.psi.psi_raw(np.exp(-y))
-            panels = 300 if self.psi.mode == "parametric" else 1200
-            self._G_grid = _PanelGrid(g, knots=[self._x0], panels=panels)
+            self._G_grid = _PanelGrid(g, knots=[self._x0])
             # tail beyond x = 60 via the parametric identity: with
             # y = log(Phi Phi'), int 1/Psi dy = int (1/Phi + Phi''/Phi'^2) dt,
             # whose second part telescopes to 1/Phi'.  Table-grade accuracy.
             src = self.psi.phi_source
             if src is not None:
-                t60 = _solve_phidphi(src, math.exp(60.0))
+                t60 = float(src.phi_dphi_inverse(math.exp(60.0)))
                 self._param_G_tail = src.tail_integral(t60) + 1.0 / float(src.dphi(t60))
             else:
                 self._param_G_tail = 0.0
@@ -495,8 +477,7 @@ def _scalar_squares(v: np.ndarray) -> np.ndarray:
 def check_t_convexity(psi: PsiFunction,
                       grid_divisor: np.ndarray | None = None,
                       grid_n: np.ndarray | None = None,
-                      kernel: BellmanKernel | None = None,
-                      tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+                      kernel: BellmanKernel | None = None) -> CheckReport:
     """Grid check of T's convexity, Monge-Ampere degeneracy, and slope bound.
 
     On a divisor x N grid (divisor = A+1 in [1,2]):
@@ -698,24 +679,3 @@ def check_paraproduct_step(psi: PsiFunction,
     return CheckReport("paraproduct-step", lhs, rhs, passed,
                        ratio=lhs / rhs if rhs > 0 else float("inf"),
                        flags=tuple(flags), detail=detail)
-
-
-def u_of(psi: PsiFunction, dist: DistributionFunction) -> float:
-    """u(N) = int (2N - m(N)) dt; asserts w(N) <= u <= 2 w(N)."""
-    kernel = BellmanKernel(psi)
-    _require_normalized(kernel)
-    val = kernel.u_of(dist)
-    w = dist.layer_cake()
-    if not (w - 1e-9 * max(1.0, w) <= val <= 2 * w + 1e-9 * max(1.0, w)):
-        raise AssertionError(f"u(N) = {val} outside [w, 2w] = [{w}, {2 * w}]")
-    return val
-
-
-def u_of_m(psi: PsiFunction, dist: DistributionFunction, m_budget: float) -> float:
-    kernel = BellmanKernel(psi)
-    _require_normalized(kernel)
-    val = kernel.u_of_m(dist, m_budget)
-    w = dist.layer_cake()
-    if not (w - 1e-9 * max(1.0, w) <= val <= 2 * w + 1e-9 * max(1.0, w)):
-        raise AssertionError(f"u(N, M) = {val} outside [w, 2w]")
-    return val

@@ -30,7 +30,8 @@ from .corpus import (
     load_corpus_entry,
     write_corpus,
 )
-from .orlicz import psi_closed_form, psi_from_phi, young_function, ConstructionError
+from .orlicz import (ConstructionError, normalized_psi, psi_closed_form, psi_from_phi,
+                     young_function)
 from .bellman import BellmanKernel, build_profile, check_t_convexity
 from .verifiers import (
     failure_demo,
@@ -44,6 +45,8 @@ from .verifiers import (
 
 THEOREMS = ("buc-classic", "folk", "d-embed", "fd-embed", "embed", "embed2",
             "bump-embed", "failure-demo", "bellman-checks")
+# theorems whose inequalities hold only for a normalized Psi (the m-profile)
+NORMALIZED_THEOREMS = ("embed2", "bump-embed", "bellman-checks")
 SEQUENCE_KINDS = ("root-only", "level-uniform", "random", "stopping-time")
 FUNCTION_KINDS = (("constant", 0), ("haar", 0), ("random-bounded", 11),
                   ("random-bounded", 12), ("w-normalized", 13))
@@ -70,8 +73,11 @@ class RunConfig:
 
     def psi(self):
         if self.psi_family == "parametric":
-            phi = young_function("log-bump", self.alpha)
-            return psi_from_phi(phi)
+            if self.clamp_s0 is not None:
+                raise ConstructionError("--clamp-s0 applies to the closed-form "
+                                        "families only, not to parametric")
+            psi = psi_from_phi(young_function("log-bump", self.alpha))
+            return normalized_psi(psi) if self.normalize else psi
         return psi_closed_form(self.alpha, self.psi_family,
                                clamp_s0=self.clamp_s0, normalize=self.normalize)
 
@@ -184,6 +190,10 @@ def cmd_verify(args) -> int:
     except ConstructionError as exc:
         print(f"psi construction failed: {exc}", file=sys.stderr)
         return 3
+    if args.theorem in NORMALIZED_THEOREMS and not BellmanKernel(psi).is_normalized:
+        print(f"{args.theorem} requires a normalized Psi (int_0^1 ds/phi <= 1 and "
+              f"phi(s) >= s); drop --no-normalize", file=sys.stderr)
+        return 3
 
     if args.theorem == "failure-demo":
         try:
@@ -206,7 +216,7 @@ def cmd_verify(args) -> int:
     if args.theorem == "bellman-checks":
         kernel = BellmanKernel(psi)
         profile = build_profile(psi)
-        conv = check_t_convexity(psi, kernel=kernel, tol=cfg.tolerances())
+        conv = check_t_convexity(psi, kernel=kernel)
         sweep = _pointwise_sweep(psi, kernel, cfg)
         ok = conv.passed and sweep["violations"] == 0
         report = {
@@ -228,7 +238,12 @@ def cmd_verify(args) -> int:
         print(f"corpus manifest not found: {manifest} (run gen-corpus first)",
               file=sys.stderr)
         return 3
-    entries = load_corpus(manifest)
+    try:
+        entries = load_corpus(manifest)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        print(f"corpus manifest {manifest} is malformed: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     tasks = _build_tasks(args.theorem, str(manifest), len(entries), cfg)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .carleson import CarlesonSequence
 from .intervals import ROOT, DyadicInterval
-from .weights import DyadicWeight, SignedStepFunction
+from .weights import DyadicWeight, StepFunction
 
 
 @dataclass(frozen=True)
@@ -115,29 +115,29 @@ def gen_carleson_sequence(kind: str, depth: int, seed: int = 0) -> CarlesonSeque
 
 
 def gen_test_function(kind: str, depth: int, seed: int = 0,
-                      weight: DyadicWeight | None = None) -> SignedStepFunction:
+                      weight: DyadicWeight | None = None) -> StepFunction:
     """Deterministic test functions f with exactly computable int f^2 w."""
     n = 2 ** depth
     if kind == "constant":
-        return SignedStepFunction(depth, np.ones(n))
+        return StepFunction(depth, np.ones(n))
     if kind == "haar":
         # one Haar oscillation on the left half of the root
         vals = np.zeros(n)
         vals[: n // 4] = 1.0
         vals[n // 4 : n // 2] = -1.0
-        return SignedStepFunction(depth, vals)
+        return StepFunction(depth, vals)
     if kind == "random-bounded":
         rng = np.random.default_rng(seed)
-        return SignedStepFunction(depth, rng.uniform(-1.0, 1.0, n))
+        return StepFunction(depth, rng.uniform(-1.0, 1.0, n))
     if kind == "w-normalized":
         if weight is None:
             raise ValueError("w-normalized functions need the weight")
         rng = np.random.default_rng(seed)
-        f = SignedStepFunction(depth, rng.uniform(-1.0, 1.0, n))
+        f = StepFunction(depth, rng.uniform(-1.0, 1.0, n))
         norm2 = f.squared().product(weight).integral(ROOT)
         if norm2 <= 0:
             return f
-        return SignedStepFunction(depth, f.values / np.sqrt(norm2))
+        return StepFunction(depth, f.values / np.sqrt(norm2))
     raise ValueError(f"unknown function kind {kind!r}")
 
 
@@ -149,7 +149,7 @@ def estimate_ainfty(w: DyadicWeight) -> float:
     """sup_I <w>_I exp(-<log w>_I) over the tree; +inf when w has zeros."""
     if np.any(w.values == 0):
         return float("inf")
-    logw = SignedStepFunction(w.depth, np.log(w.values))
+    logw = StepFunction(w.depth, np.log(w.values))
     worst = 0.0
     for lev in range(w.depth + 1):
         avg = w.level_averages(lev)

@@ -18,8 +18,8 @@ The bump functional of a distribution N is n_psi = int N(t) Psi(N(t)) dt
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +32,29 @@ from .weights import DyadicWeight
 
 class ConstructionError(ValueError):
     """A function family could not be built with the requested parameters."""
+
+
+def _bisect(f, target, lo, hi) -> np.ndarray:
+    """Smallest x in (lo, hi] with f(x) >= target, elementwise over target.
+
+    f is nondecreasing and vectorized; the bracket ends are positive floats
+    or arrays broadcastable to target with f(lo) < target <= f(hi), and f
+    may overflow to inf.  The bisection runs on the int64 bit patterns of the
+    positive floats, which are ordered as the floats are, so each step
+    halves the bit-pattern gap between the ends (bisection in log x), and a
+    gap of g closes to adjacent floats in ceil(log2 g) <= 63 steps.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    lo_b = np.full(target.shape, lo, dtype=np.float64).view(np.int64)
+    hi_b = np.full(target.shape, hi, dtype=np.float64).view(np.int64)
+    steps = int(np.max(hi_b - lo_b, initial=1) - 1).bit_length()
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            mid = lo_b + (hi_b - lo_b) // 2
+            below = f(mid.view(np.float64)) < target
+            lo_b = np.where(below, mid, lo_b)
+            hi_b = np.where(below, hi_b, mid)
+    return hi_b.view(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +72,8 @@ class YoungFunction:
     def __post_init__(self):
         if self.family not in ("log-bump", "loglog-bump"):
             raise ConstructionError(f"unknown Young family {self.family!r}")
+        if not math.isfinite(self.alpha):
+            raise ConstructionError(f"alpha must be finite, got {self.alpha}")
         if self.alpha <= 1:
             raise ConstructionError("alpha must exceed 1 for an integrable 1/Phi tail")
 
@@ -72,21 +97,18 @@ class YoungFunction:
             + self.alpha * t * u * v ** (self.alpha - 1) * dv
 
     def phi_inverse(self, y: float) -> float:
-        """Solve Phi(t) = y, y > 0, by bisection in log t."""
+        """Solve Phi(t) = y, y > 0."""
         if y <= 0:
             raise ValueError("phi_inverse needs a positive argument")
-        lo, hi = 1e-300, 1.0
-        while float(self.phi(hi)) < y:
-            hi *= 2.0
-            if hi > 1e290:
-                raise ConstructionError("phi_inverse bracket failed")
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if float(self.phi(mid)) < y:
-                lo = mid
-            else:
-                hi = mid
-        return math.sqrt(lo * hi)
+        return float(_bisect(self.phi, y, 1e-300, y))   # Phi(t) >= t
+
+    def phi_dphi_inverse(self, y):
+        """t >= t_min with Phi(t) Phi'(t) = y, elementwise: the parametric
+        map t(s) at s = 1/y.  A y at or below Phi Phi'(t_min) gives t_min, to
+        within a float."""
+        # Phi(t) >= t and Phi'(t) >= 1, so the root lies below y
+        return _bisect(lambda t: self.phi(t) * self.dphi(t), y, self.t_min,
+                       np.maximum(y, self.t_min))
 
     def tail_integral(self, t0: float | None = None) -> float:
         """int_{t0}^inf dt/Phi(t); closed form per family (finite by alpha > 1)."""
@@ -103,9 +125,8 @@ class YoungFunction:
         return y0 ** (1 - a) / (a - 1)
 
 
-def young_function(family: str, alpha: float, t_min: float | None = None) -> YoungFunction:
-    kw = {} if t_min is None else {"t_min": t_min}
-    yf = YoungFunction(family, alpha, **kw)
+def young_function(family: str, alpha: float) -> YoungFunction:
+    yf = YoungFunction(family, alpha)
     # grid admissibility: Phi' >= 0 and nondecreasing for t >= t_min
     t = np.geomspace(yf.t_min, 1e12, 1000)
     d = yf.dphi(t)
@@ -120,17 +141,8 @@ def young_function(family: str, alpha: float, t_min: float | None = None) -> You
 
 def _loglog_clamp_knot(alpha: float) -> float:
     """Smallest x with e^{-x} x (ln x)^alpha nonincreasing in x: (x-1)ln x = alpha."""
-    lo, hi = 1.0 + 1e-9, 10.0 + alpha * 4
-    f = lambda x: (x - 1.0) * math.log(x) - alpha
-    while f(hi) < 0:
-        hi *= 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # (x-1) ln x >= x-1 for x >= e, so the root lies below alpha + e
+    return float(_bisect(lambda x: (x - 1.0) * np.log(x), alpha, 1.0, alpha + math.e))
 
 
 @dataclass(frozen=True)
@@ -148,8 +160,6 @@ class PsiFunction:
     s0: float = 1.0                     # clamp point (constant on [s0, 1])
     clamp_value: float = 0.0            # raw Psi value on the clamp
     phi_source: Optional[YoungFunction] = None
-    comparability: float = 1.0          # C with Psi(s) <= C Phi'(t) (parametric: 1)
-    _t_of_s: Optional[Callable] = None
 
     # -- evaluation -------------------------------------------------------
 
@@ -166,15 +176,10 @@ class PsiFunction:
             val = xs * np.log(xs) ** self.alpha
             return np.where(s <= self.s0, val, self.clamp_value)
         # parametric
-        scalars = np.atleast_1d(s)
-        out = np.array([self._psi_param_scalar(float(v)) for v in scalars])
-        return out if np.ndim(s) else out[0]
-
-    def _psi_param_scalar(self, s: float) -> float:
-        if s >= self.s0:
-            return self.clamp_value
-        t = self._t_of_s(s)
-        return float(self.phi_source.dphi(t))
+        src = self.phi_source
+        with np.errstate(divide="ignore"):
+            t = src.phi_dphi_inverse(1.0 / s)
+        return np.where(s < self.s0, src.dphi(t), self.clamp_value)
 
     def psi(self, s):
         return self.k * self.psi_raw(s)
@@ -270,24 +275,21 @@ def normalized_psi(psi: PsiFunction) -> PsiFunction:
     """
     from .bellman import BellmanKernel  # local import to avoid a cycle
 
-    base = PsiFunction(psi.mode, psi.alpha, 1.0, psi.s0, psi.clamp_value,
-                       psi.phi_source, psi.comparability, psi._t_of_s)
+    base = replace(psi, k=1.0)
     g1 = BellmanKernel(base).G(1.0)
     k = max(1.0, float(g1), 1.0 / base.min_psi)
-    return PsiFunction(psi.mode, psi.alpha, k, psi.s0, psi.clamp_value,
-                       psi.phi_source, psi.comparability, psi._t_of_s)
+    return replace(psi, k=k)
 
 
-def psi_from_phi(phi: YoungFunction, tol_s: float = 1e-12,
-                 grid_points: int = 400) -> PsiFunction:
+def psi_from_phi(phi: YoungFunction) -> PsiFunction:
     """Parametric Psi: Psi(s) = Phi'(t) where s = 1/(Phi(t) Phi'(t)).
 
-    Solved by bracketed bisection in log t; for s above s(t_min) the value
-    clamps to the constant Phi'(t_min).  Requires Phi*Phi' strictly
-    increasing beyond t_min (checked on a grid; violations are reported
-    with the offending range).
+    For s above s(t_min) the value clamps to the constant Phi'(t_min).
+    Requires Phi*Phi' strictly increasing beyond t_min (checked on a grid;
+    violations are reported with the offending range).  Not normalized:
+    pass the result to normalized_psi for the m-profile inequalities.
     """
-    t_grid = np.geomspace(phi.t_min, 1e14, grid_points)
+    t_grid = np.geomspace(phi.t_min, 1e14, 400)
     g = phi.phi(t_grid) * phi.dphi(t_grid)
     bad = np.diff(g) <= 0
     if np.any(bad):
@@ -295,45 +297,21 @@ def psi_from_phi(phi: YoungFunction, tol_s: float = 1e-12,
         raise ConstructionError(
             f"Phi*Phi' not strictly increasing on t in [{t_grid[i]:.6g}, {t_grid[i + 1]:.6g}]")
     s_min_clamp = 1.0 / float(g[0])  # s at t_min
-
-    def t_of_s(s: float) -> float:
-        target = 1.0 / s
-        lo, hi = phi.t_min, 2.0 * phi.t_min
-        while float(phi.phi(hi) * phi.dphi(hi)) < target:
-            hi *= 2.0
-            if hi > 1e300:
-                raise ConstructionError("parametric bracket failed")
-        for _ in range(400):
-            mid = math.sqrt(lo * hi)
-            val = float(phi.phi(mid) * phi.dphi(mid))
-            if val < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi / lo - 1.0 < 1e-15:
-                break
-        mid = math.sqrt(lo * hi)
-        # translate the bracket into a tolerance in s
-        sval = 1.0 / float(phi.phi(mid) * phi.dphi(mid))
-        if abs(sval - s) > tol_s * max(s, 1e-300) * 1e3:
-            raise ConstructionError(f"parametric solve did not converge at s={s}")
-        return mid
-
     clamp_value = float(phi.dphi(phi.t_min))
     return PsiFunction("parametric", phi.alpha, 1.0, s_min_clamp, clamp_value,
-                       phi_source=phi, _t_of_s=t_of_s)
+                       phi_source=phi)
 
 
 # ---------------------------------------------------------------------------
 # Norms and functionals
 # ---------------------------------------------------------------------------
 
-def luxemburg_norm(phi: YoungFunction, w: DyadicWeight, i: DyadicInterval,
-                   rel_tol: float = 1e-10) -> float:
+def luxemburg_norm(phi: YoungFunction, w: DyadicWeight, i: DyadicInterval) -> float:
     """Luxemburg norm inf{lam > 0 : |I|^-1 int_I Phi(w/lam) <= 1}.
 
-    Monotone bisection in log lam; the modular integral is an exact finite
-    sum over the distinct values of w on I.  Returns 0 for w == 0 on I.
+    The modular integral is an exact finite sum over the distinct values of
+    w on I and nonincreasing in lam, so the infimum is the smallest lam with
+    -modular(lam) >= -1.  Returns 0 for w == 0 on I.
     """
     dist = w.distribution(i)
     if dist.is_zero:
@@ -341,28 +319,8 @@ def luxemburg_norm(phi: YoungFunction, w: DyadicWeight, i: DyadicInterval,
     vals = dist.thresholds
     fracs = np.concatenate([dist.survival, [0.0]])
     weights = dist.survival - fracs[1:]          # measure fraction at each value
-
-    def modular(lam: float) -> float:
-        return float(np.dot(weights, phi.phi(vals / lam)))
-
-    lo = dist.layer_cake() / max(phi.phi_inverse(1.0), 1e-300) * 0.5
-    lo = max(lo, 1e-300)
-    hi = max(lo * 2, float(vals[-1]))
-    while modular(hi) > 1.0:
-        hi *= 2.0
-    while modular(lo) < 1.0 and hi / lo > 1 + rel_tol:
-        lo *= 0.5
-        if lo < 1e-280:
-            break
-    for _ in range(300):
-        if hi / lo - 1.0 <= rel_tol:
-            break
-        mid = math.sqrt(lo * hi)
-        if modular(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+    return float(_bisect(lambda lam: -np.dot(weights, phi.phi(vals / lam)),
+                         -1.0, 1e-300, 1e300))
 
 
 def n_psi(psi: PsiFunction, dist: DistributionFunction) -> float:

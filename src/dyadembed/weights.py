@@ -22,23 +22,6 @@ from .distribution import DistributionFunction
 from .intervals import DyadicInterval
 
 
-def pairwise_sum(values: np.ndarray) -> float:
-    """Sum with a fixed balanced-tree association (split at the midpoint)."""
-    a = np.asarray(values, dtype=np.float64)
-    n = a.size
-    if n == 0:
-        return 0.0
-    while n > 1:
-        half = n // 2
-        if n % 2:  # carry the odd tail into the last slot
-            a = np.concatenate([a[: n - 1], a[n - 1 :]])
-            a = np.concatenate([a[:half] + a[half : 2 * half], a[2 * half :]])
-        else:
-            a = a[:half] + a[half:]
-        n = a.size
-    return float(a[0])
-
-
 class StepFunction:
     """Real-valued dyadic step function (signed values allowed)."""
 
@@ -131,10 +114,6 @@ class StepFunction:
         return self.values[a:b]
 
 
-class SignedStepFunction(StepFunction):
-    """Alias carrying intent: the test functions f of the embedding theorems."""
-
-
 class DyadicWeight(StepFunction):
     """Nonnegative dyadic step function (the weight w)."""
 
@@ -178,17 +157,3 @@ class DyadicWeight(StepFunction):
     @classmethod
     def load(cls, path: str | Path) -> "DyadicWeight":
         return cls.from_json(Path(path).read_text())
-
-
-# -- module-level operations (the public verbs) ----------------------------
-
-def average(w: StepFunction, i: DyadicInterval) -> float:
-    return w.average(i)
-
-
-def haar_difference(w: StepFunction, i: DyadicInterval) -> float:
-    return w.haar_difference(i)
-
-
-def distribution(w: DyadicWeight, i: DyadicInterval) -> DistributionFunction:
-    return w.distribution(i)

@@ -29,7 +29,7 @@ from dyadembed import (
     BellmanKernel,
     CorpusSpec,
     DyadicInterval,
-    SignedStepFunction,
+    StepFunction,
     carleson_embedding_check,
     CarlesonSequence,
     check_main_ineq_npoint,
@@ -172,7 +172,7 @@ def test_criterion_4_f_embeddings_corpus_functions():
             n_fd += 1
             n_bump += 1
         # f == 1 cross-consistency is exact, same summation order
-        ones = SignedStepFunction(w.depth, np.ones(2 ** w.depth))
+        ones = StepFunction(w.depth, np.ones(2 ** w.depth))
         e2 = verify_embed2(w, ones, seq, PSI)
         e1 = verify_embed(w, seq, PSI)
         assert e2.lhs == e1.lhs, entry.spec.label
@@ -352,7 +352,7 @@ def test_criterion_7_classical_embeddings_randomized():
         seq = CarlesonSequence(depth, [rng.uniform(0, 1, 2 ** l)
                                        for l in range(depth + 1)])
         seq, _ = seq.normalized()
-        f = SignedStepFunction(depth, rng.uniform(-2, 2, 2 ** depth))
+        f = StepFunction(depth, rng.uniform(-2, 2, 2 ** depth))
         rep = carleson_embedding_check(seq, f, ROOT, c0=1.0)
         assert rep.passed and rep.ratio <= 4.0 + 1e-9
         if trial % 50 == 0:
@@ -362,7 +362,7 @@ def test_criterion_7_classical_embeddings_randomized():
         w = gen_weight(CorpusSpec("random-martingale", depth, (0.7,), trial))
         beta = CarlesonSequence(depth, [rng.uniform(0, 1, 2 ** l)
                                         for l in range(depth + 1)])
-        f = SignedStepFunction(depth, rng.uniform(-1, 1, 2 ** depth))
+        f = StepFunction(depth, rng.uniform(-1, 1, 2 ** depth))
         c0 = w_carleson_constant(beta, w)
         rep = weighted_carleson_embedding_check(w, beta, f, ROOT, c0=c0)
         assert rep.passed and rep.ratio <= 4.0 + 1e-9

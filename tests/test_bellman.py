@@ -26,8 +26,6 @@ from dyadembed import (
     psi_closed_form,
     scalar_bellman,
     spike_weight,
-    u_of,
-    u_of_m,
 )
 from dyadembed.orlicz import ConstructionError
 
@@ -330,27 +328,29 @@ def test_t_convexity_matches_scalar_loop(family, case):
 # u functionals
 # ---------------------------------------------------------------------------
 
-def test_u_of_unit_weight(psi2, kernel2):
+def test_u_of_unit_weight(kernel2):
     w = DyadicWeight(3, np.ones(8))
     d = w.distribution(ROOT)
-    val = u_of(psi2, d)
+    val = kernel2.u_of(d)
     assert val == pytest.approx(2.0 - float(kernel2.B(1.0)))
     assert 1.0 <= val <= 2.0
 
 
-def test_u_of_m_monotone_nondecreasing(psi2):
+def test_u_of_m_monotone_nondecreasing(kernel2):
     w = gen_weight(CorpusSpec("random-martingale", 6, (0.4,), 3))
     d = w.distribution(ROOT)
-    vals = [u_of_m(psi2, d, m) for m in np.linspace(0, 1, 11)]
+    vals = [kernel2.u_of_m(d, m) for m in np.linspace(0, 1, 11)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+    wv = d.layer_cake()
+    assert all(wv - 1e-12 <= v <= 2 * wv + 1e-12 for v in vals)
 
 
-def test_u_between_w_and_2w(psi2):
+def test_u_between_w_and_2w(kernel2):
     for trial in range(10):
         w = gen_weight(CorpusSpec("random-martingale", 5, (0.6,), trial))
         d = w.distribution(ROOT)
         wv = d.layer_cake()
-        val = u_of(psi2, d)
+        val = kernel2.u_of(d)
         assert wv - 1e-12 <= val <= 2 * wv + 1e-12
 
 

@@ -7,7 +7,7 @@ from dyadembed import (
     CarlesonSequence,
     DyadicInterval,
     DyadicWeight,
-    SignedStepFunction,
+    StepFunction,
     carleson_embedding_check,
     carleson_norm,
     carleson_norm_bruteforce,
@@ -95,12 +95,12 @@ def brute_embedding_sum(seq, f, j):
 
 
 def test_embedding_trivial_cases():
-    f0 = SignedStepFunction(3, np.zeros(8))
+    f0 = StepFunction(3, np.zeros(8))
     seq = CarlesonSequence.from_entries(3, [(0, 0, 1.0)])
     rep = carleson_embedding_check(seq, f0, ROOT, c0=1.0)
     assert rep.passed and rep.lhs == 0.0
 
-    f1 = SignedStepFunction(3, np.ones(8))
+    f1 = StepFunction(3, np.ones(8))
     rep = carleson_embedding_check(seq, f1, ROOT, c0=1.0)
     assert rep.passed
     assert rep.lhs == 1.0
@@ -114,7 +114,7 @@ def test_embedding_randomized_vs_bruteforce():
         seq = CarlesonSequence(depth, [rng.uniform(0, 1, 2 ** l)
                                        for l in range(depth + 1)])
         seq, _ = seq.normalized()
-        f = SignedStepFunction(depth, rng.uniform(-2, 2, 2 ** depth))
+        f = StepFunction(depth, rng.uniform(-2, 2, 2 ** depth))
         rep = carleson_embedding_check(seq, f, ROOT, c0=1.0)
         assert rep.passed
         assert rep.lhs == pytest.approx(brute_embedding_sum(seq, f, ROOT), rel=1e-12)
@@ -124,7 +124,7 @@ def test_embedding_randomized_vs_bruteforce():
 def test_weighted_embedding_f_equals_one():
     w = gen_weight(CorpusSpec("random-martingale", 5, (0.3,), 2))
     beta = gen_carleson_sequence("random", 5, seed=4)
-    f = SignedStepFunction(5, np.ones(32))
+    f = StepFunction(5, np.ones(32))
     rep = weighted_carleson_embedding_check(w, beta, f, ROOT)
     assert rep.passed
     # lhs = sum beta_I |I| when f == 1
@@ -136,7 +136,7 @@ def test_weighted_embedding_precondition_failure_reported():
     # beta too heavy for a weight vanishing where beta lives
     w = DyadicWeight(2, [0.0, 0.0, 1.0, 1.0], allow_zero=False)
     beta = CarlesonSequence.from_entries(2, [(2, 0, 1.0)])
-    f = SignedStepFunction(2, np.ones(4))
+    f = StepFunction(2, np.ones(4))
     rep = weighted_carleson_embedding_check(w, beta, f, ROOT, c0=1.0)
     assert not rep.passed
     assert "w-carleson precondition failed" in rep.flags
@@ -149,7 +149,7 @@ def test_weighted_embedding_randomized():
         w = gen_weight(CorpusSpec("random-martingale", depth, (0.5,), trial + 1))
         beta = CarlesonSequence(depth, [rng.uniform(0, 1, 2 ** l)
                                         for l in range(depth + 1)])
-        f = SignedStepFunction(depth, rng.uniform(-1, 1, 2 ** depth))
+        f = StepFunction(depth, rng.uniform(-1, 1, 2 ** depth))
         c0 = w_carleson_constant(beta, w)
         rep = weighted_carleson_embedding_check(w, beta, f, ROOT, c0=c0)
         assert rep.passed
@@ -162,7 +162,7 @@ def test_weighted_embedding_randomized():
 def test_haar_split_constant_f():
     # f == 1: haar term vanishes and the drift carries the whole half-jump
     w = gen_weight(CorpusSpec("random-martingale", 6, (0.4,), 8))
-    f = SignedStepFunction(6, np.ones(64))
+    f = StepFunction(6, np.ones(64))
     for lev in range(6):
         for idx in range(0, 2 ** lev, max(1, 2 ** lev // 3)):
             i = DyadicInterval(lev, idx)
@@ -175,7 +175,7 @@ def test_haar_split_unit_weight():
     # w == 1: alpha = 1 and the haar term is the half-difference of f
     w = DyadicWeight(5, np.ones(32))
     rng = np.random.default_rng(12)
-    f = SignedStepFunction(5, rng.uniform(-1, 1, 32))
+    f = StepFunction(5, rng.uniform(-1, 1, 32))
     for lev in range(5):
         i = DyadicInterval(lev, 0)
         split = weighted_haar_decompose(w, f, i)
@@ -189,7 +189,7 @@ def test_haar_split_identity_and_bound_random():
     for trial in range(20):
         depth = int(rng.integers(2, 7))
         w = gen_weight(CorpusSpec("random-martingale", depth, (0.6,), trial))
-        f = SignedStepFunction(depth, rng.uniform(-2, 2, 2 ** depth))
+        f = StepFunction(depth, rng.uniform(-2, 2, 2 ** depth))
         fw = f.product(w)
         for lev in range(depth):
             for idx in range(2 ** lev):
@@ -201,7 +201,7 @@ def test_haar_split_identity_and_bound_random():
 
 def test_haar_split_degenerate_child():
     w = DyadicWeight(2, [2.0, 2.0, 0.0, 0.0])
-    f = SignedStepFunction(2, [1.0, -1.0, 3.0, 3.0])
+    f = StepFunction(2, [1.0, -1.0, 3.0, 3.0])
     split = weighted_haar_decompose(w, f, ROOT)
     assert split.degenerate
     assert split.haar_term == 0.0
@@ -212,7 +212,7 @@ def test_haar_parseval_identity():
     # sum of squared inner products = ||f||^2_w - mean term, exactly
     rng = np.random.default_rng(5)
     w = gen_weight(CorpusSpec("random-martingale", 6, (0.5,), 3))
-    f = SignedStepFunction(6, rng.uniform(-1, 1, 64))
+    f = StepFunction(6, rng.uniform(-1, 1, 64))
     fw = f.product(w)
     total = 0.0
     for lev in range(6):

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,8 @@ def test_nonfinite_alpha_is_config_error(alpha, tmp_path):
     assert main(["psi-table", "--alpha", alpha, "--out", str(tmp_path)]) == 3
     assert main(["verify", "--theorem", "d-embed", "--alpha", alpha,
                  "--out", str(tmp_path)]) == 3
+    assert main(["psi-table", "--psi-family", "parametric", "--alpha", alpha,
+                 "--out", str(tmp_path)]) == 3
 
 
 @pytest.mark.parametrize("family", ["log-bump", "loglog-bump"])
@@ -181,8 +184,77 @@ def test_bad_tolerance_is_config_error(flag, value, small_corpus, tmp_path, caps
     assert not list(tmp_path.glob("certificates_*.json"))
 
 
+@pytest.mark.parametrize("theorem", ["embed2", "bump-embed", "bellman-checks"])
+@pytest.mark.parametrize("family, alpha", [("loglog-bump", "2"), ("log-bump", "1.5"),
+                                           ("parametric", "2")])
+def test_unnormalized_psi_is_config_error(theorem, family, alpha, small_corpus,
+                                          tmp_path, capsys):
+    # these inequalities need int_0^1 ds/phi <= 1 and phi(s) >= s
+    rc = main(["verify", "--theorem", theorem, "--corpus", str(small_corpus),
+               "--psi-family", family, "--alpha", alpha, "--no-normalize",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert f"{theorem} requires a normalized Psi" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("case", ["not-json", "entries-not-a-list", "hash-mismatch"])
+def test_malformed_manifest_is_config_error(case, small_corpus, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(Path(small_corpus).parent, corpus)
+    manifest = corpus / "manifest.json"
+    if case == "not-json":
+        manifest.write_text("{not json")
+    elif case == "entries-not-a-list":
+        manifest.write_text('{"entries": 3}')
+    else:  # a weight file edited after its hash was recorded
+        weight = corpus / json.loads(manifest.read_text())["entries"][0]["file"]
+        w = json.loads(weight.read_text())
+        w["values"][0] += 1.0
+        weight.write_text(json.dumps(w))
+    rc = main(["verify", "--theorem", "d-embed", "--corpus", str(manifest),
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "is malformed" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("certificates_*.json"))
+
+
+def test_parametric_clamp_s0_is_config_error(tmp_path, capsys):
+    for command in (["psi-table"], ["verify", "--theorem", "d-embed"]):
+        rc = main(command + ["--psi-family", "parametric", "--clamp-s0", "0.01",
+                             "--out", str(tmp_path)])
+        assert rc == 3
+        assert "--clamp-s0 applies to the closed-form families only" in capsys.readouterr().err
+
+
+def test_parametric_family_end_to_end(tmp_path):
+    # the normalized parametric Psi passes every bounded certificate; every
+    # Psi value is a root solve, so the corpus is kept to two weights
+    corpus = write_corpus(tmp_path / "corpus", [CorpusSpec("spike", 7),
+                                                CorpusSpec("random-martingale", 6, (0.3,), 2)])
+    flags = ["--psi-family", "parametric", "--out", str(tmp_path)]
+    for theorem in ("d-embed", "embed", "fd-embed", "embed2"):
+        assert main(["verify", "--theorem", theorem, "--corpus", str(corpus)]
+                    + flags) == 0
+        results = json.loads((tmp_path / f"certificates_{theorem}.json").read_text())
+        assert results and all(r["verdict"] == "pass" for r in results)
+    assert main(["verify", "--theorem", "bellman-checks"] + flags) == 0
+    report = json.loads((tmp_path / "bellman_checks.json").read_text())
+    assert report["bprime_1"] == pytest.approx(1.0)
+    assert report["verdict"] == "pass"
+    assert main(["psi-table"] + flags) == 0
+    with open(tmp_path / "psi_table_parametric_a2.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    psis = np.array([float(r["psi"]) for r in rows])
+    phis = np.array([float(r["phi"]) for r in rows])
+    assert np.all(np.diff(psis) <= 1e-12) and np.all(np.diff(phis) >= -1e-15)
+    assert float(rows[-1]["bprime"]) == pytest.approx(1.0)
+
+
 def test_import_does_not_load_scipy_interpolate():
+    # nor scipy.optimize: the package's one root-finder is its own
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import dyadembed, dyadembed.cli; "
-            "assert 'scipy.interpolate' not in sys.modules, 'scipy.interpolate loaded'")
+            "assert 'scipy.interpolate' not in sys.modules, 'scipy.interpolate loaded'; "
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'")
     subprocess.run([sys.executable, "-c", code, str(src)], check=True)

@@ -21,6 +21,7 @@ from dyadembed import (
     psi_from_phi,
     young_function,
 )
+from dyadembed.orlicz import _loglog_clamp_knot
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,11 @@ def test_psi_monotonicity_grid(psi2):
     assert np.all(np.diff(ps) <= 1e-12)
     ph = s * ps
     assert np.all(np.diff(ph) >= -1e-15)
+
+
+def test_loglog_clamp_knot_pinned():
+    # the loglog-bump certificates at alpha = 2 depend on this value bit for bit
+    assert _loglog_clamp_knot(2.0) == 2.886631697760879
 
 
 def test_loglog_family_admissible():

@@ -8,13 +8,16 @@ from dyadembed import (
     CorpusSpec,
     DyadicInterval,
     DyadicWeight,
-    SignedStepFunction,
+    StepFunction,
     carleson_norm,
+    corpus_weights,
     failure_demo,
     gen_carleson_sequence,
     gen_test_function,
     gen_weight,
+    normalized_psi,
     psi_closed_form,
+    psi_from_phi,
     spike_d_embed_closed_form,
     spike_weight,
     verify_buckley_classic,
@@ -23,6 +26,7 @@ from dyadembed import (
     verify_embed2,
     verify_fd_embed,
     verify_folk,
+    young_function,
 )
 
 
@@ -223,7 +227,7 @@ def test_embed_telescoping_ledger(psi2):
 
 def test_fd_embed_constant_f_reduces_to_d_embed(psi2):
     w = gen_weight(CorpusSpec("random-martingale", 7, (0.4,), 11))
-    f = SignedStepFunction(7, np.ones(128))
+    f = StepFunction(7, np.ones(128))
     fd = verify_fd_embed(w, f, psi2)
     de = verify_d_embed(w, psi2)
     assert fd.passed
@@ -234,7 +238,7 @@ def test_fd_embed_constant_f_reduces_to_d_embed(psi2):
 def test_fd_embed_sign_pattern_unit_weight(psi2):
     # w = 1, f = +-1 on the halves: only the root contributes, by hand
     w = DyadicWeight(2, np.ones(4))
-    f = SignedStepFunction(2, [1.0, 1.0, -1.0, -1.0])
+    f = StepFunction(2, [1.0, 1.0, -1.0, -1.0])
     cert = verify_fd_embed(w, f, psi2)
     assert cert.passed
     assert cert.lhs == pytest.approx(4.0 / float(psi2.psi(1.0)), rel=1e-12)
@@ -268,7 +272,7 @@ def test_fd_embed_constant_value(psi2):
 
 def test_embed2_zero_f(psi2):
     w = gen_weight(CorpusSpec("random-martingale", 5, (0.3,), 3))
-    f = SignedStepFunction(5, np.zeros(32))
+    f = StepFunction(5, np.zeros(32))
     cert = verify_embed2(w, f, gen_carleson_sequence("random", 5, 1), psi2)
     assert cert.passed and cert.lhs == 0.0
 
@@ -276,7 +280,7 @@ def test_embed2_zero_f(psi2):
 def test_embed2_f_one_matches_embed_bitwise(psi2):
     w = gen_weight(CorpusSpec("lacunary", 6, (0.5,)))
     seq = gen_carleson_sequence("random", 6, 9)
-    f = SignedStepFunction(6, np.ones(64))
+    f = StepFunction(6, np.ones(64))
     e2 = verify_embed2(w, f, seq, psi2)
     e1 = verify_embed(w, seq, psi2)
     assert e2.passed and e1.passed
@@ -292,6 +296,25 @@ def test_embed2_corpus_smoke(psi2):
                              spot_check_derivative=True)
         assert cert.passed, kind
         assert cert.constant == 16.0
+
+
+def test_parametric_psi_certificates_corpus():
+    # Psi(s) = Phi'(t) at s = 1/(Phi Phi') for Phi = t log^2(e+t), normalized:
+    # all four bounded certificates hold on every corpus weight of depth <= 8
+    psi = normalized_psi(psi_from_phi(young_function("log-bump", 2.0)))
+    assert BellmanKernel(psi).is_normalized
+    swept = 0
+    for entry, w in corpus_weights():
+        if w.depth > 8:
+            continue
+        f = gen_test_function("random-bounded", w.depth, 11)
+        seq = gen_carleson_sequence("random", w.depth, 0)
+        d_cert = verify_d_embed(w, psi)
+        for cert in (d_cert, verify_embed(w, seq, psi), verify_embed2(w, f, seq, psi),
+                     verify_fd_embed(w, f, psi, d_cert=d_cert)):
+            assert cert.passed, (entry.spec.label, cert.theorem)
+        swept += 1
+    assert swept == 23
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadembed import (
-    ROOT,
-    DyadicInterval,
-    DyadicWeight,
-    SignedStepFunction,
-    average,
-    haar_difference,
-    pairwise_sum,
-)
+from dyadembed import ROOT, DyadicInterval, DyadicWeight, StepFunction
 
 
 def spine(level):
@@ -18,13 +10,13 @@ def spine(level):
 
 def test_average_constant():
     w = DyadicWeight(4, np.ones(16))
-    assert average(w, ROOT) == 1.0
-    assert average(w, DyadicInterval(4, 7)) == 1.0
+    assert w.average(ROOT) == 1.0
+    assert w.average(DyadicInterval(4, 7)) == 1.0
 
 
 def test_average_two_cell():
     w = DyadicWeight(1, [2.0, 0.0], allow_zero=False)
-    assert average(w, ROOT) == 1.0
+    assert w.average(ROOT) == 1.0
 
 
 def test_average_spike_spine():
@@ -33,25 +25,25 @@ def test_average_spike_spine():
     vals[0] = 2.0 ** 8
     w = DyadicWeight(8, vals)
     expected = vals[: 2 ** 5].sum() / 2 ** 5
-    assert average(w, spine(3)) == expected == 8.0
+    assert w.average(spine(3)) == expected == 8.0
 
 
 def test_average_depth_error():
     w = DyadicWeight(2, np.ones(4))
     with pytest.raises(ValueError):
-        average(w, DyadicInterval(3, 0))
+        w.average(DyadicInterval(3, 0))
 
 
 def test_haar_difference_constant_zero():
     w = DyadicWeight(5, np.full(32, 3.7))
     for lev in range(5):
         for idx in range(2 ** lev):
-            assert haar_difference(w, DyadicInterval(lev, idx)) == 0.0
+            assert w.haar_difference(DyadicInterval(lev, idx)) == 0.0
 
 
 def test_haar_difference_two_cell():
     w = DyadicWeight(1, [2.0, 0.0])
-    assert haar_difference(w, ROOT) == -2.0
+    assert w.haar_difference(ROOT) == -2.0
 
 
 def test_haar_difference_spike_sign_and_size():
@@ -60,13 +52,13 @@ def test_haar_difference_spike_sign_and_size():
     w = DyadicWeight(6, vals)
     for k in range(6):
         # spike sits in the left child of every spine interval
-        assert haar_difference(w, spine(k)) == -(2.0 ** (k + 1))
+        assert w.haar_difference(spine(k)) == -(2.0 ** (k + 1))
 
 
 def test_haar_leaf_error():
     w = DyadicWeight(2, np.ones(4))
     with pytest.raises(ValueError):
-        haar_difference(w, DyadicInterval(2, 0))
+        w.haar_difference(DyadicInterval(2, 0))
 
 
 def test_martingale_identity_bitwise():
@@ -76,14 +68,6 @@ def test_martingale_identity_bitwise():
         for idx in range(2 ** lev):
             i = DyadicInterval(lev, idx)
             assert w.average(i) == 0.5 * (w.average(i.minus) + w.average(i.plus))
-
-
-def test_pairwise_sum_matches_fsum():
-    import math
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 7, 64, 100):
-        a = rng.uniform(-1, 1, n)
-        assert pairwise_sum(a) == pytest.approx(math.fsum(a), rel=1e-15)
 
 
 def test_level_averages_consistency():
@@ -113,7 +97,7 @@ def test_nonnegativity_enforced():
 
 
 def test_product_and_square():
-    f = SignedStepFunction(2, [1.0, -1.0, 2.0, 0.5])
+    f = StepFunction(2, [1.0, -1.0, 2.0, 0.5])
     w = DyadicWeight(2, [1.0, 2.0, 0.0, 4.0])
     fw = f.product(w)
     assert list(fw.values) == [1.0, -2.0, 0.0, 2.0]
