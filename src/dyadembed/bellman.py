@@ -8,9 +8,13 @@ quantities are
     B(s) = s G(s) - H(s)                        (B(0)=B'(0)=0, B'' = U)
 
 All three have elementary or special-function closed forms for the clamped
-log family (scipy's expn covers integer alpha); other families fall back to
-a Gauss-Legendre panel grid in x = log(1/s), with panel edges pinned to the
-clamp knot so each panel integrand is smooth.  The normalization multiplier
+log family: for integer alpha, H(s) = x^(1-alpha) E_alpha(x) with
+x = log(1/s), and the exponential integral E_n comes from the package's own
+table of x e^x E_n(x) (per-octave polynomials built once per n from the
+continued fraction).  Other families fall back to a Gauss-Legendre panel
+grid in x = log(1/s), with panel edges pinned to the clamp knot so each
+panel integrand is smooth.  No kernel path loads scipy; only the on-demand
+Pchip view of a BellmanProfile does.  The normalization multiplier
 k of Psi is folded in: G, H, B all scale by 1/k, so m(s) (the profile with
 int_0^1 1/phi <= 1) is simply B of a normalized Psi.
 
@@ -29,11 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expn, roots_legendre
 
 from .carleson import CheckReport
 from .config import DEFAULT_TOL, Tolerances
@@ -48,6 +51,116 @@ EMBED_STEP_FACTOR = 0.25       # from divisor^2 <= 4 and phi increasing
 PAIR_CONSTANT = 1.0 / 20.0     # c/4 with c = 1/5 from 2/(8n+u) >= 1/(5n)
 NPOINT_CONSTANT = 1.0 / 80.0   # c/16 with the same c
 PARAPRODUCT_CONSTANT = 1.0 / 16.0
+
+
+# ---------------------------------------------------------------------------
+# E_n(x) for integer n >= 2 and x >= 1: the clamped log family's H
+# ---------------------------------------------------------------------------
+
+# f(x) = x e^x E_n(x) lies between x/(x+n) and x/(x+n-1) and is analytic away
+# from x = 0, so on every octave [2^e, 2^(e+1)) it is a polynomial of degree 7
+# on 32 equal pieces to within rounding; above the table (x >= 64 n) the
+# asymptotic series sum_k (-1)^k (n)_k / x^k is exact to rounding.
+_EN_PIECES = 32
+_EN_DEGREE = 7
+_EN_CF_LEVELS = 128       # converged to rounding for x >= 1 and every n >= 2
+_EN_SERIES_TERMS = 12     # last term below 1e-18 where the series takes over
+_EN_SMALL = 16            # arrays up to this size take the per-point path
+
+
+def _expn_scaled_cf(n: int, x: np.ndarray) -> np.ndarray:
+    """x e^x E_n(x) from the continued fraction of DLMF 8.19.17 (the one
+    cephes' expn runs forward), evaluated backward from a fixed depth:
+    every partial numerator and denominator is positive, so the backward
+    recurrence damps rounding instead of accumulating it."""
+    d = x
+    for j in range(_EN_CF_LEVELS, -1, -1):
+        d = x + (n + j) / (1.0 + (j + 1) / d)
+    return x / d
+
+
+class _ExpnTable:
+    """x e^x E_n(x) on [1, inf] for one integer n >= 2.
+
+    Rows are the pieces of the octaves [1, 2), [2, 4), ... below `top`,
+    each a polynomial in t in [-1, 1] (highest power first) interpolating
+    the continued fraction at Chebyshev points.  Short arrays are evaluated
+    point by point in Python floats with the same IEEE operations as the
+    array path, so both give the same bits.
+    """
+
+    def __init__(self, n: int) -> None:
+        pieces, degree = _EN_PIECES, _EN_DEGREE
+        octaves = max(10, n.bit_length() + 6)   # top >= 64 n
+        self.top = 2.0 ** octaves
+        nodes = np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
+        start = np.repeat(2.0 ** np.arange(octaves), pieces)
+        half = start / (2 * pieces)
+        mid = start + half * (2 * np.tile(np.arange(pieces), octaves) + 1)
+        values = _expn_scaled_cf(n, mid[:, None] + half[:, None] * nodes)
+        self.coef = np.linalg.solve(np.vander(nodes), values.T).T
+        self.rows = self.coef.tolist()
+        series = [1.0]
+        for k in range(1, _EN_SERIES_TERMS + 1):
+            series.append(-series[-1] * (n + k - 1))
+        self.series = series[::-1]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.size <= _EN_SMALL:
+            return np.array([self._point(v) for v in x.tolist()])
+        far = x >= self.top
+        if not far.any():
+            return self._table(x)
+        out = np.empty_like(x)
+        out[far] = self._series(1.0 / x[far])
+        out[~far] = self._table(x[~far])
+        return out
+
+    def _series(self, y):
+        acc = self.series[0]
+        for c in self.series[1:]:
+            acc = acc * y + c
+        return acc
+
+    def _table(self, x: np.ndarray) -> np.ndarray:
+        if x.size and not x.min() >= 1.0:
+            raise ValueError("E_n is tabulated for x >= 1 only")
+        m, e = np.frexp(x)                   # x = m 2^e, m in [1/2, 1)
+        u = (2.0 * m - 1.0) * _EN_PIECES     # position in the octave, in pieces
+        p = np.floor(u)
+        t = 2.0 * (u - p) - 1.0
+        c = self.coef[(e - 1) * _EN_PIECES + p.astype(np.intp)]
+        acc = c[:, 0]
+        for k in range(1, _EN_DEGREE + 1):
+            acc = acc * t + c[:, k]
+        return acc
+
+    def _point(self, x: float) -> float:
+        if x >= self.top:
+            return self._series(1.0 / x)
+        if not x >= 1.0:
+            raise ValueError("E_n is tabulated for x >= 1 only")
+        m, e = math.frexp(x)
+        u = (2.0 * m - 1.0) * _EN_PIECES
+        p = math.floor(u)
+        t = 2.0 * (u - p) - 1.0
+        c = self.rows[(e - 1) * _EN_PIECES + p]
+        acc = c[0]
+        for ck in c[1:]:
+            acc = acc * t + ck
+        return acc
+
+
+@cache
+def _expn_table(n: int) -> _ExpnTable:
+    return _ExpnTable(n)
+
+
+def _expn(n: int, x: np.ndarray) -> np.ndarray:
+    """Exponential integral E_n(x) = int_1^inf e^(-xt) t^(-n) dt, elementwise
+    over a 1-d float64 array, for integer n >= 2 and x >= 1 (E_n(inf) = 0);
+    raises ValueError for x < 1 or nan."""
+    return _expn_table(n)(x) * np.exp(-x) / x
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +180,10 @@ class _PanelGrid:
         edges = np.union1d(edges, [k for k in knots if 0.0 < k < X])
         self.edges = edges
         self.g = g
-        nodes, weights = roots_legendre(order)
+        # imported here so that closed-form kernels do not load numpy.polynomial
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(order)
         self._nodes = nodes
         self._weights = weights
         a = edges[:-1]
@@ -108,6 +224,7 @@ class BellmanKernel:
         a = psi.alpha
         self._integer_log = (psi.mode == "clamped-log"
                              and abs(a - round(a)) < 1e-12 and round(a) >= 2)
+        self._n = int(round(a))
 
     # raw pieces (without the 1/k factor) ---------------------------------
 
@@ -135,25 +252,24 @@ class BellmanKernel:
         return grid.tail(xs) + self._param_G_tail
 
     def _H_raw(self, s: np.ndarray) -> np.ndarray:
+        """Raw H for s > 0: linear from _h0 on [s0, inf), the integral below."""
         psi = self.psi
-        a, x0 = psi.alpha, self._x0
-        with np.errstate(divide="ignore"):
-            x = np.log(1.0 / s)
-        xs = np.maximum(x, x0)
+        out = self._h0 + (np.maximum(s, psi.s0) - psi.s0) / psi.clamp_value
+        below = s < psi.s0
+        if below.any():
+            out[below] = self._H_below(np.maximum(np.log(1.0 / s[below]), self._x0))
+        return out
+
+    def _H_below(self, x: np.ndarray) -> np.ndarray:
+        """Raw H at x = log(1/s) >= x0, where Psi is unclamped."""
         if self._integer_log:
-            below = xs ** (1.0 - a) * expn(int(round(a)), xs)
-        else:
-            below = self._ensure_H_grid().tail(xs)
-        above = self._h0 + (np.maximum(s, psi.s0) - psi.s0) / psi.clamp_value
-        return np.where(s <= psi.s0, below, above)
+            return x ** (1.0 - self.psi.alpha) * _expn(self._n, x)
+        return self._ensure_H_grid().tail(x)
 
     @cached_property
     def _h0(self) -> float:
         """Raw H at the clamp knot, where its linear piece above s0 starts."""
-        a, x0 = self.psi.alpha, self._x0
-        if self._integer_log:
-            return x0 ** (1.0 - a) * expn(int(round(a)), x0)
-        return float(self._ensure_H_grid().tail(x0)[0])
+        return float(self._H_below(np.array([self._x0]))[0])
 
     def _ensure_H_grid(self) -> _PanelGrid:
         if self._H_grid is None:
@@ -294,8 +410,8 @@ class BellmanProfile:
         return PchipInterpolator(self.grid, self.B, extrapolate=False)(s)
 
 
-def build_profile(psi: PsiFunction, kind: str = "B", points: int = 2000,
-                  tol: Tolerances = DEFAULT_TOL) -> BellmanProfile:
+def build_profile(psi: PsiFunction, kind: str = "B",
+                  points: int = 2000) -> BellmanProfile:
     """Tabulate B (or m) on a log-spaced grid with validation.
 
     Checks: endpoint limits, convexity of the grid values, B <= B'(1) s,

@@ -90,7 +90,10 @@ def _default_out() -> str:
 # worker entry point (top level so the process pool can import it)
 # ---------------------------------------------------------------------------
 
-def _run_task(task: dict) -> dict:
+def _run_task(task: dict) -> list[dict]:
+    """The certificate rows of one task: one row, or for fd-embed one row
+    per test function of the task's weight, all sharing one d-embed
+    certificate."""
     cfg = RunConfig(**task["config"])
     psi = cfg.psi()
     tol = cfg.tolerances()
@@ -98,48 +101,49 @@ def _run_task(task: dict) -> dict:
     theorem = task["theorem"]
     label = entry.spec.label
     if theorem == "buc-classic":
-        cert = verify_buckley_classic(w, tol=tol)
+        certs = [(verify_buckley_classic(w, tol=tol), label)]
     elif theorem == "folk":
         seq = gen_carleson_sequence(task["sequence"], w.depth, cfg.seed)
-        cert = verify_folk(w, seq, assert_rhi_bound=entry.is_ainfty, tol=tol)
-        label = f"{label}|{task['sequence']}"
+        certs = [(verify_folk(w, seq, assert_rhi_bound=entry.is_ainfty, tol=tol),
+                  f"{label}|{task['sequence']}")]
     elif theorem == "d-embed":
-        cert = verify_d_embed(w, psi, tol=tol)
+        certs = [(verify_d_embed(w, psi, tol=tol), label)]
     elif theorem == "fd-embed":
-        kind, fseed = task["function"]
-        f = gen_test_function(kind, w.depth, fseed, weight=w)
-        cert = verify_fd_embed(w, f, psi, tol=tol)
-        label = f"{label}|{kind}"
+        d_cert = verify_d_embed(w, psi, tol=tol)
+        certs = []
+        for kind, fseed in FUNCTION_KINDS:
+            f = gen_test_function(kind, w.depth, fseed, weight=w)
+            certs.append((verify_fd_embed(w, f, psi, tol=tol, d_cert=d_cert),
+                          f"{label}|{kind}"))
     elif theorem == "embed":
         seq = gen_carleson_sequence(task["sequence"], w.depth, cfg.seed)
-        cert = verify_embed(w, seq, psi, tol=tol)
-        label = f"{label}|{task['sequence']}"
+        certs = [(verify_embed(w, seq, psi, tol=tol), f"{label}|{task['sequence']}")]
     elif theorem in ("embed2", "bump-embed"):
         kind, fseed = task["function"]
         f = gen_test_function(kind, w.depth, fseed, weight=w)
         seq = gen_carleson_sequence(task["sequence"], w.depth, cfg.seed)
-        cert = verify_embed2(w, f, seq, psi, tol=tol)
-        label = f"{label}|{task['sequence']}|{kind}"
+        certs = [(verify_embed2(w, f, seq, psi, tol=tol),
+                  f"{label}|{task['sequence']}|{kind}")]
     else:
         raise ValueError(f"unknown worker theorem {theorem}")
-    out = cert.to_dict()
-    out["weight"] = label
-    out["depth"] = w.depth
-    return out
+    rows = []
+    for cert, row_label in certs:
+        out = cert.to_dict()
+        out["weight"] = row_label
+        out["depth"] = w.depth
+        rows.append(out)
+    return rows
 
 
 def _build_tasks(theorem: str, manifest: str, n_entries: int, cfg: RunConfig):
     base = {"manifest": manifest, "config": asdict(cfg), "theorem": theorem}
     tasks = []
     for k in range(n_entries):
-        if theorem in ("buc-classic", "d-embed"):
+        if theorem in ("buc-classic", "d-embed", "fd-embed"):
             tasks.append({**base, "index": k})
         elif theorem in ("folk", "embed"):
             for s in SEQUENCE_KINDS:
                 tasks.append({**base, "index": k, "sequence": s})
-        elif theorem == "fd-embed":
-            for fk in FUNCTION_KINDS:
-                tasks.append({**base, "index": k, "function": fk})
         elif theorem in ("embed2", "bump-embed"):
             for fk in FUNCTION_KINDS:
                 tasks.append({**base, "index": k, "function": fk,
@@ -247,9 +251,10 @@ def cmd_verify(args) -> int:
     tasks = _build_tasks(args.theorem, str(manifest), len(entries), cfg)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_task, tasks, chunksize=1))
+            rows = list(pool.map(_run_task, tasks, chunksize=1))
     else:
-        results = [_run_task(t) for t in tasks]
+        rows = [_run_task(t) for t in tasks]
+    results = [r for task_rows in rows for r in task_rows]
 
     cert_path = out_dir / f"certificates_{args.theorem}.json"
     _write_json(cert_path, results)

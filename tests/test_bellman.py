@@ -27,6 +27,7 @@ from dyadembed import (
     scalar_bellman,
     spike_weight,
 )
+from dyadembed import bellman
 from dyadembed.orlicz import ConstructionError
 
 
@@ -88,6 +89,93 @@ def test_B_loglog_against_mpmath():
     kernel = BellmanKernel(psi)
     for s in (0.01, 0.3):
         assert float(kernel.B(s)) == pytest.approx(mp_B(psi, s), rel=1e-9)
+
+
+def _en_points() -> np.ndarray:
+    """x in [2, 745]: a log grid, the slow-convergence range near 2, the
+    integers, and the table's octave and piece edges with their neighbours."""
+    rng = np.random.default_rng(7)
+    edges = np.array([2.0 ** e * (1 + j / 32) for e in range(1, 10) for j in range(0, 32, 5)])
+    return np.concatenate([np.geomspace(2.0, 745.0, 61), rng.uniform(2.0, 8.0, 20),
+                           np.arange(2.0, 8.0), edges, np.nextafter(edges, 0.0),
+                           [745.0]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 17])
+def test_expn_against_mpmath(n):
+    # E_n relative to 3e-15 wherever it is a normal float, within two
+    # subnormal spacings beyond (x > 708); the tabulated x e^x E_n(x) to
+    # 3e-15 on [2, 745] and on the asymptotic-series range above the table
+    mp.mp.dps = 50
+    x = _en_points()
+    got = bellman._expn(n, x)
+    ref = np.array([float(mp.expint(n, mp.mpf(v))) for v in x])
+    normal = ref >= np.finfo(float).tiny
+    assert normal.sum() > 100 and (~normal).any()
+    rel = np.abs(got[normal] - ref[normal]) / ref[normal]
+    assert rel.max() <= 3e-15
+    assert np.all(np.abs(got[~normal] - ref[~normal]) <= 1e-323)
+    xs = np.concatenate([x, [1023.9, 1024.0, 1500.0, 4096.0, 1e6, 1e300]])
+    scaled = bellman._expn_table(n)(xs)
+    ref = np.array([float(mp.mpf(v) * mp.exp(mp.mpf(v)) * mp.expint(n, mp.mpf(v)))
+                    for v in xs])
+    assert (np.abs(scaled - ref) / ref).max() <= 3e-15
+    assert np.all(bellman._expn(n, np.array([np.inf])) == 0.0)
+    assert np.all(bellman._expn(n, np.full(40, np.inf)) == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_expn_against_scipy(n):
+    expn = pytest.importorskip("scipy.special").expn
+    x = _en_points()
+    x = x[x <= 700.0]   # scipy's expn returns 0 beyond x = 709.78
+    ref = expn(n, x)
+    assert (np.abs(bellman._expn(n, x) - ref) / ref).max() <= 4e-15
+
+
+def test_expn_short_arrays_bit_equal_to_long():
+    # arrays up to _EN_SMALL points are evaluated point by point in Python
+    # floats; every size around the cutoff gives the bits of one long array
+    rng = np.random.default_rng(11)
+    top = bellman._expn_table(2).top
+    x = np.concatenate([rng.uniform(2.0, 8.0, 60), np.geomspace(2.0, 3 * top, 60),
+                        [np.inf, top, np.nextafter(top, 0.0)]])
+    rng.shuffle(x)
+    assert x.size > bellman._EN_SMALL
+    for n in (2, 3):
+        whole = bellman._expn(n, x)
+        for size in range(bellman._EN_SMALL - 2, bellman._EN_SMALL + 3):
+            parts = np.concatenate([bellman._expn(n, x[i:i + size])
+                                    for i in range(0, x.size, size)])
+            assert np.array_equal(parts, whole)
+        assert bellman._expn(n, x[:0]).shape == (0,)
+
+
+def test_expn_rejects_x_below_one():
+    for x in ([0.5], [np.nan], [-5.0], [2.0] * 40 + [0.5], [2.0] * 40 + [np.nan],
+              [2.0] * 40 + [-5.0]):
+        with pytest.raises(ValueError):
+            bellman._expn(2, np.array(x))
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_H_at_knot_below_and_zero(alpha):
+    # H = x^(1-alpha) E_alpha(x) / k, x = log(1/s), up to the knot s0; the
+    # linear piece above starts from the same value, and H(0) = 0
+    mp.mp.dps = 50
+    psi = psi_closed_form(alpha)
+    kernel = BellmanKernel(psi)
+    s0 = psi.s0
+    below = np.nextafter(s0, 0.0)
+    for s in (s0, below, 0.5 * s0):
+        x = mp.log(1 / mp.mpf(s))
+        ref = x ** (1 - int(alpha)) * mp.expint(int(alpha), x) / mp.mpf(psi.k)
+        assert float(kernel.H(s)) == pytest.approx(float(ref), rel=3e-15)
+    assert float(kernel.H(below)) <= float(kernel.H(s0))
+    assert kernel.H(0.0) == 0.0
+    h0 = kernel._h0
+    assert np.array_equal(kernel.H(np.array([0.0, s0, 1.0])),
+                          [0.0, h0 / psi.k, (h0 + (1.0 - s0) / psi.clamp_value) / psi.k])
 
 
 def test_B_endpoint_limits(kernel2):

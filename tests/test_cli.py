@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadembed.cli import main
-from dyadembed.corpus import CorpusSpec, default_corpus_specs, write_corpus
+from dyadembed.cli import FUNCTION_KINDS, RunConfig, _build_tasks, main
+from dyadembed.corpus import (CorpusSpec, default_corpus_specs, gen_test_function,
+                              load_corpus, write_corpus)
+from dyadembed.verifiers import verify_fd_embed
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,45 @@ def test_verify_failure_demo(tmp_path):
     assert report["classical_ratios"][0] == 24.0
     assert report["classical_ratios"][-1] == 48.0
     assert report["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("family", ["loglog-bump", "parametric"])
+def test_failure_demo_passes_for_every_family(family, tmp_path):
+    # the verdict is classical growth >= 1.8 and every spike d-embed
+    # certificate passing; the bounded ratio's change is reported only, and
+    # for these families it exceeds the 16% that log-bump at alpha = 2 meets
+    rc = main(["verify", "--theorem", "failure-demo", "--psi-family", family,
+               "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "failure_demo.json").read_text())
+    assert report["verdict"] == "pass"
+    assert report["classical_growth"] == pytest.approx(2.0)
+    assert report["d_embed_change"] > 0.16
+
+
+def test_fd_embed_one_task_per_weight(small_corpus, tmp_path):
+    # one task per weight covers its five test functions with one d-embed
+    # certificate; rows stay weight-major, function-minor, and equal the
+    # certificates computed one function at a time
+    entries = load_corpus(small_corpus)
+    cfg = RunConfig(command="verify", theorem="fd-embed")
+    assert len(_build_tasks("fd-embed", str(small_corpus), len(entries), cfg)) == len(entries)
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    for out, workers in ((out1, "1"), (out2, "2")):
+        assert main(["verify", "--theorem", "fd-embed", "--corpus", str(small_corpus),
+                     "--out", str(out), "--workers", workers]) == 0
+    for name in ("certificates_fd-embed.json", "summary_fd-embed.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    rows = json.loads((out1 / "certificates_fd-embed.json").read_text())
+    psi = cfg.psi()
+    expected = []
+    for entry, w in entries:
+        for kind, fseed in FUNCTION_KINDS:
+            f = gen_test_function(kind, w.depth, fseed, weight=w)
+            cert = json.loads(json.dumps(verify_fd_embed(w, f, psi).to_dict()))
+            expected.append({**cert, "weight": f"{entry.spec.label}|{kind}",
+                             "depth": w.depth})
+    assert rows == expected
 
 
 def test_verify_bellman_checks(tmp_path):
@@ -251,10 +292,17 @@ def test_parametric_family_end_to_end(tmp_path):
     assert float(rows[-1]["bprime"]) == pytest.approx(1.0)
 
 
-def test_import_does_not_load_scipy_interpolate():
-    # nor scipy.optimize: the package's one root-finder is its own
+def test_import_does_not_load_scipy_interpolate(small_corpus, tmp_path):
+    # nor any other scipy module: the root-finder, E_n and the Gauss-Legendre
+    # rule are the package's own (scipy serves only BellmanProfile's Pchip
+    # view), and a whole d-embed run loads none either
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import dyadembed, dyadembed.cli; "
-            "assert 'scipy.interpolate' not in sys.modules, 'scipy.interpolate loaded'; "
-            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'")
-    subprocess.run([sys.executable, "-c", code, str(src)], check=True)
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not scipy(), scipy(); "
+            "argv = ['verify', '--theorem', 'd-embed', '--corpus', sys.argv[2], "
+            "'--out', sys.argv[3]]; "
+            "assert dyadembed.cli.main(argv) == 0; "
+            "assert not scipy(), scipy()")
+    subprocess.run([sys.executable, "-c", code, str(src), str(small_corpus),
+                    str(tmp_path)], check=True)
