@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -27,7 +28,6 @@ from .corpus import (
     gen_carleson_sequence,
     gen_test_function,
     load_corpus,
-    load_corpus_entry,
     write_corpus,
 )
 from .orlicz import (ConstructionError, normalized_psi, psi_closed_form, psi_from_phi,
@@ -72,14 +72,21 @@ class RunConfig:
         return Tolerances(self.tol_ineq, self.tol_identity)
 
     def psi(self):
-        if self.psi_family == "parametric":
-            if self.clamp_s0 is not None:
-                raise ConstructionError("--clamp-s0 applies to the closed-form "
-                                        "families only, not to parametric")
-            psi = psi_from_phi(young_function("log-bump", self.alpha))
-            return normalized_psi(psi) if self.normalize else psi
-        return psi_closed_form(self.alpha, self.psi_family,
-                               clamp_s0=self.clamp_s0, normalize=self.normalize)
+        """The configured Psi, built once per process: a run has one
+        setting, so every task shares it and forked pool workers inherit
+        the parent's."""
+        return _psi(self.psi_family, self.alpha, self.clamp_s0, self.normalize)
+
+
+@functools.lru_cache(maxsize=1)
+def _psi(family: str, alpha: float, clamp_s0: float | None, normalize: bool):
+    if family == "parametric":
+        if clamp_s0 is not None:
+            raise ConstructionError("--clamp-s0 applies to the closed-form "
+                                    "families only, not to parametric")
+        psi = psi_from_phi(young_function("log-bump", alpha))
+        return normalized_psi(psi) if normalize else psi
+    return psi_closed_form(alpha, family, clamp_s0=clamp_s0, normalize=normalize)
 
 
 def _default_out() -> str:
@@ -93,11 +100,12 @@ def _default_out() -> str:
 def _run_task(task: dict) -> list[dict]:
     """The certificate rows of one task: one row, or for fd-embed one row
     per test function of the task's weight, all sharing one d-embed
-    certificate."""
+    certificate.  The task carries its corpus entry and the weight that
+    the parent loaded and hash-checked."""
     cfg = RunConfig(**task["config"])
     psi = cfg.psi()
     tol = cfg.tolerances()
-    entry, w = load_corpus_entry(task["manifest"], task["index"])
+    entry, w = task["entry"], task["weight"]
     theorem = task["theorem"]
     label = entry.spec.label
     if theorem == "buc-classic":
@@ -135,19 +143,20 @@ def _run_task(task: dict) -> list[dict]:
     return rows
 
 
-def _build_tasks(theorem: str, manifest: str, n_entries: int, cfg: RunConfig):
-    base = {"manifest": manifest, "config": asdict(cfg), "theorem": theorem}
+def _build_tasks(theorem: str, entries, cfg: RunConfig):
+    """The tasks over the loaded (entry, weight) pairs, weight-major."""
+    base = {"config": asdict(cfg), "theorem": theorem}
     tasks = []
-    for k in range(n_entries):
+    for entry, w in entries:
+        item = {**base, "entry": entry, "weight": w}
         if theorem in ("buc-classic", "d-embed", "fd-embed"):
-            tasks.append({**base, "index": k})
+            tasks.append(item)
         elif theorem in ("folk", "embed"):
             for s in SEQUENCE_KINDS:
-                tasks.append({**base, "index": k, "sequence": s})
+                tasks.append({**item, "sequence": s})
         elif theorem in ("embed2", "bump-embed"):
             for fk in FUNCTION_KINDS:
-                tasks.append({**base, "index": k, "function": fk,
-                              "sequence": "random"})
+                tasks.append({**item, "function": fk, "sequence": "random"})
     return tasks
 
 
@@ -248,7 +257,7 @@ def cmd_verify(args) -> int:
         print(f"corpus manifest {manifest} is malformed: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    tasks = _build_tasks(args.theorem, str(manifest), len(entries), cfg)
+    tasks = _build_tasks(args.theorem, entries, cfg)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_run_task, tasks, chunksize=1))

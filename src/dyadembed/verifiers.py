@@ -15,8 +15,11 @@ right, so those pieces add exact zeros: two equal children have bitwise
 equal potentials, and their parent's gain is exactly zero.
 
 A node's potential (script-B, script-T or f^2/u) is computed once, on its
-own level, and its parent reads it there; only two adjacent levels are held
-at a time.  The cost is O(2^depth) array work per level.
+own level, and its parent reads it there.  The cost is O(2^depth) array
+work per level.  The sorted blocks depend on w alone and n_psi on (w, Psi),
+so a tree of depth <= 13 is sorted once into a one-weight slot that every
+certificate of that weight reads, for any root J; a deeper tree is sorted
+one level at a time and only two adjacent levels are held at once.
 
 Skip rule: nodes on which w vanishes identically carry no term and no
 inequality.  They are computed with the rest of their level, then dropped,
@@ -125,14 +128,14 @@ class _Level(NamedTuple):
     pieces: np.ndarray      # (W, m) piece lengths s_k - s_{k-1}
     plus: np.ndarray        # (W, m) the sorted cell lies in the right child
     live: np.ndarray        # (W,) w is not identically zero on the node
+    kept_n_psi: np.ndarray | None   # (W,) the slot's n_psi(N_I), None off the slot
 
     def integral(self, g: np.ndarray) -> np.ndarray:
-        """int g(N_I(t)) dt of every row, for g sampled on the grid: one
-        (m,) array for the level or one (W, m) row per node.  Summed left
-        to right, so zero-length pieces add exact zeros."""
-        return np.cumsum(self.pieces * g, axis=1)[:, -1]
+        return _row_integral(self.pieces, g)
 
     def n_psi(self) -> np.ndarray:
+        if self.kept_n_psi is not None:
+            return self.kept_n_psi
         return self.integral(self.phi)
 
     def own(self, per_level) -> np.ndarray:
@@ -152,6 +155,13 @@ class _Level(NamedTuple):
         return (2 * plus_above - (m - np.arange(m))) / m
 
 
+def _row_integral(pieces: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """int g(N_I(t)) dt of every row, for g sampled on the grid: one (m,)
+    array for the level or one (W, m) row per node.  Summed left to right,
+    so zero-length pieces add exact zeros."""
+    return np.cumsum(pieces * g, axis=1)[:, -1]
+
+
 def _top_grid(w: DyadicWeight, j: DyadicInterval) -> np.ndarray:
     """The survival grid of j's own level.  Every grid below it is a slice,
     grid[::2^(l - j.level)], so a kernel is evaluated on it once per tree."""
@@ -159,19 +169,66 @@ def _top_grid(w: DyadicWeight, j: DyadicInterval) -> np.ndarray:
     return (m - np.arange(m)) / m
 
 
+def _sorted_level(w: DyadicWeight, lev: int, first: int, width: int):
+    """(pieces, plus, live) of the width nodes of level lev from first on."""
+    m = 2 ** (w.depth - lev)
+    blocks = w.values[first * m:(first + width) * m].reshape(width, m)
+    order = np.argsort(blocks, axis=1, kind="stable")
+    cells = np.take_along_axis(blocks, order, axis=1)
+    return np.diff(cells, axis=1, prepend=0.0), order >= m // 2, cells[:, -1] > 0
+
+
+# The sorted levels of a whole tree of depth d take (d + 1) 2^d cells of
+# 9 bytes (a float64 piece length and a bool child label); a tree that fits
+# in this many bytes (depth <= 13) is sorted once and kept in the slot.
+_SLOT_BYTES = 2 ** 20
+
+# The most recently used weight, (w, levels, psi, phi, n_psi): levels[l] is
+# (pieces, plus, live) of every node of level l, phi is psi.phi on the
+# finest grid and n_psi[l] holds every node's n_psi.  The sort depends on w
+# alone and the rest on (w, psi), so every bounded certificate of a weight
+# reads one sort.  The tuple is replaced whole, matched by the identity of
+# w and psi, and holds both, so their ids cannot be reused while it does.
+_slot = None
+
+
+def _tree(w: DyadicWeight, psi: PsiFunction):
+    """The slot for (w, psi), refilled on a miss; a new psi keeps the sort."""
+    global _slot
+    slot = _slot
+    if slot is not None and slot[0] is w:
+        if slot[2] is psi:
+            return slot
+        levels = slot[1]
+    else:
+        levels = tuple(_sorted_level(w, lev, 0, 2 ** lev) for lev in range(w.depth + 1))
+    phi = psi.phi(_top_grid(w, ROOT))
+    n_psi = tuple(_row_integral(pieces, phi[::pieces.shape[0]])
+                  for pieces, _, _ in levels)
+    _slot = (w, levels, psi, phi, n_psi)
+    return _slot
+
+
 def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
-    """The levels of the subtree under j, from j's own down to the finest."""
+    """The levels of the subtree under j, from j's own down to the finest:
+    row slices of the slot's whole-tree levels, or for a tree too deep for
+    the slot, each sorted when it is reached."""
     grid = _top_grid(w, j)
+    if (w.depth + 1) * 2 ** w.depth * 9 <= _SLOT_BYTES:
+        _, tree, _, phi, n_psi = _tree(w, psi)
+        for lev in range(j.level, w.depth + 1):
+            width = 2 ** (lev - j.level)
+            rows = slice(j.index * width, (j.index + 1) * width)
+            pieces, plus, live = (a[rows] for a in tree[lev])
+            yield _Level(lev, rows.start, grid[::width], phi[::2 ** lev],
+                         pieces, plus, live, n_psi[lev][rows])
+        return
     phi = psi.phi(grid)
     for lev in range(j.level, w.depth + 1):
-        width, m = 2 ** (lev - j.level), 2 ** (w.depth - lev)
-        first = j.index * width
-        blocks = w.values[first * m:(first + width) * m].reshape(width, m)
-        order = np.argsort(blocks, axis=1, kind="stable")
-        cells = np.take_along_axis(blocks, order, axis=1)
-        yield _Level(lev, first, grid[::width], phi[::width],
-                     np.diff(cells, axis=1, prepend=0.0), order >= m // 2,
-                     cells[:, -1] > 0)
+        width = 2 ** (lev - j.level)
+        pieces, plus, live = _sorted_level(w, lev, j.index * width, width)
+        yield _Level(lev, j.index * width, grid[::width], phi[::width],
+                     pieces, plus, live, None)
 
 
 def _pairs(levels, potential):
@@ -307,7 +364,7 @@ def verify_buckley_classic(w: DyadicWeight, j: DyadicInterval = ROOT,
         count += int(np.sum(pos))
     base = w.mass(j)
     ratio = lhs / base if base > 0 else 0.0
-    return Certificate("buckley-classic", (j.level, j.index), lhs, base,
+    return Certificate("buc-classic", (j.level, j.index), lhs, base,
                        float("nan"), True, ratio, node_count=count,
                        breakdown={"assertion": "none (report only)"})
 
@@ -660,6 +717,11 @@ def spike_d_embed_closed_form(depth: int, psi: PsiFunction) -> float:
     return float(np.sum(4.0 / psi.psi(2.0 ** -js)))
 
 
+# the deepest spike the demo builds: its weight alone is 2^24 float64 cells
+# (128 MB), and a deeper request fails before anything is allocated
+FAILURE_DEMO_MAX_DEPTH = 24
+
+
 @dataclass(frozen=True)
 class FailureDemo:
     depths: tuple[int, ...]
@@ -682,7 +744,8 @@ def failure_demo(depth_lo: int = 6, depth_hi: int = 12,
     certificate of the series passes, whatever the Psi family.  The
     relative change of the bounded ratio is reported, not judged: its size
     depends on the family (15.3% over depths 6..12 and 7.3% over 8..12 for
-    the clamped alpha = 2 log family).
+    the clamped alpha = 2 log family).  depth_hi is at most
+    FAILURE_DEMO_MAX_DEPTH.
     """
     from .orlicz import psi_closed_form
 
@@ -690,6 +753,9 @@ def failure_demo(depth_lo: int = 6, depth_hi: int = 12,
         raise ValueError("depth_lo must be >= 6")
     if depth_hi < depth_lo:
         raise ValueError(f"depth_hi = {depth_hi} is below depth_lo = {depth_lo}")
+    if depth_hi > FAILURE_DEMO_MAX_DEPTH:
+        raise ValueError(f"depth_hi = {depth_hi} exceeds the ceiling "
+                         f"{FAILURE_DEMO_MAX_DEPTH}: a spike of depth d has 2^d cells")
     psi = psi or psi_closed_form(2.0)
     depths = tuple(range(depth_lo, depth_hi + 1))
     classical = []

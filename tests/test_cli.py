@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,7 @@ def test_verify_buc_classic_reports_without_assertion(small_corpus, tmp_path):
         text = (tmp_path / f"certificates_{theorem}.json").read_text()
         results = json.loads(text, parse_constant=_reject_constant)
         assert all(r["verdict"] == "pass" for r in results)
+        assert all(r["theorem"] == theorem for r in results)   # the CLI id
         assert any(r["constant"] is None for r in results)
     results = json.loads((tmp_path / "certificates_buc-classic.json").read_text())
     spike = [r for r in results if "spike" in r["weight"]][0]
@@ -119,7 +121,7 @@ def test_fd_embed_one_task_per_weight(small_corpus, tmp_path):
     # certificates computed one function at a time
     entries = load_corpus(small_corpus)
     cfg = RunConfig(command="verify", theorem="fd-embed")
-    assert len(_build_tasks("fd-embed", str(small_corpus), len(entries), cfg)) == len(entries)
+    assert len(_build_tasks("fd-embed", entries, cfg)) == len(entries)
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     for out, workers in ((out1, "1"), (out2, "2")):
         assert main(["verify", "--theorem", "fd-embed", "--corpus", str(small_corpus),
@@ -204,6 +206,17 @@ def test_failure_demo_shallow_depth_is_config_error(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 3
     assert not (tmp_path / "failure_demo.json").exists()
+
+
+def test_failure_demo_depth_ceiling_is_config_error(tmp_path, capsys):
+    # a 2^40-cell spike is refused before anything is allocated
+    t0 = time.perf_counter()
+    rc = main(["verify", "--theorem", "failure-demo", "--depth", "40",
+               "--out", str(tmp_path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3
+    assert "exceeds the ceiling 24" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bump_embed_alias(small_corpus, tmp_path):

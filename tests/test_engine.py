@@ -10,9 +10,16 @@
   which is a difference of potentials.
 * Exact invariants: the spike closed form at depth 18, zero gain between
   equal children, and bit-identical ratios and verdicts under w -> 2^k w.
+* Reflection x -> 1 - x: Haar differences flip sign exactly, verdicts are
+  unchanged, and each lhs moves only by the reordering of its sum.
+* The one-weight level slot: every way into it gives the certificates of a
+  run that starts with an empty slot, and of one that never uses it, bit
+  for bit.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +29,7 @@ from dyadembed import (
     DEFAULT_TOL,
     ROOT,
     BellmanKernel,
+    CarlesonSequence,
     CorpusSpec,
     DyadicInterval,
     DyadicWeight,
@@ -36,6 +44,7 @@ from dyadembed import (
     psi_closed_form,
     spike_d_embed_closed_form,
     spike_weight,
+    StepFunction,
     verify_d_embed,
     verify_embed,
     verify_embed2,
@@ -48,6 +57,7 @@ from dyadembed.bellman import (
     PDE_FINAL_FACTOR,
     scalar_bellman,
 )
+from dyadembed import verifiers
 from dyadembed.verifiers import (
     _embed_levels,
     _haar_levels,
@@ -256,3 +266,124 @@ def test_power_of_two_scaling_is_exact(w, seed):
         for want, got in zip(base, _certificates(scaled, f, seq)):
             assert _same_float(got.ratio, want.ratio), (want.theorem, k)
             assert got.passed == want.passed, (want.theorem, k)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: reflection x -> 1 - x
+# ---------------------------------------------------------------------------
+
+def _haar_differences(g, lev):
+    kids = g.level_averages(lev + 1)
+    return kids[1::2] - kids[0::2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights(), st.integers(0, 1000))
+def test_reflection(w, seed):
+    # a node's mirror has the same cells in reverse order: the same sorted
+    # block, the same averages (a + b == b + a) and the negated difference.
+    # So every per-node term is bit for bit the same and only the order of
+    # the level sums changes; for n nonnegative terms each order is within
+    # (n - 1) u of the exact sum, u = 2^-53, and the two within 2 n u
+    f = gen_test_function("random-bounded", w.depth, seed)
+    seq = gen_carleson_sequence("random", w.depth, seed)
+    rw = DyadicWeight(w.depth, w.values[::-1], allow_zero=True)
+    rf = StepFunction(w.depth, f.values[::-1])
+    rseq = CarlesonSequence(w.depth, [a[::-1] for a in seq.levels])
+    for lev in range(w.depth):
+        for g, rg in ((w, rw), (f.product(w), rf.product(rw))):
+            assert np.array_equal(_haar_differences(rg, lev),
+                                  -_haar_differences(g, lev)[::-1])
+    rel = 2 * 2 ** (w.depth + 1) * 2.0 ** -53
+    for want, got in zip(_certificates(w, f, seq), _certificates(rw, rf, rseq)):
+        assert got.passed == want.passed, want.theorem
+        assert (_same_float(got.lhs, want.lhs)
+                or abs(got.lhs - want.lhs) <= rel * abs(want.lhs)), want.theorem
+
+
+# ---------------------------------------------------------------------------
+# the one-weight level slot
+# ---------------------------------------------------------------------------
+
+LOGLOG = psi_closed_form(2.0, "loglog-bump")
+SLOT_WEIGHTS = [CorpusSpec("spike", 7), CorpusSpec("lacunary", 8, (0.25,)),
+                CorpusSpec("random-martingale", 8, (0.6,), 3)]
+
+
+def _clear_slot():
+    verifiers._slot = None
+
+
+def _bounded_runs(w, psi, j=ROOT, keep_ledger=False, tol=DEFAULT_TOL, before=None):
+    """The four bounded certificates of w under root j, each reduced to the
+    repr of (theorem, lhs, ratio, breakdown, failures, per_node): repr
+    writes every float exactly.  before() runs ahead of each one."""
+    f = gen_test_function("random-bounded", w.depth, 3)
+    seq = gen_carleson_sequence("random", w.depth, 2)
+    runs = [lambda: verify_d_embed(w, psi, j, keep_ledger=keep_ledger, tol=tol),
+            lambda: verify_embed(w, seq, psi, j, keep_ledger=keep_ledger, tol=tol),
+            lambda: verify_embed2(w, f, seq, psi, j, tol=tol),
+            lambda: verify_fd_embed(w, f, psi, j, tol=tol)]
+    out = []
+    for run in runs:
+        if before is not None:
+            before()
+        c = run()
+        out.append(repr((c.theorem, c.lhs, c.ratio, c.breakdown, c.failures, c.per_node)))
+    return out
+
+
+SLOT_CASES = {
+    # name: (psi of the run that fills the slot, run kwargs, fresh weight object)
+    "same-w-same-psi": (PSI, {"psi": PSI}, False),
+    "same-w-other-psi": (PSI, {"psi": LOGLOG}, False),
+    "subtree-left": (PSI, {"psi": PSI, "j": DyadicInterval(2, 0)}, False),
+    "subtree-right": (PSI, {"psi": PSI, "j": DyadicInterval(1, 1)}, False),
+    "keep-ledger": (PSI, {"psi": PSI, "keep_ledger": True}, False),
+    "equal-values-new-object": (PSI, {"psi": PSI}, True),
+}
+
+
+@pytest.mark.parametrize("spec", SLOT_WEIGHTS, ids=lambda s: s.label)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
+@pytest.mark.parametrize("case", SLOT_CASES)
+def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
+    fill_psi, kwargs, fresh = SLOT_CASES[case]
+    w = gen_weight(spec)
+    _clear_slot()
+    verify_d_embed(w, fill_psi)
+    assert verifiers._slot[0] is w and verifiers._slot[2] is fill_psi
+    target = DyadicWeight(w.depth, w.values.copy()) if fresh else w
+    warm = _bounded_runs(target, tol=tol, **kwargs)
+    assert verifiers._slot[0] is target and verifiers._slot[2] is kwargs["psi"]
+    cold = _bounded_runs(target, tol=tol, before=_clear_slot, **kwargs)
+    monkeypatch.setattr(verifiers, "_SLOT_BYTES", 0)   # sort level by level
+    _clear_slot()
+    unslotted = _bounded_runs(target, tol=tol, **kwargs)
+    assert verifiers._slot is None
+    assert warm == cold
+    assert warm == unslotted
+    if kwargs["psi"] is not fill_psi:
+        # the check can tell the two Psi apart
+        assert warm != _bounded_runs(target, fill_psi, tol=tol)
+
+
+def test_slot_holds_one_weight_within_its_bound():
+    _clear_slot()
+    first = spike_weight(6)
+    verify_d_embed(first, PSI)
+    gone = weakref.ref(first)
+    w13 = spike_weight(13)
+    verify_d_embed(w13, PSI)
+    del first
+    gc.collect()
+    assert gone() is None                   # replaced whole: one weight at a time
+    slot = verifiers._slot
+    assert slot[0] is w13 and len(slot[1]) == 14
+    cells = sum(pieces.nbytes + plus.nbytes for pieces, plus, _ in slot[1])
+    assert cells == 14 * 2 ** 13 * 9 <= verifiers._SLOT_BYTES
+    # a depth-14 tree is above the bound: it is sorted level by level and
+    # leaves the slot as it was
+    cert = verify_d_embed(spike_weight(14), PSI)
+    assert cert.passed and cert.node_count == 14
+    assert verifiers._slot is slot

@@ -28,6 +28,7 @@ from dyadembed import (
     verify_folk,
     young_function,
 )
+from dyadembed.verifiers import FAILURE_DEMO_MAX_DEPTH
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +341,8 @@ def test_failure_demo_depth_guard():
         failure_demo(4, 8)
     with pytest.raises(ValueError):
         failure_demo(6, 3)
+    with pytest.raises(ValueError, match="exceeds the ceiling 24"):
+        failure_demo(6, FAILURE_DEMO_MAX_DEPTH + 1)
 
 
 def test_certificate_json_stable(psi2):
