@@ -33,6 +33,7 @@ from dyadembed import (
     CorpusSpec,
     DyadicInterval,
     DyadicWeight,
+    StepFunction,
     Tolerances,
     check_embed_step,
     check_paraproduct_step,
@@ -44,7 +45,6 @@ from dyadembed import (
     psi_closed_form,
     spike_d_embed_closed_form,
     spike_weight,
-    StepFunction,
     verify_d_embed,
     verify_embed,
     verify_embed2,
@@ -334,13 +334,14 @@ def _bounded_runs(w, psi, j=ROOT, keep_ledger=False, tol=DEFAULT_TOL, before=Non
 
 
 SLOT_CASES = {
-    # name: (psi of the run that fills the slot, run kwargs, fresh weight object)
-    "same-w-same-psi": (PSI, {"psi": PSI}, False),
-    "same-w-other-psi": (PSI, {"psi": LOGLOG}, False),
-    "subtree-left": (PSI, {"psi": PSI, "j": DyadicInterval(2, 0)}, False),
-    "subtree-right": (PSI, {"psi": PSI, "j": DyadicInterval(1, 1)}, False),
-    "keep-ledger": (PSI, {"psi": PSI, "keep_ledger": True}, False),
-    "equal-values-new-object": (PSI, {"psi": PSI}, True),
+    # name: (run kwargs, run on an equal-valued new weight object); the
+    # slot is first filled by d-embed of the weight under PSI
+    "same-w-same-psi": ({"psi": PSI}, False),
+    "same-w-other-psi": ({"psi": LOGLOG}, False),
+    "subtree-left": ({"psi": PSI, "j": DyadicInterval(2, 0)}, False),
+    "subtree-right": ({"psi": PSI, "j": DyadicInterval(1, 1)}, False),
+    "keep-ledger": ({"psi": PSI, "keep_ledger": True}, False),
+    "equal-values-new-object": ({"psi": PSI}, True),
 }
 
 
@@ -348,11 +349,11 @@ SLOT_CASES = {
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
 @pytest.mark.parametrize("case", SLOT_CASES)
 def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
-    fill_psi, kwargs, fresh = SLOT_CASES[case]
+    kwargs, fresh = SLOT_CASES[case]
     w = gen_weight(spec)
     _clear_slot()
-    verify_d_embed(w, fill_psi)
-    assert verifiers._slot[0] is w and verifiers._slot[2] is fill_psi
+    verify_d_embed(w, PSI)
+    assert verifiers._slot[0] is w and verifiers._slot[2] is PSI
     target = DyadicWeight(w.depth, w.values.copy()) if fresh else w
     warm = _bounded_runs(target, tol=tol, **kwargs)
     assert verifiers._slot[0] is target and verifiers._slot[2] is kwargs["psi"]
@@ -363,9 +364,9 @@ def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
     assert verifiers._slot is None
     assert warm == cold
     assert warm == unslotted
-    if kwargs["psi"] is not fill_psi:
+    if kwargs["psi"] is not PSI:
         # the check can tell the two Psi apart
-        assert warm != _bounded_runs(target, fill_psi, tol=tol)
+        assert warm != _bounded_runs(target, PSI, tol=tol)
 
 
 def test_slot_holds_one_weight_within_its_bound():
