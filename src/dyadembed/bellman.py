@@ -326,11 +326,6 @@ class BellmanKernel:
         """m-profile requirements: C <= 1 and phi(s) >= s."""
         return self.C <= 1.0 + 1e-12 and self.psi.min_psi >= 1.0 - 1e-12
 
-    # m-profile: identical integrals, valid under normalization ------------
-
-    def m(self, s):
-        return self.B(s)
-
     # the two-variable auxiliary function -----------------------------------
 
     def T(self, divisor: float, s) -> np.ndarray | float:
@@ -360,14 +355,11 @@ class BellmanKernel:
     def n_of(self, dist: DistributionFunction) -> float:
         return n_psi(self.psi, dist)
 
-    def w_of(self, dist: DistributionFunction) -> float:
-        return dist.layer_cake()
-
     def u_of(self, dist: DistributionFunction) -> float:
-        """u(N) = int (2N - m(N)) dt; requires a normalized Psi."""
+        """u(N) = int (2N - m(N)) dt, m = B; requires a normalized Psi."""
         if dist.is_zero:
             return 0.0
-        return dist.step_integral(lambda s: 2.0 * s - self.m(s))
+        return dist.step_integral(lambda s: 2.0 * s - self.B(s))
 
     def u_of_m(self, dist: DistributionFunction, m_budget: float) -> float:
         """u(N, M) = 2 w(N) - int T(M+1, N(t)) dt, M in [0, 1]."""

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,67 +97,40 @@ def _default_out() -> str:
 # worker entry point (top level so the process pool can import it)
 # ---------------------------------------------------------------------------
 
-def _run_task(task: dict) -> list[dict]:
-    """The certificate rows of one task: one row, or for fd-embed one row
-    per test function of the task's weight, all sharing one d-embed
-    certificate.  The task carries its corpus entry and the weight that
-    the parent loaded and hash-checked."""
-    cfg = RunConfig(**task["config"])
-    psi = cfg.psi()
-    tol = cfg.tolerances()
-    entry, w = task["entry"], task["weight"]
-    theorem = task["theorem"]
-    label = entry.spec.label
+def _run_task(task) -> list[dict]:
+    """Every certificate row of one weight, in output order.
+
+    A task is (theorem, config, corpus entry, weight), the weight loaded and
+    hash-checked by the parent.  One task per weight lets all of its
+    certificates share one sort of the weight (the level slot), in any
+    worker."""
+    theorem, cfg, entry, w = task
+    psi, tol, label = cfg.psi(), cfg.tolerances(), entry.spec.label
+    sequences = ((k, gen_carleson_sequence(k, w.depth, cfg.seed)) for k in SEQUENCE_KINDS)
+    functions = ((k, gen_test_function(k, w.depth, s, weight=w)) for k, s in FUNCTION_KINDS)
     if theorem == "buc-classic":
         certs = [(verify_buckley_classic(w, tol=tol), label)]
     elif theorem == "folk":
-        seq = gen_carleson_sequence(task["sequence"], w.depth, cfg.seed)
         certs = [(verify_folk(w, seq, assert_rhi_bound=entry.is_ainfty, tol=tol),
-                  f"{label}|{task['sequence']}")]
+                  f"{label}|{kind}") for kind, seq in sequences]
     elif theorem == "d-embed":
         certs = [(verify_d_embed(w, psi, tol=tol), label)]
     elif theorem == "fd-embed":
+        # one d-embed certificate serves all five test functions
         d_cert = verify_d_embed(w, psi, tol=tol)
-        certs = []
-        for kind, fseed in FUNCTION_KINDS:
-            f = gen_test_function(kind, w.depth, fseed, weight=w)
-            certs.append((verify_fd_embed(w, f, psi, tol=tol, d_cert=d_cert),
-                          f"{label}|{kind}"))
+        certs = [(verify_fd_embed(w, f, psi, tol=tol, d_cert=d_cert), f"{label}|{kind}")
+                 for kind, f in functions]
     elif theorem == "embed":
-        seq = gen_carleson_sequence(task["sequence"], w.depth, cfg.seed)
-        certs = [(verify_embed(w, seq, psi, tol=tol), f"{label}|{task['sequence']}")]
+        certs = [(verify_embed(w, seq, psi, tol=tol), f"{label}|{kind}")
+                 for kind, seq in sequences]
     elif theorem in ("embed2", "bump-embed"):
-        kind, fseed = task["function"]
-        f = gen_test_function(kind, w.depth, fseed, weight=w)
-        seq = gen_carleson_sequence(task["sequence"], w.depth, cfg.seed)
-        certs = [(verify_embed2(w, f, seq, psi, tol=tol),
-                  f"{label}|{task['sequence']}|{kind}")]
+        seq = gen_carleson_sequence("random", w.depth, cfg.seed)
+        certs = [(verify_embed2(w, f, seq, psi, tol=tol), f"{label}|random|{kind}")
+                 for kind, f in functions]
     else:
         raise ValueError(f"unknown worker theorem {theorem}")
-    rows = []
-    for cert, row_label in certs:
-        out = cert.to_dict()
-        out["weight"] = row_label
-        out["depth"] = w.depth
-        rows.append(out)
-    return rows
-
-
-def _build_tasks(theorem: str, entries, cfg: RunConfig):
-    """The tasks over the loaded (entry, weight) pairs, weight-major."""
-    base = {"config": asdict(cfg), "theorem": theorem}
-    tasks = []
-    for entry, w in entries:
-        item = {**base, "entry": entry, "weight": w}
-        if theorem in ("buc-classic", "d-embed", "fd-embed"):
-            tasks.append(item)
-        elif theorem in ("folk", "embed"):
-            for s in SEQUENCE_KINDS:
-                tasks.append({**item, "sequence": s})
-        elif theorem in ("embed2", "bump-embed"):
-            for fk in FUNCTION_KINDS:
-                tasks.append({**item, "function": fk, "sequence": "random"})
-    return tasks
+    return [{**cert.to_dict(), "weight": row_label, "depth": w.depth}
+            for cert, row_label in certs]
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +157,10 @@ def cmd_verify(args) -> int:
                         ("--tolerance-identity", args.tolerance_identity)):
         if not (math.isfinite(value) and value >= 0.0):
             print(f"{flag} must be finite and >= 0, got {value}", file=sys.stderr)
+            return 3
+    for flag, value, least in (("--seed", args.seed, 0), ("--workers", args.workers, 1)):
+        if value < least:
+            print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
             return 3
     if args.theorem == "bellman-checks" and args.depth < 3:
         print(f"bellman-checks needs --depth >= 3 (its sweep draws trees of "
@@ -257,9 +234,10 @@ def cmd_verify(args) -> int:
         print(f"corpus manifest {manifest} is malformed: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    tasks = _build_tasks(args.theorem, entries, cfg)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    tasks = [(args.theorem, cfg, entry, w) for entry, w in entries]
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_task, tasks, chunksize=1))
     else:
         rows = [_run_task(t) for t in tasks]

@@ -71,10 +71,6 @@ class DistributionFunction:
         return self.thresholds.size == 0
 
     @property
-    def max_value(self) -> float:
-        return float(self.thresholds[-1]) if self.thresholds.size else 0.0
-
-    @property
     def piece_lengths(self) -> np.ndarray:
         """Lengths p_j - p_{j-1} of the pieces carrying survival[j]."""
         if self.is_zero:

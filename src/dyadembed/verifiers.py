@@ -249,10 +249,27 @@ def _level_averages(g: StepFunction) -> tuple[np.ndarray, ...]:
     return tuple(g.level_averages(lev) for lev in range(g.depth + 1))
 
 
-def _running_sum(total: float, values: np.ndarray) -> float:
-    """total + values[0] + values[1] + ..., added one at a time: the order of
-    a node-by-node walk, level-major with the index ascending."""
-    return float(np.cumsum(np.concatenate(([total], values)))[-1])
+_SUM_QUEUE = 2 ** 12     # queued terms that make a _NodeSum add them up
+
+
+class _NodeSum:
+    """A sum of per-node terms added one at a time in the order of a
+    node-by-node walk, level-major with the index ascending.  Levels queue
+    up and are added in one cumsum when the value is read or the queue
+    holds _SUM_QUEUE terms: a small tree pays one cumsum, not one per
+    level, and a deep one holds about one level of terms."""
+
+    def __init__(self):
+        self.parts, self.queued = [np.zeros(1)], 0
+
+    def add(self, terms: np.ndarray) -> None:
+        self.parts.append(terms)
+        self.queued += terms.size
+        if self.queued >= _SUM_QUEUE:
+            self.parts, self.queued = [np.array([self.value()])], 0
+
+    def value(self) -> float:
+        return float(np.cumsum(np.concatenate(self.parts))[-1])
 
 
 def _slack(tol: Tolerances, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -320,14 +337,14 @@ def bellman_induction(levels: Iterable[LevelChecks], j: DyadicInterval,
     (level, index, gain, *bounds).  keep_ledger keeps (level, index, term,
     gain) for every node in per_node.
     """
-    lhs = gain_total = 0.0
+    lhs, gain_total = _NodeSum(), _NodeSum()
     count = 0
     failures = []
     ledger = []
     for lc in levels:
         length = 2.0 ** -lc.level
-        lhs = _running_sum(lhs, length * lc.term)
-        gain_total = _running_sum(gain_total, length * lc.gain)
+        lhs.add(length * lc.term)
+        gain_total.add(length * lc.gain)
         count += lc.index.size
         bad = ~lc.passed
         failures += zip(repeat(lc.level), lc.index[bad].tolist(), lc.gain[bad].tolist(),
@@ -335,12 +352,13 @@ def bellman_induction(levels: Iterable[LevelChecks], j: DyadicInterval,
         if keep_ledger:
             ledger += zip(repeat(lc.level), lc.index.tolist(), lc.term.tolist(),
                           lc.gain.tolist())
+    lhs = lhs.value()
     bound = constant * rhs_base
     passed = lhs <= bound + tol.slack(bound, lhs) and not failures
     return Certificate(theorem, (j.level, j.index), lhs, rhs_base, constant,
                        passed, lhs / rhs_base if rhs_base > 0 else 0.0,
                        node_count=count, failures=tuple(failures),
-                       breakdown={**breakdown, "telescoped_gain": gain_total},
+                       breakdown={**breakdown, "telescoped_gain": gain_total.value()},
                        per_node=tuple(ledger))
 
 
@@ -642,11 +660,7 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
                            float("nan"), float("nan"), False, float("nan"),
                            breakdown={"reason": "differential embedding failed"})
 
-    lhs = 0.0
-    s_haar = 0.0
-    s_drift = 0.0
-    s_cross = 0.0
-    parseval = 0.0
+    sums = lhs, s_haar, s_drift, s_cross, parseval = [_NodeSum() for _ in range(5)]
     failures = []
     count = 0
     max_alpha_excess = -float("inf")
@@ -665,11 +679,12 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
         if s.index.size:
             max_alpha_excess = max(max_alpha_excess, float(np.max(s.alpha - s.root_avg)))
         length = 2.0 ** -s.level
-        lhs = _running_sum(lhs, length * s.full * s.full / s.n_psi)
-        s_haar = _running_sum(s_haar, length * s.haar * s.haar / s.n_psi)
-        s_drift = _running_sum(s_drift, length * s.drift * s.drift / s.n_psi)
-        s_cross = _running_sum(s_cross, 2.0 * length * s.haar * s.drift / s.n_psi)
-        parseval = _running_sum(parseval, s.inner ** 2)
+        lhs.add(length * s.full * s.full / s.n_psi)
+        s_haar.add(length * s.haar * s.haar / s.n_psi)
+        s_drift.add(length * s.drift * s.drift / s.n_psi)
+        s_cross.add(2.0 * length * s.haar * s.drift / s.n_psi)
+        parseval.add(s.inner ** 2)
+    lhs, s_haar, s_drift, s_cross, parseval = (total.value() for total in sums)
 
     base = f2w.integral(j)
     constant = 8.0 / psi_min + 128.0 * kernel.C

@@ -1,5 +1,6 @@
 import csv
 import json
+import pickle
 import shutil
 import subprocess
 import sys
@@ -9,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadembed.cli import FUNCTION_KINDS, RunConfig, _build_tasks, main
-from dyadembed.corpus import (CorpusSpec, default_corpus_specs, gen_test_function,
+from dyadembed import cli, verifiers
+from dyadembed.cli import FUNCTION_KINDS, SEQUENCE_KINDS, RunConfig, main
+from dyadembed.corpus import (CorpusSpec, gen_carleson_sequence, gen_test_function,
                               load_corpus, write_corpus)
-from dyadembed.verifiers import verify_fd_embed
+from dyadembed.verifiers import (verify_buckley_classic, verify_d_embed, verify_embed,
+                                 verify_embed2, verify_fd_embed, verify_folk)
 
 
 @pytest.fixture(scope="module")
@@ -115,29 +118,121 @@ def test_failure_demo_passes_for_every_family(family, tmp_path):
     assert report["d_embed_change"] > 0.16
 
 
-def test_fd_embed_one_task_per_weight(small_corpus, tmp_path):
-    # one task per weight covers its five test functions with one d-embed
-    # certificate; rows stay weight-major, function-minor, and equal the
-    # certificates computed one function at a time
+CORPUS_THEOREMS = ("buc-classic", "folk", "d-embed", "fd-embed", "embed", "embed2",
+                   "bump-embed")
+
+
+def _library_rows(theorem, entry, w, psi):
+    """The rows of one weight, each certificate computed on its own."""
+    label = entry.spec.label
+    seqs = [(k, gen_carleson_sequence(k, w.depth, 0)) for k in SEQUENCE_KINDS]
+    fns = [(k, gen_test_function(k, w.depth, s, weight=w)) for k, s in FUNCTION_KINDS]
+    if theorem == "buc-classic":
+        certs = [(verify_buckley_classic(w), label)]
+    elif theorem == "folk":
+        certs = [(verify_folk(w, q, assert_rhi_bound=entry.is_ainfty), f"{label}|{k}")
+                 for k, q in seqs]
+    elif theorem == "d-embed":
+        certs = [(verify_d_embed(w, psi), label)]
+    elif theorem == "fd-embed":
+        certs = [(verify_fd_embed(w, f, psi), f"{label}|{k}") for k, f in fns]
+    elif theorem == "embed":
+        certs = [(verify_embed(w, q, psi), f"{label}|{k}") for k, q in seqs]
+    else:
+        q = gen_carleson_sequence("random", w.depth, 0)
+        certs = [(verify_embed2(w, f, q, psi), f"{label}|random|{k}") for k, f in fns]
+    return [{**json.loads(json.dumps(c.to_dict())), "weight": lab, "depth": w.depth}
+            for c, lab in certs]
+
+
+@pytest.mark.parametrize("theorem", CORPUS_THEOREMS)
+def test_one_task_per_weight(theorem, small_corpus, tmp_path, monkeypatch):
+    # every corpus theorem runs one task per weight; its rows stay
+    # weight-major, are the same for 1 and 2 workers, and equal the
+    # certificates computed one at a time
     entries = load_corpus(small_corpus)
-    cfg = RunConfig(command="verify", theorem="fd-embed")
-    assert len(_build_tasks("fd-embed", entries, cfg)) == len(entries)
+    tasks = []
+    run_task = cli._run_task
+
+    def recording(task):
+        tasks.append(task)
+        return run_task(task)
+
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    for out, workers in ((out1, "1"), (out2, "2")):
-        assert main(["verify", "--theorem", "fd-embed", "--corpus", str(small_corpus),
-                     "--out", str(out), "--workers", workers]) == 0
-    for name in ("certificates_fd-embed.json", "summary_fd-embed.csv"):
+    argv = ["verify", "--theorem", theorem, "--corpus", str(small_corpus)]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_run_task", recording)
+        assert main(argv + ["--out", str(out1), "--workers", "1"]) == 0
+    assert [(t[0], t[2], t[3].values.tolist()) for t in tasks] == [
+        (theorem, entry, w.values.tolist()) for entry, w in entries]
+    assert main(argv + ["--out", str(out2), "--workers", "2"]) == 0
+    for name in (f"certificates_{theorem}.json", f"summary_{theorem}.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    rows = json.loads((out1 / "certificates_fd-embed.json").read_text())
-    psi = cfg.psi()
-    expected = []
-    for entry, w in entries:
-        for kind, fseed in FUNCTION_KINDS:
-            f = gen_test_function(kind, w.depth, fseed, weight=w)
-            cert = json.loads(json.dumps(verify_fd_embed(w, f, psi).to_dict()))
-            expected.append({**cert, "weight": f"{entry.spec.label}|{kind}",
-                             "depth": w.depth})
-    assert rows == expected
+    rows = json.loads((out1 / f"certificates_{theorem}.json").read_text())
+    psi = RunConfig(command="verify").psi()
+    assert rows == [r for entry, w in entries for r in _library_rows(theorem, entry, w, psi)]
+
+
+def test_run_task_sorts_the_weight_once(small_corpus, monkeypatch):
+    # a task that went through pickle, as to a pool worker, holds its own
+    # copy of the weight; its five embed2 certificates share one sort of it
+    entry, w = load_corpus(small_corpus)[2]
+    task = pickle.loads(pickle.dumps(("embed2", RunConfig(command="verify"), entry, w)))
+    sorts = []
+    sorted_level = verifiers._sorted_level
+
+    def counting(*args):
+        sorts.append(args[1:])
+        return sorted_level(*args)
+
+    monkeypatch.setattr(verifiers, "_sorted_level", counting)
+    rows = cli._run_task(task)
+    assert len(rows) == len(FUNCTION_KINDS)
+    assert sorts == [(lev, 0, 2 ** lev) for lev in range(w.depth + 1)]
+
+
+class _PoolRecorder:
+    """Stands in for the process pool: records its size, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def test_pool_is_capped_at_the_number_of_weights(small_corpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(_PoolRecorder, "sizes", [])
+    for workers in ("64", "3"):
+        assert main(["verify", "--theorem", "d-embed", "--corpus", str(small_corpus),
+                     "--out", str(tmp_path), "--workers", workers]) == 0
+    assert _PoolRecorder.sizes == [6, 3]
+
+
+@pytest.mark.parametrize("theorem, flag, value", [
+    ("embed", "--seed", "-1"), ("folk", "--seed", "-1"), ("embed2", "--seed", "-1"),
+    ("bellman-checks", "--seed", "-1"),
+    ("d-embed", "--workers", "0"), ("d-embed", "--workers", "-3"),
+])
+def test_bad_seed_or_workers_is_config_error(theorem, flag, value, small_corpus,
+                                             tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(_PoolRecorder, "sizes", [])
+    rc = main(["verify", "--theorem", theorem, "--corpus", str(small_corpus),
+               flag, value, "--out", str(tmp_path)])
+    assert rc == 3
+    assert f"{flag} must be >= " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert _PoolRecorder.sizes == []
 
 
 def test_verify_bellman_checks(tmp_path):

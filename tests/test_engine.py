@@ -226,6 +226,24 @@ def test_equal_children_have_zero_gain():
     assert verify_d_embed(w, PSI).passed
 
 
+def test_node_sum_adds_in_walk_order():
+    # a depth-14 tree's levels, with wide exponents so that any other order
+    # of the additions rounds differently: the queued sum, folded whenever
+    # it holds _SUM_QUEUE terms, equals the node-by-node running total
+    rng = np.random.default_rng(3)
+    levels = [rng.uniform(-1.0, 1.0, 2 ** lev) * 10.0 ** rng.integers(-8, 9, 2 ** lev)
+              for lev in range(15)]
+    total = verifiers._NodeSum()
+    expected = 0.0
+    for terms in levels:
+        total.add(terms)
+        for t in terms.tolist():
+            expected += t
+    assert sum(map(len, levels)) > 4 * verifiers._SUM_QUEUE
+    assert total.value() == expected
+    assert total.value() != math.fsum(np.concatenate(levels))
+
+
 # ---------------------------------------------------------------------------
 # metamorphic: power-of-two scaling is exact
 # ---------------------------------------------------------------------------
