@@ -13,10 +13,10 @@ x = log(1/s), and the exponential integral E_n comes from the package's own
 table of x e^x E_n(x) (per-octave polynomials built once per n from the
 continued fraction).  Other families fall back to a Gauss-Legendre panel
 grid in x = log(1/s), with panel edges pinned to the clamp knot so each
-panel integrand is smooth.  No kernel path loads scipy; only the on-demand
-Pchip view of a BellmanProfile does.  The normalization multiplier
-k of Psi is folded in: G, H, B all scale by 1/k, so m(s) (the profile with
-int_0^1 1/phi <= 1) is simply B of a normalized Psi.
+panel integrand is smooth.  Nothing in the package loads scipy.  The
+normalization multiplier k of Psi is folded in: G, H, B all scale by 1/k,
+so m(s) (the profile with int_0^1 1/phi <= 1) is simply B of a normalized
+Psi.
 
 Derived inequality constants used throughout (each follows from phi
 increasing, Psi decreasing, and the divisor range only):
@@ -380,7 +380,7 @@ def scalar_bellman(f: float, u: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# profiles (grid + monotone cubic view, used for tables and profile checks)
+# profiles (grid values, used for tables and profile checks)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -390,16 +390,6 @@ class BellmanProfile:
     Bprime: np.ndarray
     kind: str                     # "B" or "m"
     C: float                      # B'(1)
-
-    def __call__(self, s):
-        """Monotone cubic (Pchip) view of the grid values; nan outside the grid.
-
-        Built per call so that importing the package does not load
-        scipy.interpolate.
-        """
-        from scipy.interpolate import PchipInterpolator
-
-        return PchipInterpolator(self.grid, self.B, extrapolate=False)(s)
 
 
 def build_profile(psi: PsiFunction, kind: str = "B",

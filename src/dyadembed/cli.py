@@ -47,6 +47,8 @@ THEOREMS = ("buc-classic", "folk", "d-embed", "fd-embed", "embed", "embed2",
             "bump-embed", "failure-demo", "bellman-checks")
 # theorems whose inequalities hold only for a normalized Psi (the m-profile)
 NORMALIZED_THEOREMS = ("embed2", "bump-embed", "bellman-checks")
+# theorems that read --depth; the others run on the corpus weights' own depths
+DEPTH_THEOREMS = ("failure-demo", "bellman-checks")
 SEQUENCE_KINDS = ("root-only", "level-uniform", "random", "stopping-time")
 FUNCTION_KINDS = (("constant", 0), ("haar", 0), ("random-bounded", 11),
                   ("random-bounded", 12), ("w-normalized", 13))
@@ -162,16 +164,21 @@ def cmd_verify(args) -> int:
         if value < least:
             print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
             return 3
-    if args.theorem == "bellman-checks" and args.depth < 3:
+    if args.depth is not None and args.theorem not in DEPTH_THEOREMS:
+        print(f"--depth applies to {' and '.join(DEPTH_THEOREMS)} only; {args.theorem} "
+              f"runs on the corpus weights at their own depths", file=sys.stderr)
+        return 3
+    depth = RunConfig.depth if args.depth is None else args.depth
+    if args.theorem == "bellman-checks" and depth < 3:
         print(f"bellman-checks needs --depth >= 3 (its sweep draws trees of "
-              f"depth 3..min(8, depth)), got {args.depth}", file=sys.stderr)
+              f"depth 3..min(8, depth)), got {depth}", file=sys.stderr)
         return 3
     cfg = RunConfig(
         command="verify", theorem=args.theorem, psi_family=args.psi_family,
         alpha=args.alpha, clamp_s0=args.clamp_s0,
         normalize=not args.no_normalize,
         corpus=args.corpus or "", out=args.out or _default_out(),
-        workers=args.workers, depth=args.depth, seed=args.seed,
+        workers=args.workers, depth=depth, seed=args.seed,
         tol_ineq=args.tolerance_ineq, tol_identity=args.tolerance_identity)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -367,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--theorem", required=True)
     v.add_argument("--corpus", default="", help="path to corpus manifest.json")
     v.add_argument("--workers", type=int, default=1)
-    v.add_argument("--depth", type=int, default=12)
+    v.add_argument("--depth", type=int, default=None,
+                   help="spike depth of failure-demo, tree depth bound of "
+                        "bellman-checks (default 12); no other theorem takes it")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tolerance-ineq", type=float, default=1e-9)
     v.add_argument("--tolerance-identity", type=float, default=1e-12)

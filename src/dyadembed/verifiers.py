@@ -18,8 +18,10 @@ A node's potential (script-B, script-T or f^2/u) is computed once, on its
 own level, and its parent reads it there.  The cost is O(2^depth) array
 work per level.  The sorted blocks depend on w alone and n_psi on (w, Psi),
 so a tree of depth <= 13 is sorted once into a one-weight slot that every
-certificate of that weight reads, for any root J; a deeper tree is sorted
-one level at a time and only two adjacent levels are held at once.
+certificate of that weight reads, for any root J.  Every tree is sorted
+once, top down: J's block is stable-sorted and each level below is a
+linear split of the one above.  A deeper tree is split one level at a
+time, and only two adjacent levels are held at once.
 
 Skip rule: nodes on which w vanishes identically carry no term and no
 inequality.  They are computed with the rest of their level, then dropped,
@@ -148,18 +150,29 @@ class _Level(NamedTuple):
         return part[0::2], part[1::2]
 
     def half_difference(self) -> np.ndarray:
-        """(N_{I+} - N_{I-})/2 on every piece, exact: N_{I+} counts the
-        right-child cells at or above each sorted position."""
-        m = self.grid.size
-        plus_above = np.cumsum(self.plus[:, ::-1], axis=1)[:, ::-1]
-        return (2 * plus_above - (m - np.arange(m))) / m
+        """(N_{I+} - N_{I-})/2 on every piece of a level above the finest,
+        exact: m times it is the sum of +1 per right-child cell and -1 per
+        left-child cell at or above each sorted position.  Every row holds
+        m/2 of each, so one suffix sum over the whole level restarts at
+        each row boundary."""
+        signs = np.where(self.plus.ravel()[::-1], 1, -1)
+        return (np.cumsum(signs)[::-1] / self.grid.size).reshape(self.plus.shape)
 
 
 def _row_integral(pieces: np.ndarray, g: np.ndarray) -> np.ndarray:
     """int g(N_I(t)) dt of every row, for g sampled on the grid: one (m,)
     array for the level or one (W, m) row per node.  Summed left to right,
-    so zero-length pieces add exact zeros."""
-    return np.cumsum(pieces * g, axis=1)[:, -1]
+    so zero-length pieces add exact zeros.  A level of many short rows
+    adds whole columns, the same additions in the same order as a row
+    cumsum."""
+    terms = pieces * g
+    width, m = terms.shape
+    if 32 * m > width:
+        return np.cumsum(terms, axis=1)[:, -1]
+    total = terms[:, 0].copy()
+    for column in terms.T[1:]:
+        total += column
+    return total
 
 
 def _top_grid(w: DyadicWeight, j: DyadicInterval) -> np.ndarray:
@@ -169,13 +182,32 @@ def _top_grid(w: DyadicWeight, j: DyadicInterval) -> np.ndarray:
     return (m - np.arange(m)) / m
 
 
-def _sorted_level(w: DyadicWeight, lev: int, first: int, width: int):
-    """(pieces, plus, live) of the width nodes of level lev from first on."""
-    m = 2 ** (w.depth - lev)
-    blocks = w.values[first * m:(first + width) * m].reshape(width, m)
-    order = np.argsort(blocks, axis=1, kind="stable")
-    cells = np.take_along_axis(blocks, order, axis=1)
-    return np.diff(cells, axis=1, prepend=0.0), order >= m // 2, cells[:, -1] > 0
+def _sorted_levels(w: DyadicWeight, j: DyadicInterval):
+    """(pieces, plus, live) of every level of the subtree under j, from j's
+    own down to the finest.  j's block is stable-sorted once; a row's
+    sorted cells split, in order, into the sorted cells of its two
+    children, so each level below is a linear split of the one above and
+    ties stay in cell order, as a stable sort of the level would leave
+    them.  order holds positions in j's block (int32 halves the memory)."""
+    m = 2 ** (w.depth - j.level)
+    block = w.values[j.index * m:(j.index + 1) * m]
+    order = np.argsort(block, kind="stable").astype(np.int32).reshape(1, m)
+    while True:
+        cells = block[order.ravel()]
+        pieces = np.empty_like(cells)
+        np.subtract(cells[1:], cells[:-1], out=pieces[1:])
+        pieces[::m] = cells[::m]
+        live = cells[m - 1::m] > 0
+        del cells
+        plus = (order & (m - 1)) >= m // 2
+        yield pieces.reshape(order.shape), plus, live
+        if m == 1:
+            return
+        width, m = order.shape[0], m // 2
+        split = np.empty((2 * width, m), dtype=np.int32)
+        split[0::2] = order[~plus].reshape(width, m)
+        split[1::2] = order[plus].reshape(width, m)
+        order = split
 
 
 # The sorted levels of a whole tree of depth d take (d + 1) 2^d cells of
@@ -201,7 +233,7 @@ def _tree(w: DyadicWeight, psi: PsiFunction):
             return slot
         levels = slot[1]
     else:
-        levels = tuple(_sorted_level(w, lev, 0, 2 ** lev) for lev in range(w.depth + 1))
+        levels = tuple(_sorted_levels(w, ROOT))
     phi = psi.phi(_top_grid(w, ROOT))
     n_psi = tuple(_row_integral(pieces, phi[::pieces.shape[0]])
                   for pieces, _, _ in levels)
@@ -212,7 +244,7 @@ def _tree(w: DyadicWeight, psi: PsiFunction):
 def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
     """The levels of the subtree under j, from j's own down to the finest:
     row slices of the slot's whole-tree levels, or for a tree too deep for
-    the slot, each sorted when it is reached."""
+    the slot, each split from the one above when it is reached."""
     grid = _top_grid(w, j)
     if (w.depth + 1) * 2 ** w.depth * 9 <= _SLOT_BYTES:
         _, tree, _, phi, n_psi = _tree(w, psi)
@@ -224,9 +256,8 @@ def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
                          pieces, plus, live, n_psi[lev][rows])
         return
     phi = psi.phi(grid)
-    for lev in range(j.level, w.depth + 1):
+    for lev, (pieces, plus, live) in enumerate(_sorted_levels(w, j), j.level):
         width = 2 ** (lev - j.level)
-        pieces, plus, live = _sorted_level(w, lev, j.index * width, width)
         yield _Level(lev, j.index * width, grid[::width], phi[::width],
                      pieces, plus, live, None)
 

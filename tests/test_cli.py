@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadembed import cli, verifiers
+from dyadembed import ROOT, cli, verifiers
 from dyadembed.cli import FUNCTION_KINDS, SEQUENCE_KINDS, RunConfig, main
 from dyadembed.corpus import (CorpusSpec, gen_carleson_sequence, gen_test_function,
                               load_corpus, write_corpus)
@@ -99,6 +99,7 @@ def test_verify_failure_demo(tmp_path):
     rc = main(["verify", "--theorem", "failure-demo", "--out", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "failure_demo.json").read_text())
+    assert report["depths"] == list(range(6, 13))     # the default --depth 12
     assert report["classical_ratios"][0] == 24.0
     assert report["classical_ratios"][-1] == 48.0
     assert report["verdict"] == "pass"
@@ -179,16 +180,16 @@ def test_run_task_sorts_the_weight_once(small_corpus, monkeypatch):
     entry, w = load_corpus(small_corpus)[2]
     task = pickle.loads(pickle.dumps(("embed2", RunConfig(command="verify"), entry, w)))
     sorts = []
-    sorted_level = verifiers._sorted_level
+    sorted_levels = verifiers._sorted_levels
 
-    def counting(*args):
-        sorts.append(args[1:])
-        return sorted_level(*args)
+    def counting(w, j):
+        sorts.append(j)
+        return sorted_levels(w, j)
 
-    monkeypatch.setattr(verifiers, "_sorted_level", counting)
+    monkeypatch.setattr(verifiers, "_sorted_levels", counting)
     rows = cli._run_task(task)
     assert len(rows) == len(FUNCTION_KINDS)
-    assert sorts == [(lev, 0, 2 ** lev) for lev in range(w.depth + 1)]
+    assert sorts == [ROOT]
 
 
 class _PoolRecorder:
@@ -294,6 +295,18 @@ def test_bellman_checks_shallow_depth_is_config_error(depth, tmp_path, capsys):
     assert rc == 3
     assert "--depth >= 3" in capsys.readouterr().err
     assert not (tmp_path / "bellman_checks.json").exists()
+
+
+@pytest.mark.parametrize("theorem", [t for t in cli.THEOREMS if t not in cli.DEPTH_THEOREMS])
+def test_depth_for_a_corpus_theorem_is_config_error(theorem, small_corpus, tmp_path, capsys):
+    # a corpus theorem runs on the weights' own depths; --depth would be
+    # ignored, so it is refused before anything is written
+    out = tmp_path / "out"
+    rc = main(["verify", "--theorem", theorem, "--depth", "12",
+               "--corpus", str(small_corpus), "--out", str(out)])
+    assert rc == 3
+    assert "--depth applies to failure-demo and bellman-checks only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failure_demo_shallow_depth_is_config_error(tmp_path):
@@ -402,8 +415,7 @@ def test_parametric_family_end_to_end(tmp_path):
 
 def test_import_does_not_load_scipy_interpolate(small_corpus, tmp_path):
     # nor any other scipy module: the root-finder, E_n and the Gauss-Legendre
-    # rule are the package's own (scipy serves only BellmanProfile's Pchip
-    # view), and a whole d-embed run loads none either
+    # rule are the package's own, and a whole d-embed run loads none either
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import dyadembed, dyadembed.cli; "
             "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "

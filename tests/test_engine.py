@@ -15,6 +15,9 @@
 * The one-weight level slot: every way into it gives the certificates of a
   run that starts with an empty slot, and of one that never uses it, bit
   for bit.
+* The top-down sort: every level split from the one above equals a stable
+  sort of that level on its own, and the level sums equal their row-wise
+  forms, bit for bit.
 """
 
 import gc
@@ -406,3 +409,85 @@ def test_slot_holds_one_weight_within_its_bound():
     cert = verify_d_embed(spike_weight(14), PSI)
     assert cert.passed and cert.node_count == 14
     assert verifiers._slot is slot
+
+
+# ---------------------------------------------------------------------------
+# the top-down sort against a stable sort of every level
+# ---------------------------------------------------------------------------
+
+def _sorted_level(w, lev, first, width):
+    """The oracle: (pieces, plus, live) of the width nodes of level lev from
+    first on, each node's block stable-sorted on its own."""
+    m = 2 ** (w.depth - lev)
+    blocks = w.values[first * m:(first + width) * m].reshape(width, m)
+    order = np.argsort(blocks, axis=1, kind="stable")
+    cells = np.take_along_axis(blocks, order, axis=1)
+    return np.diff(cells, axis=1, prepend=0.0), order >= m // 2, cells[:, -1] > 0
+
+
+def _assert_levels_match_oracle(w, j):
+    levels = list(verifiers._sorted_levels(w, j))
+    assert len(levels) == w.depth - j.level + 1
+    for lev, got in enumerate(levels, j.level):
+        width = 2 ** (lev - j.level)
+        for a, b in zip(got, _sorted_level(w, lev, j.index * width, width)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (lev, j)
+
+
+@st.composite
+def sort_cases(draw):
+    """A weight of depth 0..10 with zeros of both signs, ties and a 1e-100
+    .. 1e100 dynamic range, and a root on one of its levels 0..2."""
+    depth = draw(st.integers(0, 10))
+    value = st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]).flatmap(
+        lambda m: st.sampled_from([m * 1e-100, m, m * 1e100]))
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = DyadicWeight(depth, rng.choice(pool, 2 ** depth), allow_zero=True)
+    level = draw(st.integers(0, min(depth, 2)))
+    return w, DyadicInterval(level, draw(st.integers(0, 2 ** level - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sort_cases())
+def test_sorted_levels_match_a_sort_of_every_level(case):
+    _assert_levels_match_oracle(*case)
+
+
+def test_sorted_levels_match_the_oracle_below_the_slot():
+    w = gen_weight(CorpusSpec("random-martingale", 16, (0.6,), 3))
+    assert (w.depth + 1) * 2 ** w.depth * 9 > verifiers._SLOT_BYTES
+    _assert_levels_match_oracle(w, ROOT)
+    _assert_levels_match_oracle(w, DyadicInterval(1, 1))
+
+
+@pytest.mark.parametrize("shape", [(16384, 1), (8192, 2), (512, 16), (16, 16), (1, 16384)])
+def test_row_integral_adds_like_a_row_cumsum(shape):
+    # pieces with zeros of both signs and a grid with one, so that the sums
+    # meet -0.0 + -0.0, -0.0 + 0.0 and cancellations; the column path
+    # (32 m <= W) and the row path must both add left to right
+    rng = np.random.default_rng(sum(shape))
+    pieces = rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.integers(-20, 21, shape)
+    pieces[rng.random(shape) < 0.2] = 0.0
+    pieces[rng.random(shape) < 0.2] = -0.0
+    grid = rng.uniform(-1.0, 1.0, shape[1])
+    grid[0] = -0.0
+    for g in (grid, rng.uniform(-1.0, 1.0, shape)):
+        terms = pieces * g
+        want = np.cumsum(terms, axis=1)[:, -1]
+        got = verifiers._row_integral(pieces, g)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
+def test_half_difference_matches_its_row_form(spec):
+    w = gen_weight(spec)
+    for lv in verifiers._levels(w, PSI, ROOT):
+        if lv.level == w.depth:
+            break
+        m = lv.grid.size
+        plus_above = np.cumsum(lv.plus[:, ::-1], axis=1)[:, ::-1]
+        want = (2 * plus_above - (m - np.arange(m))) / m
+        got = lv.half_difference()
+        assert got.dtype == want.dtype and np.array_equal(got, want), lv.level
