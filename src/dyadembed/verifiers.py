@@ -162,17 +162,8 @@ class _Level(NamedTuple):
 def _row_integral(pieces: np.ndarray, g: np.ndarray) -> np.ndarray:
     """int g(N_I(t)) dt of every row, for g sampled on the grid: one (m,)
     array for the level or one (W, m) row per node.  Summed left to right,
-    so zero-length pieces add exact zeros.  A level of many short rows
-    adds whole columns, the same additions in the same order as a row
-    cumsum."""
-    terms = pieces * g
-    width, m = terms.shape
-    if 32 * m > width:
-        return np.cumsum(terms, axis=1)[:, -1]
-    total = terms[:, 0].copy()
-    for column in terms.T[1:]:
-        total += column
-    return total
+    so zero-length pieces add exact zeros."""
+    return np.cumsum(pieces * g, axis=1)[:, -1]
 
 
 def _top_grid(w: DyadicWeight, j: DyadicInterval) -> np.ndarray:

@@ -461,25 +461,6 @@ def test_sorted_levels_match_the_oracle_below_the_slot():
     _assert_levels_match_oracle(w, DyadicInterval(1, 1))
 
 
-@pytest.mark.parametrize("shape", [(16384, 1), (8192, 2), (512, 16), (16, 16), (1, 16384)])
-def test_row_integral_adds_like_a_row_cumsum(shape):
-    # pieces with zeros of both signs and a grid with one, so that the sums
-    # meet -0.0 + -0.0, -0.0 + 0.0 and cancellations; the column path
-    # (32 m <= W) and the row path must both add left to right
-    rng = np.random.default_rng(sum(shape))
-    pieces = rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.integers(-20, 21, shape)
-    pieces[rng.random(shape) < 0.2] = 0.0
-    pieces[rng.random(shape) < 0.2] = -0.0
-    grid = rng.uniform(-1.0, 1.0, shape[1])
-    grid[0] = -0.0
-    for g in (grid, rng.uniform(-1.0, 1.0, shape)):
-        terms = pieces * g
-        want = np.cumsum(terms, axis=1)[:, -1]
-        got = verifiers._row_integral(pieces, g)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
 def test_half_difference_matches_its_row_form(spec):
     w = gen_weight(spec)
