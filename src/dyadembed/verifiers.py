@@ -15,12 +15,17 @@ right, so those pieces add exact zeros: two equal children have bitwise
 equal potentials, and their parent's gain is exactly zero.
 
 A node's potential (script-B, script-T or f^2/u) is computed once, on its
-own level, and its parent reads it there.  The cost is O(2^depth) array
-work per level.  The sorted blocks depend on w alone and n_psi on (w, Psi),
-so a tree of depth <= 13 is sorted once into a one-weight slot that every
-certificate of that weight reads, for any root J.  Every tree is sorted
-once, top down: J's block is stable-sorted and each level below is a
-linear split of the one above.  A deeper tree is split one level at a
+own level, and its parent reads it there.  A node on which w is constant,
+bit for bit, is held as its one value v: its sorted block is [v, ..., v],
+so each of its integrals is v g(1), and its descendants inherit v without
+a cell being read.  Dense array work runs only on the other rows, so a
+spike or a lacunary weight costs O(2^depth) in all, not per level.  Every
+tree is sorted once, top down: J's block is stable-sorted and each level
+below is a linear split of the non-constant rows of the one above.  The
+sorted blocks depend on w alone and n_psi on (w, Psi), so a tree whose
+sorted levels fit in 1 MiB (every tree of depth <= 13, and a depth-14
+spike) is sorted once into a one-weight slot that every certificate of
+that weight reads, for any root J.  A larger tree is split one level at a
 time, and only two adjacent levels are held at once.
 
 Skip rule: nodes on which w vanishes identically carry no term and no
@@ -120,20 +125,65 @@ def _strict_json(x):
 # the level engine
 # ---------------------------------------------------------------------------
 
+class _Rows(NamedTuple):
+    """The sorted cell blocks of one level's rows.  A row on which w is
+    constant, bit for bit, is held as its one value v; its sorted block is
+    [v, ..., v] and its piece lengths [v, 0, ..., 0].  Every other row is
+    held dense."""
+
+    pieces: np.ndarray          # (D, m) piece lengths s_k - s_{k-1} of the dense rows
+    plus: np.ndarray            # (D, m) the sorted cell lies in the right child
+    dense: np.ndarray | None    # (D,) the row of each dense row; None: no row is constant
+    const: np.ndarray           # (W,) the row is constant
+    value: np.ndarray           # (C,) w on each constant row, in row order
+    live: np.ndarray            # (W,) w is not identically zero on the row
+
+    def integral(self, g: np.ndarray, at_one=None) -> np.ndarray:
+        """int g(N_I(t)) dt of every row, for g sampled on the grid: (m,)
+        for every row, or (D, m) for the dense rows with at_one its value at
+        N = 1 on the constant rows.  A constant row's dense sum is v g(1)
+        followed by the products 0 g(N) of its zero pieces: the engine's
+        integrands are finite and positive below N = 1, so those add up to
+        +0.0 and change only a v g(1) of -0.0."""
+        dense = _row_integral(self.pieces, g)
+        if self.dense is None:
+            return dense
+        out = np.empty(self.live.size)
+        out[self.dense] = dense
+        ones = self.value * (g[0] if at_one is None else at_one)
+        out[self.const] = ones + 0.0 if self.pieces.shape[1] > 1 else ones
+        return out
+
+    def part(self, a: int, b: int) -> "_Rows":
+        """Rows a to b - 1, renumbered from 0."""
+        if a == 0 and b == self.live.size:
+            return self
+        const = self.const[a:b]
+        if self.dense is None:
+            return self._replace(pieces=self.pieces[a:b], plus=self.plus[a:b],
+                                 const=const, live=self.live[a:b])
+        lo, hi = np.searchsorted(self.dense, (a, b))
+        skip = np.count_nonzero(self.const[:a])
+        return _Rows(self.pieces[lo:hi], self.plus[lo:hi], self.dense[lo:hi] - a, const,
+                     self.value[skip:skip + np.count_nonzero(const)], self.live[a:b])
+
+
 class _Level(NamedTuple):
-    """One level of the subtree under J as a matrix of sorted cell blocks."""
+    """One level of the subtree under J: its rows and the shared grid."""
 
     level: int
     first: int              # index of the level's leftmost node under J
     grid: np.ndarray        # (m,) survival values (m - k)/m
     phi: np.ndarray         # (m,) phi on the grid
-    pieces: np.ndarray      # (W, m) piece lengths s_k - s_{k-1}
-    plus: np.ndarray        # (W, m) the sorted cell lies in the right child
-    live: np.ndarray        # (W,) w is not identically zero on the node
+    rows: _Rows
     kept_n_psi: np.ndarray | None   # (W,) the slot's n_psi(N_I), None off the slot
 
-    def integral(self, g: np.ndarray) -> np.ndarray:
-        return _row_integral(self.pieces, g)
+    @property
+    def live(self) -> np.ndarray:
+        return self.rows.live
+
+    def integral(self, g: np.ndarray, at_one=None) -> np.ndarray:
+        return self.rows.integral(g, at_one)
 
     def n_psi(self) -> np.ndarray:
         if self.kept_n_psi is not None:
@@ -150,20 +200,24 @@ class _Level(NamedTuple):
         return part[0::2], part[1::2]
 
     def half_difference(self) -> np.ndarray:
-        """(N_{I+} - N_{I-})/2 on every piece of a level above the finest,
-        exact: m times it is the sum of +1 per right-child cell and -1 per
-        left-child cell at or above each sorted position.  Every row holds
-        m/2 of each, so one suffix sum over the whole level restarts at
-        each row boundary."""
-        signs = np.where(self.plus.ravel()[::-1], 1, -1)
-        return (np.cumsum(signs)[::-1] / self.grid.size).reshape(self.plus.shape)
+        """(N_{I+} - N_{I-})/2 on every piece of the dense rows of a level
+        above the finest, exact: m times it is the sum of +1 per right-child
+        cell and -1 per left-child cell at or above each sorted position.
+        Every row holds m/2 of each, so one suffix sum over the whole level
+        restarts at each row boundary.  On a constant row it is 0 at N = 1."""
+        plus = self.rows.plus
+        signs = np.where(plus.ravel()[::-1], 1, -1)
+        return (np.cumsum(signs)[::-1] / self.grid.size).reshape(plus.shape)
 
 
 def _row_integral(pieces: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """int g(N_I(t)) dt of every row, for g sampled on the grid: one (m,)
-    array for the level or one (W, m) row per node.  Summed left to right,
-    so zero-length pieces add exact zeros."""
-    return np.cumsum(pieces * g, axis=1)[:, -1]
+    """int g(N_I(t)) dt of every row of pieces, for g sampled on the grid:
+    one (m,) array for the level or one (W, m) row per node.  Summed left to
+    right, so zero-length pieces add exact zeros; the prefix sums overwrite
+    the products, so the sum holds one (W, m) temporary."""
+    buf = pieces * g
+    np.cumsum(buf, axis=1, out=buf)
+    return buf[:, -1].copy()
 
 
 def _top_grid(w: DyadicWeight, j: DyadicInterval) -> np.ndarray:
@@ -173,50 +227,99 @@ def _top_grid(w: DyadicWeight, j: DyadicInterval) -> np.ndarray:
     return (m - np.arange(m)) / m
 
 
-def _sorted_levels(w: DyadicWeight, j: DyadicInterval):
-    """(pieces, plus, live) of every level of the subtree under j, from j's
-    own down to the finest.  j's block is stable-sorted once; a row's
-    sorted cells split, in order, into the sorted cells of its two
+def _constant_rows(w: DyadicWeight) -> list:
+    """For every level of the tree, root first, the mask of the nodes on
+    which w is constant, bit for bit (so a node mixing 0.0 and -0.0 is not),
+    or None for a level with none.  A node is constant when both children
+    are and their values agree, so the masks are built from the finest
+    level up and stop below the first level without a constant node."""
+    bits = w.values.view(np.int64)
+    same = [np.ones(bits.size, dtype=bool)]
+    while bits.size > 1:
+        up = (bits[0::2] == bits[1::2]) & same[-1][0::2] & same[-1][1::2]
+        if not up.any():
+            break
+        bits = bits[0::2]
+        same.append(up)
+    return [None] * (w.depth + 1 - len(same)) + same[::-1]
+
+
+def _sorted_levels(w: DyadicWeight, j: DyadicInterval, same: list):
+    """The _Rows of every level of the subtree under j, from j's own down to
+    the finest; same is _constant_rows(w).  j's block is stable-sorted once;
+    a row's sorted cells split, in order, into the sorted cells of its two
     children, so each level below is a linear split of the one above and
-    ties stay in cell order, as a stable sort of the level would leave
-    them.  order holds positions in j's block (int32 halves the memory)."""
+    ties stay in cell order, as a stable sort of the level would leave them.
+    A row that is constant leaves the split, and its value is read from the
+    block.  order holds positions in j's block (int32 halves the memory)."""
     m = 2 ** (w.depth - j.level)
     block = w.values[j.index * m:(j.index + 1) * m]
     order = np.argsort(block, kind="stable").astype(np.int32).reshape(1, m)
-    while True:
+    dense = None
+    for width_log, mask in enumerate(same[j.level:]):
+        width = 2 ** width_log
+        if mask is None:
+            const = np.zeros(width, dtype=bool)
+        else:
+            const = mask[j.index * width:(j.index + 1) * width]
+            keep = ~const if dense is None else ~const[dense]
+            if not keep.all():
+                order = order[keep]
+                dense = np.flatnonzero(keep) if dense is None else dense[keep]
         cells = block[order.ravel()]
         pieces = np.empty_like(cells)
         np.subtract(cells[1:], cells[:-1], out=pieces[1:])
         pieces[::m] = cells[::m]
-        live = cells[m - 1::m] > 0
+        value = block[::m][const]
+        if dense is None:
+            live = cells[m - 1::m] > 0
+        else:
+            live = np.empty(width, dtype=bool)
+            live[dense] = cells[m - 1::m] > 0
+            live[const] = value > 0
         del cells
         plus = (order & (m - 1)) >= m // 2
-        yield pieces.reshape(order.shape), plus, live
+        yield _Rows(pieces.reshape(order.shape), plus, dense, const, value, live)
         if m == 1:
             return
-        width, m = order.shape[0], m // 2
-        split = np.empty((2 * width, m), dtype=np.int32)
-        split[0::2] = order[~plus].reshape(width, m)
-        split[1::2] = order[plus].reshape(width, m)
+        count, m = order.shape[0], m // 2
+        split = np.empty((2 * count, m), dtype=np.int32)
+        split[0::2] = order[~plus].reshape(count, m)
+        split[1::2] = order[plus].reshape(count, m)
         order = split
+        if dense is not None:
+            dense = np.stack((2 * dense, 2 * dense + 1), axis=1).ravel()
 
 
-# The sorted levels of a whole tree of depth d take (d + 1) 2^d cells of
-# 9 bytes (a float64 piece length and a bool child label); a tree that fits
-# in this many bytes (depth <= 13) is sorted once and kept in the slot.
+def _held_bytes(w: DyadicWeight, same: list) -> int:
+    """The bytes of the sorted levels of w: 9 a cell of a dense row (a
+    float64 piece length and a bool child label), 8 a constant row (its
+    value); same is _constant_rows(w)."""
+    total = 0
+    for lev, mask in enumerate(same):
+        consts = 0 if mask is None else int(np.count_nonzero(mask))
+        total += 9 * (2 ** lev - consts) * 2 ** (w.depth - lev) + 8 * consts
+    return total
+
+
+# A tree whose sorted levels fit in this many bytes is sorted once and kept
+# in the slot: every tree of depth <= 13, and deeper ones made mostly of
+# constant subtrees (a depth-14 spike holds 0.56 MB, a depth-14 martingale
+# 2.2 MB).
 _SLOT_BYTES = 2 ** 20
 
 # The most recently used weight, (w, levels, psi, phi, n_psi): levels[l] is
-# (pieces, plus, live) of every node of level l, phi is psi.phi on the
-# finest grid and n_psi[l] holds every node's n_psi.  The sort depends on w
-# alone and the rest on (w, psi), so every bounded certificate of a weight
-# reads one sort.  The tuple is replaced whole, matched by the identity of
-# w and psi, and holds both, so their ids cannot be reused while it does.
+# the _Rows of every node of level l, phi is psi.phi on the finest grid and
+# n_psi[l] holds every node's n_psi.  The sort depends on w alone and the
+# rest on (w, psi), so every bounded certificate of a weight reads one
+# sort.  The tuple is replaced whole, matched by the identity of w and psi,
+# and holds both, so their ids cannot be reused while it does.
 _slot = None
 
 
-def _tree(w: DyadicWeight, psi: PsiFunction):
-    """The slot for (w, psi), refilled on a miss; a new psi keeps the sort."""
+def _tree(w: DyadicWeight, psi: PsiFunction, same: list | None):
+    """The slot for (w, psi), refilled on a miss; a new psi keeps the sort.
+    same is _constant_rows(w), read only when w is not in the slot."""
     global _slot
     slot = _slot
     if slot is not None and slot[0] is w:
@@ -224,33 +327,34 @@ def _tree(w: DyadicWeight, psi: PsiFunction):
             return slot
         levels = slot[1]
     else:
-        levels = tuple(_sorted_levels(w, ROOT))
+        levels = tuple(_sorted_levels(w, ROOT, same))
     phi = psi.phi(_top_grid(w, ROOT))
-    n_psi = tuple(_row_integral(pieces, phi[::pieces.shape[0]])
-                  for pieces, _, _ in levels)
+    n_psi = tuple(rows.integral(phi[::rows.live.size]) for rows in levels)
     _slot = (w, levels, psi, phi, n_psi)
     return _slot
 
 
 def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
     """The levels of the subtree under j, from j's own down to the finest:
-    row slices of the slot's whole-tree levels, or for a tree too deep for
+    row ranges of the slot's whole-tree levels, or for a tree too large for
     the slot, each split from the one above when it is reached."""
     grid = _top_grid(w, j)
-    if (w.depth + 1) * 2 ** w.depth * 9 <= _SLOT_BYTES:
-        _, tree, _, phi, n_psi = _tree(w, psi)
-        for lev in range(j.level, w.depth + 1):
-            width = 2 ** (lev - j.level)
-            rows = slice(j.index * width, (j.index + 1) * width)
-            pieces, plus, live = (a[rows] for a in tree[lev])
-            yield _Level(lev, rows.start, grid[::width], phi[::2 ** lev],
-                         pieces, plus, live, n_psi[lev][rows])
-        return
-    phi = psi.phi(grid)
-    for lev, (pieces, plus, live) in enumerate(_sorted_levels(w, j), j.level):
+    same = None
+    if _slot is None or _slot[0] is not w:
+        same = _constant_rows(w)
+        if _held_bytes(w, same) > _SLOT_BYTES:
+            phi = psi.phi(grid)
+            for lev, rows in enumerate(_sorted_levels(w, j, same), j.level):
+                width = 2 ** (lev - j.level)
+                yield _Level(lev, j.index * width, grid[::width], phi[::width],
+                             rows, None)
+            return
+    _, tree, _, phi, n_psi = _tree(w, psi, same)
+    for lev in range(j.level, w.depth + 1):
         width = 2 ** (lev - j.level)
-        yield _Level(lev, j.index * width, grid[::width], phi[::width],
-                     pieces, plus, live, None)
+        a, b = j.index * width, (j.index + 1) * width
+        yield _Level(lev, a, grid[::width], phi[::2 ** lev], tree[lev].part(a, b),
+                     n_psi[lev][a:b])
 
 
 def _pairs(levels, potential):
@@ -306,11 +410,18 @@ def _bump_term(alpha: np.ndarray, avg: np.ndarray, n_psi: np.ndarray) -> np.ndar
         return alpha * avg * avg / n_psi
 
 
-def _T(kernel: BellmanKernel, lv: _Level, divisor: np.ndarray) -> np.ndarray:
-    """T(divisor, N) = N G(N / divisor) on the grid, one row per node, from a
-    single 2-D kernel evaluation."""
-    x = lv.grid / divisor[:, None]
-    return lv.grid * kernel.G(x.ravel()).reshape(x.shape)
+def _G(kernel: BellmanKernel, x: np.ndarray) -> np.ndarray:
+    """kernel.G elementwise over an array of any shape, in one evaluation."""
+    return kernel.G(x.ravel()).reshape(x.shape) if x.size else x
+
+
+def _T(kernel: BellmanKernel, lv: _Level, divisor: np.ndarray):
+    """T(divisor, N) = N G(N / divisor) on the grid, one row per dense row,
+    and at N = 1 on the constant rows: the two arguments of lv.integral."""
+    rows = lv.rows
+    dense = divisor if rows.dense is None else divisor[rows.dense]
+    return (lv.grid * _G(kernel, lv.grid / dense[:, None]),
+            _G(kernel, 1.0 / divisor[rows.const]))
 
 
 def _normalized(seq: CarlesonSequence) -> tuple[CarlesonSequence, float]:
@@ -460,7 +571,8 @@ def _pde_levels(w: DyadicWeight, kernel: BellmanKernel, j: DyadicInterval,
         minus, plus = lv.kids(avgs)
         dw = plus - minus
         gain = 0.5 * (pot_kids[0::2] + pot_kids[1::2]) - pot
-        stage1 = PDE_STAGE1_FACTOR * lv.integral(lv.half_difference() ** 2 / lv.phi)
+        # h = 0 at N = 1 on a constant row: its two children are equal
+        stage1 = PDE_STAGE1_FACTOR * lv.integral(lv.half_difference() ** 2 / lv.phi, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):   # n_psi = 0 off the live rows
             stage2 = PDE_FINAL_FACTOR * dw * dw / lv.n_psi()
         # certificate lhs counts (Delta_I w)^2 / n_psi = stage2 / final factor
@@ -473,7 +585,7 @@ def _embed_levels(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
     generation."""
     acc = seq.accumulators
     avgs = _level_averages(w)
-    script_T = lambda lv, divisor: lv.integral(_T(kernel, lv, divisor))
+    script_T = lambda lv, divisor: lv.integral(*_T(kernel, lv, divisor))
     own_T = lambda lv: script_T(lv, lv.own(acc) + 1.0)
     for lv, pot, below, pot_kids in _pairs(_levels(w, kernel.psi, j), own_T):
         a_par, alpha = lv.own(acc), lv.own(seq.levels)
@@ -507,7 +619,8 @@ def _paraproduct_levels(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
         out = (m_budget < -1e-9) | (m_budget > 1.0 + 1e-9)
         if out.any():
             raise ValueError(f"M = {m_budget[out][0]} outside [0, 1]")
-        u = lv.integral(2.0 * lv.grid - _T(kernel, lv, m_budget + 1.0))
+        t, t_at_one = _T(kernel, lv, m_budget + 1.0)
+        u = lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one)
         fv = lv.own(f_avgs)
         if np.any((u <= 0) & (fv != 0)):
             raise ValueError("f^2/u undefined: u <= 0 with f != 0")

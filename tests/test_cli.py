@@ -182,9 +182,9 @@ def test_run_task_sorts_the_weight_once(small_corpus, monkeypatch):
     sorts = []
     sorted_levels = verifiers._sorted_levels
 
-    def counting(w, j):
+    def counting(w, j, same):
         sorts.append(j)
-        return sorted_levels(w, j)
+        return sorted_levels(w, j, same)
 
     monkeypatch.setattr(verifiers, "_sorted_levels", counting)
     rows = cli._run_task(task)

@@ -15,9 +15,10 @@
 * The one-weight level slot: every way into it gives the certificates of a
   run that starts with an empty slot, and of one that never uses it, bit
   for bit.
-* The top-down sort: every level split from the one above equals a stable
-  sort of that level on its own, and the level sums equal their row-wise
-  forms, bit for bit.
+* The top-down sort: every level split from the one above, with each
+  constant row expanded back to its dense form, equals a stable sort of
+  that level on its own, bit for bit; a constant row's one-value sum equals
+  the sum of its dense form, and the level sums equal their row-wise forms.
 """
 
 import gc
@@ -211,10 +212,11 @@ def test_haar_levels_match_per_node(spec):
     assert cert.node_count == count
 
 
-def test_spike_closed_form_depth_18():
-    cert = verify_d_embed(spike_weight(18), PSI)
-    assert cert.passed and cert.node_count == 18
-    assert cert.lhs == pytest.approx(spike_d_embed_closed_form(18, PSI), rel=1e-12)
+@pytest.mark.parametrize("depth", [18, 20])
+def test_spike_closed_form(depth):
+    cert = verify_d_embed(spike_weight(depth), PSI)
+    assert cert.passed and cert.node_count == depth
+    assert cert.lhs == pytest.approx(spike_d_embed_closed_form(depth, PSI), rel=1e-12)
 
 
 def test_equal_children_have_zero_gain():
@@ -395,19 +397,28 @@ def test_slot_holds_one_weight_within_its_bound():
     first = spike_weight(6)
     verify_d_embed(first, PSI)
     gone = weakref.ref(first)
-    w13 = spike_weight(13)
-    verify_d_embed(w13, PSI)
+    w14 = spike_weight(14)
+    verify_d_embed(w14, PSI)
     del first
     gc.collect()
     assert gone() is None                   # replaced whole: one weight at a time
     slot = verifiers._slot
-    assert slot[0] is w13 and len(slot[1]) == 14
-    cells = sum(pieces.nbytes + plus.nbytes for pieces, plus, _ in slot[1])
-    assert cells == 14 * 2 ** 13 * 9 <= verifiers._SLOT_BYTES
-    # a depth-14 tree is above the bound: it is sorted level by level and
-    # leaves the slot as it was
-    cert = verify_d_embed(spike_weight(14), PSI)
-    assert cert.passed and cert.node_count == 14
+    assert slot[0] is w14 and len(slot[1]) == 15
+    # the spike's levels 0..13 hold one dense row each (2^15 - 2 cells of 9
+    # bytes); the other 2^l - 1 rows of level l and the whole finest level
+    # are constant, one float64 each
+    held = sum(rows.pieces.nbytes + rows.plus.nbytes + rows.value.nbytes
+               for rows in slot[1])
+    consts = sum(2 ** lev - 1 for lev in range(1, 14)) + 2 ** 14
+    assert held == 9 * (2 ** 15 - 2) + 8 * consts
+    assert held == verifiers._held_bytes(w14, verifiers._constant_rows(w14))
+    assert held <= verifiers._SLOT_BYTES
+    # a depth-14 martingale is above the bound: it is sorted level by level
+    # and leaves the slot as it was
+    w = gen_weight(CorpusSpec("random-martingale", 14, (0.3,), 1))
+    assert verifiers._held_bytes(w, verifiers._constant_rows(w)) > verifiers._SLOT_BYTES
+    cert = verify_d_embed(w, PSI)
+    assert cert.passed and cert.node_count == 2 ** 14 - 1
     assert verifiers._slot is slot
 
 
@@ -425,25 +436,56 @@ def _sorted_level(w, lev, first, width):
     return np.diff(cells, axis=1, prepend=0.0), order >= m // 2, cells[:, -1] > 0
 
 
+def _dense_form(rows, m):
+    """(pieces, plus, live) of every row, each constant row expanded back:
+    pieces [v, 0, ..., 0] and the stable order's labels, left half first."""
+    width = rows.live.size
+    dense = np.arange(width) if rows.dense is None else rows.dense
+    pieces, plus = np.zeros((width, m)), np.zeros((width, m), dtype=bool)
+    pieces[dense], plus[dense] = rows.pieces, rows.plus
+    pieces[rows.const, 0], plus[rows.const] = rows.value, np.arange(m) >= m // 2
+    return pieces, plus, rows.live
+
+
+def _bits(a):
+    return a.view(np.int64) if a.dtype == np.float64 else a
+
+
 def _assert_levels_match_oracle(w, j):
-    levels = list(verifiers._sorted_levels(w, j))
+    levels = list(verifiers._sorted_levels(w, j, verifiers._constant_rows(w)))
     assert len(levels) == w.depth - j.level + 1
-    for lev, got in enumerate(levels, j.level):
-        width = 2 ** (lev - j.level)
-        for a, b in zip(got, _sorted_level(w, lev, j.index * width, width)):
-            assert a.dtype == b.dtype and np.array_equal(a, b), (lev, j)
+    for lev, rows in enumerate(levels, j.level):
+        width, m = 2 ** (lev - j.level), 2 ** (w.depth - lev)
+        # constant rows: those whose cells are equal bit for bit
+        blocks = w.values[j.index * width * m:(j.index + 1) * width * m].reshape(width, m)
+        same = np.all(_bits(blocks) == _bits(blocks[:, :1]), axis=1)
+        assert np.array_equal(rows.const, same), (lev, j)
+        if rows.dense is None:
+            assert not same.any() and rows.pieces.shape == (width, m), (lev, j)
+        else:
+            assert np.array_equal(rows.dense, np.flatnonzero(~same)), (lev, j)
+        for a, b in zip(_dense_form(rows, m), _sorted_level(w, lev, j.index * width, width)):
+            assert a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b)), (lev, j)
 
 
 @st.composite
 def sort_cases(draw):
     """A weight of depth 0..10 with zeros of both signs, ties and a 1e-100
-    .. 1e100 dynamic range, and a root on one of its levels 0..2."""
+    .. 1e100 dynamic range, built from tiled constant blocks of 2^k cells
+    and all-zero subtrees of 1 .. 2^depth cells, and a root on one of its
+    levels 0..2."""
     depth = draw(st.integers(0, 10))
     value = st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]).flatmap(
         lambda m: st.sampled_from([m * 1e-100, m, m * 1e100]))
     pool = draw(st.lists(value, min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    w = DyadicWeight(depth, rng.choice(pool, 2 ** depth), allow_zero=True)
+    block = 2 ** draw(st.integers(0, depth))
+    cells = np.repeat(rng.choice(pool, 2 ** depth // block), block)
+    for _ in range(draw(st.integers(0, 3))):
+        size = 2 ** draw(st.integers(0, depth))
+        start = size * draw(st.integers(0, 2 ** depth // size - 1))
+        cells[start:start + size] = draw(st.sampled_from([0.0, -0.0]))
+    w = DyadicWeight(depth, cells, allow_zero=True)
     level = draw(st.integers(0, min(depth, 2)))
     return w, DyadicInterval(level, draw(st.integers(0, 2 ** level - 1)))
 
@@ -456,9 +498,52 @@ def test_sorted_levels_match_a_sort_of_every_level(case):
 
 def test_sorted_levels_match_the_oracle_below_the_slot():
     w = gen_weight(CorpusSpec("random-martingale", 16, (0.6,), 3))
-    assert (w.depth + 1) * 2 ** w.depth * 9 > verifiers._SLOT_BYTES
+    # 9 bytes a cell of levels 0..15, 8 a finest cell: far above the bound
+    assert verifiers._held_bytes(w, verifiers._constant_rows(w)) == (
+        9 * 16 * 2 ** 16 + 8 * 2 ** 16)
+    assert verifiers._held_bytes(w, verifiers._constant_rows(w)) > verifiers._SLOT_BYTES
     _assert_levels_match_oracle(w, ROOT)
     _assert_levels_match_oracle(w, DyadicInterval(1, 1))
+
+
+def test_mixed_signed_zeros_stay_dense():
+    # the node (1, 0) sorts to [0.0, -0.0, 0.0, 0.0]: its first and last
+    # cells agree, but it is not constant bit for bit, so it stays dense
+    # and its piece lengths keep the -0.0 of the cell
+    w = DyadicWeight(3, np.array([0.0, -0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0]),
+                     allow_zero=True)
+    levels = list(verifiers._sorted_levels(w, ROOT, verifiers._constant_rows(w)))
+    assert not levels[1].const.any() and levels[1].dense is None
+    assert levels[2].const.tolist() == [False, True, True, True]
+    assert levels[2].dense.tolist() == [0]
+    assert np.signbit(levels[2].pieces).tolist() == [[False, True]]
+    assert np.signbit(levels[3].value).tolist() == [False, True] + [False] * 6
+    _assert_levels_match_oracle(w, ROOT)
+    _assert_levels_match_oracle(w, DyadicInterval(1, 0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64])
+@pytest.mark.parametrize("v", [0.0, -0.0, 1e-300, 1e300])
+def test_constant_row_sum_is_its_dense_sum(v, m):
+    # a constant row's sum v g(1) (+ 0.0 for its zero pieces) against the
+    # left-to-right sum of its dense form [v, 0, ..., 0] times g, bit for
+    # bit, for finite positive g from 1e-300 to 1e300 (overflow, underflow)
+    rng = np.random.default_rng(m)
+    dense = np.zeros(m)
+    dense[0] = v
+    rows = verifiers._Rows(np.empty((0, m)), np.empty((0, m), dtype=bool),
+                           np.empty(0, dtype=np.intp), np.array([True]), np.array([v]),
+                           np.array([v > 0]))
+    for _ in range(20):
+        g = rng.uniform(0.5, 2.0, m) * 10.0 ** rng.integers(-300, 301, m)
+        with np.errstate(over="ignore"):
+            want = np.cumsum(dense * g)[-1]
+            got = [rows.integral(g), rows.integral(g[None][:0], g[:1])]
+        for sums in got:
+            assert sums.shape == (1,) and _bits(sums) == _bits(np.array([want]))
+    if np.signbit(v) and m > 1:
+        # the bare product keeps the sign the zero pieces take away
+        assert np.signbit(v * g[0]) and not np.signbit(want)
 
 
 @pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
@@ -468,7 +553,7 @@ def test_half_difference_matches_its_row_form(spec):
         if lv.level == w.depth:
             break
         m = lv.grid.size
-        plus_above = np.cumsum(lv.plus[:, ::-1], axis=1)[:, ::-1]
+        plus_above = np.cumsum(lv.rows.plus[:, ::-1], axis=1)[:, ::-1]
         want = (2 * plus_above - (m - np.arange(m))) / m
         got = lv.half_difference()
         assert got.dtype == want.dtype and np.array_equal(got, want), lv.level
