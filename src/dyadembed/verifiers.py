@@ -145,13 +145,16 @@ class _Rows(NamedTuple):
         followed by the products 0 g(N) of its zero pieces: the engine's
         integrands are finite and positive below N = 1, so those add up to
         +0.0 and change only a v g(1) of -0.0."""
-        dense = _row_integral(self.pieces, g)
         if self.dense is None:
-            return dense
-        out = np.empty(self.live.size)
-        out[self.dense] = dense
+            return _row_integral(self.pieces, g)
         ones = self.value * (g[0] if at_one is None else at_one)
-        out[self.const] = ones + 0.0 if self.pieces.shape[1] > 1 else ones
+        if self.pieces.shape[1] > 1:
+            ones += 0.0
+        if not self.dense.size:
+            return ones
+        out = np.empty(self.live.size)
+        out[self.dense] = _row_integral(self.pieces, g)
+        out[self.const] = ones
         return out
 
     def part(self, a: int, b: int) -> "_Rows":
@@ -410,18 +413,18 @@ def _bump_term(alpha: np.ndarray, avg: np.ndarray, n_psi: np.ndarray) -> np.ndar
         return alpha * avg * avg / n_psi
 
 
-def _G(kernel: BellmanKernel, x: np.ndarray) -> np.ndarray:
-    """kernel.G elementwise over an array of any shape, in one evaluation."""
-    return kernel.G(x.ravel()).reshape(x.shape) if x.size else x
-
-
 def _T(kernel: BellmanKernel, lv: _Level, divisor: np.ndarray):
     """T(divisor, N) = N G(N / divisor) on the grid, one row per dense row,
-    and at N = 1 on the constant rows: the two arguments of lv.integral."""
+    and at N = 1 on the constant rows (the two arguments of lv.integral),
+    from a single kernel evaluation."""
     rows = lv.rows
-    dense = divisor if rows.dense is None else divisor[rows.dense]
-    return (lv.grid * _G(kernel, lv.grid / dense[:, None]),
-            _G(kernel, 1.0 / divisor[rows.const]))
+    if rows.dense is None:
+        dense, ones = divisor, divisor[:0]
+    else:
+        dense, ones = divisor[rows.dense], 1.0 / divisor[rows.const]
+    x = (lv.grid / dense[:, None]).ravel()
+    g = kernel.G(np.concatenate((x, ones)) if ones.size else x)
+    return lv.grid * g[:x.size].reshape(dense.size, lv.grid.size), g[x.size:]
 
 
 def _normalized(seq: CarlesonSequence) -> tuple[CarlesonSequence, float]:

@@ -212,11 +212,18 @@ def test_haar_levels_match_per_node(spec):
     assert cert.node_count == count
 
 
-@pytest.mark.parametrize("depth", [18, 20])
-def test_spike_closed_form(depth):
+def _assert_spike_closed_form(depth):
     cert = verify_d_embed(spike_weight(depth), PSI)
     assert cert.passed and cert.node_count == depth
     assert cert.lhs == pytest.approx(spike_d_embed_closed_form(depth, PSI), rel=1e-12)
+
+
+def test_spike_closed_form_depth_18():
+    _assert_spike_closed_form(18)
+
+
+def test_spike_closed_form_depth_20():
+    _assert_spike_closed_form(20)
 
 
 def test_equal_children_have_zero_gain():
