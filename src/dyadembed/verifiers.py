@@ -179,11 +179,8 @@ class _Level(NamedTuple):
     grid: np.ndarray        # (m,) survival values (m - k)/m
     phi: np.ndarray         # (m,) phi on the grid
     rows: _Rows
+    live: np.ndarray        # (W,) rows.live
     kept_n_psi: np.ndarray | None   # (W,) the slot's n_psi(N_I), None off the slot
-
-    @property
-    def live(self) -> np.ndarray:
-        return self.rows.live
 
     def integral(self, g: np.ndarray, at_one=None) -> np.ndarray:
         return self.rows.integral(g, at_one)
@@ -350,13 +347,14 @@ def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
             for lev, rows in enumerate(_sorted_levels(w, j, same), j.level):
                 width = 2 ** (lev - j.level)
                 yield _Level(lev, j.index * width, grid[::width], phi[::width],
-                             rows, None)
+                             rows, rows.live, None)
             return
     _, tree, _, phi, n_psi = _tree(w, psi, same)
     for lev in range(j.level, w.depth + 1):
         width = 2 ** (lev - j.level)
         a, b = j.index * width, (j.index + 1) * width
-        yield _Level(lev, a, grid[::width], phi[::2 ** lev], tree[lev].part(a, b),
+        rows = tree[lev].part(a, b)
+        yield _Level(lev, a, grid[::width], phi[::2 ** lev], rows, rows.live,
                      n_psi[lev][a:b])
 
 
@@ -413,18 +411,20 @@ def _bump_term(alpha: np.ndarray, avg: np.ndarray, n_psi: np.ndarray) -> np.ndar
         return alpha * avg * avg / n_psi
 
 
+_NO_VALUES = np.empty(0)
+
+
 def _T(kernel: BellmanKernel, lv: _Level, divisor: np.ndarray):
     """T(divisor, N) = N G(N / divisor) on the grid, one row per dense row,
     and at N = 1 on the constant rows (the two arguments of lv.integral),
     from a single kernel evaluation."""
     rows = lv.rows
     if rows.dense is None:
-        dense, ones = divisor, divisor[:0]
-    else:
-        dense, ones = divisor[rows.dense], 1.0 / divisor[rows.const]
-    x = (lv.grid / dense[:, None]).ravel()
-    g = kernel.G(np.concatenate((x, ones)) if ones.size else x)
-    return lv.grid * g[:x.size].reshape(dense.size, lv.grid.size), g[x.size:]
+        x = lv.grid / divisor[:, None]
+        return lv.grid * kernel.G(x.ravel()).reshape(x.shape), _NO_VALUES
+    x = lv.grid / divisor[rows.dense][:, None]
+    g = kernel.G(np.concatenate((x.ravel(), 1.0 / divisor[rows.const])))
+    return lv.grid * g[:x.size].reshape(x.shape), g[x.size:]
 
 
 def _normalized(seq: CarlesonSequence) -> tuple[CarlesonSequence, float]:
