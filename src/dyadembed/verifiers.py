@@ -179,7 +179,7 @@ class _Level(NamedTuple):
     grid: np.ndarray        # (m,) survival values (m - k)/m
     phi: np.ndarray         # (m,) phi on the grid
     rows: _Rows
-    live: np.ndarray        # (W,) rows.live
+    live: np.ndarray        # (W,) rows.live, a field: read many times a level
     kept_n_psi: np.ndarray | None   # (W,) the slot's n_psi(N_I), None off the slot
 
     def integral(self, g: np.ndarray, at_one=None) -> np.ndarray:

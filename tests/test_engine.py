@@ -541,13 +541,19 @@ def test_constant_row_sum_is_its_dense_sum(v, m):
     rows = verifiers._Rows(np.empty((0, m)), np.empty((0, m), dtype=bool),
                            np.empty(0, dtype=np.intp), np.array([True]), np.array([v]),
                            np.array([v > 0]))
+    # the same constant row after a dense one, as on a level of both kinds
+    pieces = rng.uniform(0.0, 1.0, (1, m))
+    mixed = verifiers._Rows(pieces, np.zeros((1, m), dtype=bool), np.array([0]),
+                            np.array([False, True]), np.array([v]), np.array([True, v > 0]))
     for _ in range(20):
         g = rng.uniform(0.5, 2.0, m) * 10.0 ** rng.integers(-300, 301, m)
         with np.errstate(over="ignore"):
-            want = np.cumsum(dense * g)[-1]
-            got = [rows.integral(g), rows.integral(g[None][:0], g[:1])]
+            want = np.array([np.cumsum(pieces[0] * g)[-1], np.cumsum(dense * g)[-1]])
+            got = [rows.integral(g), rows.integral(g[None][:0], g[:1]),
+                   mixed.integral(g), mixed.integral(g[None], g[:1])]
         for sums in got:
-            assert sums.shape == (1,) and _bits(sums) == _bits(np.array([want]))
+            assert np.array_equal(_bits(sums), _bits(want[-sums.size:]))
+    want = want[-1]
     if np.signbit(v) and m > 1:
         # the bare product keeps the sign the zero pieces take away
         assert np.signbit(v * g[0]) and not np.signbit(want)
