@@ -23,10 +23,10 @@ spike or a lacunary weight costs O(2^depth) in all, not per level.  Every
 tree is sorted once, top down: J's block is stable-sorted and each level
 below is a linear split of the non-constant rows of the one above.  The
 sorted blocks depend on w alone and n_psi on (w, Psi), so a tree whose
-sorted levels fit in 1 MiB (every tree of depth <= 13, and a depth-14
-spike) is sorted once into a one-weight slot that every certificate of
-that weight reads, for any root J.  A larger tree is split one level at a
-time, and only two adjacent levels are held at once.
+dense sorted levels would fit in 1 MiB (every tree of depth <= 13) is
+sorted once into a one-weight slot that every certificate of that weight
+reads, for any root J.  A deeper tree is split one level at a time, and
+only two adjacent levels are held at once.
 
 Skip rule: nodes on which w vanishes identically carry no term and no
 inequality.  They are computed with the rest of their level, then dropped,
@@ -179,7 +179,6 @@ class _Level(NamedTuple):
     grid: np.ndarray        # (m,) survival values (m - k)/m
     phi: np.ndarray         # (m,) phi on the grid
     rows: _Rows
-    live: np.ndarray        # (W,) rows.live, a field: read many times a level
     kept_n_psi: np.ndarray | None   # (W,) the slot's n_psi(N_I), None off the slot
 
     def integral(self, g: np.ndarray, at_one=None) -> np.ndarray:
@@ -192,11 +191,11 @@ class _Level(NamedTuple):
 
     def own(self, per_level) -> np.ndarray:
         """The rows' entries of a per-level sequence of arrays."""
-        return per_level[self.level][self.first:self.first + self.live.size]
+        return per_level[self.level][self.first:self.first + self.rows.live.size]
 
     def kids(self, per_level) -> tuple[np.ndarray, np.ndarray]:
         """The (minus, plus) children's entries of a per-level sequence."""
-        part = per_level[self.level + 1][2 * self.first:2 * (self.first + self.live.size)]
+        part = per_level[self.level + 1][2 * self.first:2 * (self.first + self.rows.live.size)]
         return part[0::2], part[1::2]
 
     def half_difference(self) -> np.ndarray:
@@ -291,21 +290,12 @@ def _sorted_levels(w: DyadicWeight, j: DyadicInterval, same: list):
             dense = np.stack((2 * dense, 2 * dense + 1), axis=1).ravel()
 
 
-def _held_bytes(w: DyadicWeight, same: list) -> int:
-    """The bytes of the sorted levels of w: 9 a cell of a dense row (a
-    float64 piece length and a bool child label), 8 a constant row (its
-    value); same is _constant_rows(w)."""
-    total = 0
-    for lev, mask in enumerate(same):
-        consts = 0 if mask is None else int(np.count_nonzero(mask))
-        total += 9 * (2 ** lev - consts) * 2 ** (w.depth - lev) + 8 * consts
-    return total
-
-
-# A tree whose sorted levels fit in this many bytes is sorted once and kept
-# in the slot: every tree of depth <= 13, and deeper ones made mostly of
-# constant subtrees (a depth-14 spike holds 0.56 MB, a depth-14 martingale
-# 2.2 MB).
+# The dense form of a tree's sorted levels is (d + 1) 2^d cells of 9 bytes
+# (a float64 piece length and a bool child label).  A tree whose dense form
+# fits in this many bytes (depth <= 13) is sorted once and kept in the
+# slot.  Its collapsed levels hold no more cells than the dense form; each
+# row adds at most 18 bytes (its live and constant flags, its value or
+# dense row number, and its n_psi) and phi 8 bytes a finest cell.
 _SLOT_BYTES = 2 ** 20
 
 # The most recently used weight, (w, levels, psi, phi, n_psi): levels[l] is
@@ -317,9 +307,8 @@ _SLOT_BYTES = 2 ** 20
 _slot = None
 
 
-def _tree(w: DyadicWeight, psi: PsiFunction, same: list | None):
-    """The slot for (w, psi), refilled on a miss; a new psi keeps the sort.
-    same is _constant_rows(w), read only when w is not in the slot."""
+def _tree(w: DyadicWeight, psi: PsiFunction):
+    """The slot for (w, psi), refilled on a miss; a new psi keeps the sort."""
     global _slot
     slot = _slot
     if slot is not None and slot[0] is w:
@@ -327,7 +316,7 @@ def _tree(w: DyadicWeight, psi: PsiFunction, same: list | None):
             return slot
         levels = slot[1]
     else:
-        levels = tuple(_sorted_levels(w, ROOT, same))
+        levels = tuple(_sorted_levels(w, ROOT, _constant_rows(w)))
     phi = psi.phi(_top_grid(w, ROOT))
     n_psi = tuple(rows.integral(phi[::rows.live.size]) for rows in levels)
     _slot = (w, levels, psi, phi, n_psi)
@@ -339,22 +328,17 @@ def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
     row ranges of the slot's whole-tree levels, or for a tree too large for
     the slot, each split from the one above when it is reached."""
     grid = _top_grid(w, j)
-    same = None
-    if _slot is None or _slot[0] is not w:
-        same = _constant_rows(w)
-        if _held_bytes(w, same) > _SLOT_BYTES:
-            phi = psi.phi(grid)
-            for lev, rows in enumerate(_sorted_levels(w, j, same), j.level):
-                width = 2 ** (lev - j.level)
-                yield _Level(lev, j.index * width, grid[::width], phi[::width],
-                             rows, rows.live, None)
-            return
-    _, tree, _, phi, n_psi = _tree(w, psi, same)
+    if (w.depth + 1) * 2 ** w.depth * 9 > _SLOT_BYTES:
+        phi = psi.phi(grid)
+        for lev, rows in enumerate(_sorted_levels(w, j, _constant_rows(w)), j.level):
+            width = 2 ** (lev - j.level)
+            yield _Level(lev, j.index * width, grid[::width], phi[::width], rows, None)
+        return
+    _, tree, _, phi, n_psi = _tree(w, psi)
     for lev in range(j.level, w.depth + 1):
         width = 2 ** (lev - j.level)
         a, b = j.index * width, (j.index + 1) * width
-        rows = tree[lev].part(a, b)
-        yield _Level(lev, a, grid[::width], phi[::2 ** lev], rows, rows.live,
+        yield _Level(lev, a, grid[::width], phi[::2 ** lev], tree[lev].part(a, b),
                      n_psi[lev][a:b])
 
 
@@ -446,7 +430,7 @@ class LevelChecks(NamedTuple):
 
 
 def _live(lv: _Level, term, gain, bounds, passed) -> LevelChecks:
-    live = lv.live
+    live = lv.rows.live
     return LevelChecks(lv.level, lv.first + np.flatnonzero(live), term[live],
                        gain[live], tuple(b[live] for b in bounds), passed[live])
 
@@ -592,7 +576,7 @@ def _embed_levels(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
     own_T = lambda lv: script_T(lv, lv.own(acc) + 1.0)
     for lv, pot, below, pot_kids in _pairs(_levels(w, kernel.psi, j), own_T):
         a_par, alpha = lv.own(acc), lv.own(seq.levels)
-        over = lv.live & (a_par > 1.0 + 1e-9)
+        over = lv.rows.live & (a_par > 1.0 + 1e-9)
         if over.any():
             raise ValueError(f"Carleson accumulator {a_par[over][0]} exceeds 1; "
                              "normalize first")
@@ -643,9 +627,9 @@ def _paraproduct_levels(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
             m_minus, m_plus = lv.kids(acc)
             lhs = -pot + 0.5 * pot_kids[0::2] + 0.5 * pot_kids[1::2]
             f_sum, m_sum = 0.5 * f_minus + 0.5 * f_plus, a + (0.5 * m_minus + 0.5 * m_plus)
-        if np.any(lv.live & (np.abs(f_sum - f_i) > tol.identity * np.maximum(1.0, np.abs(f_i)))):
+        if np.any(lv.rows.live & (np.abs(f_sum - f_i) > tol.identity * np.maximum(1.0, np.abs(f_i)))):
             raise ValueError("f inconsistent with sum alpha_k f_k")
-        if np.any(lv.live & (np.abs(m_sum - m_i) > tol.identity * np.maximum(1.0, np.abs(m_i)))):
+        if np.any(lv.rows.live & (np.abs(m_sum - m_i) > tol.identity * np.maximum(1.0, np.abs(m_i)))):
             raise ValueError("M inconsistent with a + sum alpha_k M_k")
         n_val = lv.n_psi()
         term = _bump_term(a, f_i, n_val)
@@ -750,7 +734,7 @@ def _haar_levels(w: DyadicWeight, fw: StepFunction, psi: PsiFunction,
     for lv in _levels(w, psi, j):
         if lv.level == w.depth:
             return
-        live = lv.live
+        live = lv.rows.live
         q, p = (v[live] for v in lv.kids(w_avgs))
         y, x = (v[live] for v in lv.kids(fw_avgs))
         length = 2.0 ** -lv.level

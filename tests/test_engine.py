@@ -399,34 +399,61 @@ def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
         assert warm != _bounded_runs(target, PSI, tol=tol)
 
 
+def _slot_bytes(slot):
+    """(cells, total): the bytes of the slot's dense cells (piece lengths
+    and child labels), and of every array the slot holds."""
+    _, levels, _, phi, n_psi = slot
+    cells = sum(rows.pieces.nbytes + rows.plus.nbytes for rows in levels)
+    per_row = sum(rows.const.nbytes + rows.live.nbytes + rows.value.nbytes
+                  + (0 if rows.dense is None else rows.dense.nbytes) for rows in levels)
+    return cells, cells + per_row + phi.nbytes + sum(a.nbytes for a in n_psi)
+
+
 def test_slot_holds_one_weight_within_its_bound():
     _clear_slot()
     first = spike_weight(6)
     verify_d_embed(first, PSI)
     gone = weakref.ref(first)
-    w14 = spike_weight(14)
-    verify_d_embed(w14, PSI)
+    w13 = spike_weight(13)
+    verify_d_embed(w13, PSI)
     del first
     gc.collect()
     assert gone() is None                   # replaced whole: one weight at a time
     slot = verifiers._slot
-    assert slot[0] is w14 and len(slot[1]) == 15
-    # the spike's levels 0..13 hold one dense row each (2^15 - 2 cells of 9
-    # bytes); the other 2^l - 1 rows of level l and the whole finest level
-    # are constant, one float64 each
-    held = sum(rows.pieces.nbytes + rows.plus.nbytes + rows.value.nbytes
-               for rows in slot[1])
-    consts = sum(2 ** lev - 1 for lev in range(1, 14)) + 2 ** 14
-    assert held == 9 * (2 ** 15 - 2) + 8 * consts
-    assert held == verifiers._held_bytes(w14, verifiers._constant_rows(w14))
-    assert held <= verifiers._SLOT_BYTES
-    # a depth-14 martingale is above the bound: it is sorted level by level
-    # and leaves the slot as it was
-    w = gen_weight(CorpusSpec("random-martingale", 14, (0.3,), 1))
-    assert verifiers._held_bytes(w, verifiers._constant_rows(w)) > verifiers._SLOT_BYTES
-    cert = verify_d_embed(w, PSI)
-    assert cert.passed and cert.node_count == 2 ** 14 - 1
+    assert slot[0] is w13 and len(slot[1]) == 14
+    # the spike's levels 0..12 hold one dense row each, of 2^(13 - l)
+    # cells; every other row is constant
+    assert _slot_bytes(slot)[0] == 9 * (2 ** 14 - 2)
+    # a depth-14 tree is above the bound: it is sorted level by level and
+    # leaves the slot as it was
+    cert = verify_d_embed(spike_weight(14), PSI)
+    assert cert.passed and cert.node_count == 14
     assert verifiers._slot is slot
+
+
+def _half_constant(depth):
+    """A martingale of the given depth with its left half zero: every level
+    below the root holds constant and dense rows side by side."""
+    w = gen_weight(CorpusSpec("random-martingale", depth, (0.6,), 3))
+    values = w.values.copy()
+    values[:values.size // 2] = 0.0
+    return DyadicWeight(depth, values, allow_zero=True)
+
+
+@pytest.mark.parametrize("make", [
+    spike_weight, _half_constant,
+    lambda d: gen_weight(CorpusSpec("random-martingale", d, (0.6,), 3)),
+], ids=["spike", "half-constant", "random-martingale"])
+def test_slot_bytes_stay_within_the_dense_form(make):
+    # the deepest tree the slot admits: its dense cells fit in _SLOT_BYTES,
+    # and every other array adds at most 18 bytes a row and 8 a finest cell
+    depth = 13
+    assert (depth + 1) * 2 ** depth * 9 <= verifiers._SLOT_BYTES
+    _clear_slot()
+    verify_d_embed(make(depth), PSI)
+    cells, total = _slot_bytes(verifiers._slot)
+    assert cells <= (depth + 1) * 2 ** depth * 9
+    assert total <= (depth + 1) * 2 ** depth * 9 + 18 * (2 ** (depth + 1) - 1) + 8 * 2 ** depth
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +532,7 @@ def test_sorted_levels_match_a_sort_of_every_level(case):
 
 def test_sorted_levels_match_the_oracle_below_the_slot():
     w = gen_weight(CorpusSpec("random-martingale", 16, (0.6,), 3))
-    # 9 bytes a cell of levels 0..15, 8 a finest cell: far above the bound
-    assert verifiers._held_bytes(w, verifiers._constant_rows(w)) == (
-        9 * 16 * 2 ** 16 + 8 * 2 ** 16)
-    assert verifiers._held_bytes(w, verifiers._constant_rows(w)) > verifiers._SLOT_BYTES
+    assert (w.depth + 1) * 2 ** w.depth * 9 > verifiers._SLOT_BYTES
     _assert_levels_match_oracle(w, ROOT)
     _assert_levels_match_oracle(w, DyadicInterval(1, 1))
 
