@@ -627,9 +627,10 @@ def _paraproduct_levels(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
             m_minus, m_plus = lv.kids(acc)
             lhs = -pot + 0.5 * pot_kids[0::2] + 0.5 * pot_kids[1::2]
             f_sum, m_sum = 0.5 * f_minus + 0.5 * f_plus, a + (0.5 * m_minus + 0.5 * m_plus)
-        if np.any(lv.rows.live & (np.abs(f_sum - f_i) > tol.identity * np.maximum(1.0, np.abs(f_i)))):
+        live = lv.rows.live
+        if np.any(live & (np.abs(f_sum - f_i) > tol.identity * np.maximum(1.0, np.abs(f_i)))):
             raise ValueError("f inconsistent with sum alpha_k f_k")
-        if np.any(lv.rows.live & (np.abs(m_sum - m_i) > tol.identity * np.maximum(1.0, np.abs(m_i)))):
+        if np.any(live & (np.abs(m_sum - m_i) > tol.identity * np.maximum(1.0, np.abs(m_i)))):
             raise ValueError("M inconsistent with a + sum alpha_k M_k")
         n_val = lv.n_psi()
         term = _bump_term(a, f_i, n_val)
