@@ -213,6 +213,12 @@ class _PanelGrid:
 # kernel: G, H, B for one Psi
 # ---------------------------------------------------------------------------
 
+# points below the clamp knot whose raw H is evaluated at once: the integral
+# there holds several arrays of their number (a table row of 8 coefficients
+# per point, or 12 quadrature nodes), so a whole grid is taken in chunks
+_H_CHUNK = 2 ** 13
+
+
 class BellmanKernel:
     """Vectorized G, H, B, T for a PsiFunction (normalization included)."""
 
@@ -229,23 +235,29 @@ class BellmanKernel:
     # raw pieces (without the 1/k factor) ---------------------------------
 
     def _G_raw(self, s: np.ndarray) -> np.ndarray:
+        """Raw G for s > 0.  The closed forms are evaluated in place, two
+        arrays of s's size at a time."""
         psi = self.psi
         a, x0 = psi.alpha, self._x0
         with np.errstate(divide="ignore"):
-            x = np.log(1.0 / s)
-        if psi.mode == "clamped-log":
-            xs = np.maximum(x, x0)
-            below = xs ** (1.0 - a) / (a - 1.0)
-            g0 = x0 ** (1.0 - a) / (a - 1.0)
-            above = g0 + np.log(np.maximum(s, psi.s0) / psi.s0) / psi.clamp_value
-            return np.where(s <= psi.s0, below, above)
-        if psi.mode == "clamped-loglog":
-            xs = np.maximum(x, x0)
-            lx = np.log(xs)
-            below = lx ** (1.0 - a) / (a - 1.0)
-            g0 = math.log(x0) ** (1.0 - a) / (a - 1.0)
-            above = g0 + np.log(np.maximum(s, psi.s0) / psi.s0) / psi.clamp_value
-            return np.where(s <= psi.s0, below, above)
+            x = np.divide(1.0, s)
+            np.log(x, out=x)
+        if psi.mode in ("clamped-log", "clamped-loglog"):
+            below = np.maximum(x, x0, out=x)
+            g0 = x0
+            if psi.mode == "clamped-loglog":
+                np.log(below, out=below)
+                g0 = math.log(x0)
+            below **= 1.0 - a
+            below /= a - 1.0
+            g0 = g0 ** (1.0 - a) / (a - 1.0)
+            above = np.maximum(s, psi.s0)
+            above /= psi.s0
+            np.log(above, out=above)
+            above /= psi.clamp_value
+            above += g0
+            np.copyto(above, below, where=s <= psi.s0)
+            return above
         # parametric: panel grid on x-space plus an analytic-tail estimate
         grid = self._ensure_G_grid()
         xs = np.minimum(x, 59.0)
@@ -254,10 +266,14 @@ class BellmanKernel:
     def _H_raw(self, s: np.ndarray) -> np.ndarray:
         """Raw H for s > 0: linear from _h0 on [s0, inf), the integral below."""
         psi = self.psi
-        out = self._h0 + (np.maximum(s, psi.s0) - psi.s0) / psi.clamp_value
-        below = s < psi.s0
-        if below.any():
-            out[below] = self._H_below(np.maximum(np.log(1.0 / s[below]), self._x0))
+        out = np.maximum(s, psi.s0)
+        out -= psi.s0
+        out /= psi.clamp_value
+        out += self._h0
+        below = np.nonzero(s < psi.s0)
+        for a in range(0, below[0].size, _H_CHUNK):
+            at = tuple(i[a:a + _H_CHUNK] for i in below)
+            out[at] = self._H_below(np.maximum(np.log(1.0 / s[at]), self._x0))
         return out
 
     def _H_below(self, x: np.ndarray) -> np.ndarray:
@@ -306,11 +322,20 @@ class BellmanKernel:
         return out if np.ndim(s) else float(out[0])
 
     def B(self, s) -> np.ndarray | float:
-        """Convex potential with B(0) = B'(0) = 0 and B'' = 1/phi."""
+        """Convex potential with B(0) = B'(0) = 0 and B'' = 1/phi:
+        s G_raw(s) / k - H_raw(s) / k, evaluated in place, so that it holds
+        about three arrays of s's size at once."""
         arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
         pos = np.maximum(arr, 1e-300)
-        out = np.where(arr > 0, pos * self._G_raw(pos) / self.psi.k
-                       - self._H_raw(pos) / self.psi.k, 0.0)
+        out = self._G_raw(pos)
+        out *= pos
+        out /= self.psi.k
+        h = self._H_raw(pos)
+        del pos
+        h /= self.psi.k
+        out -= h
+        del h
+        out[np.logical_not(arr > 0)] = 0.0
         return out if np.ndim(s) else float(out[0])
 
     def U(self, s) -> np.ndarray | float:

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,6 +88,17 @@ def _psi(family: str, alpha: float, clamp_s0: float | None, normalize: bool):
         psi = psi_from_phi(young_function("log-bump", alpha))
         return normalized_psi(psi) if normalize else psi
     return psi_closed_form(alpha, family, clamp_s0=clamp_s0, normalize=normalize)
+
+
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported on first use: its modules
+    (concurrent.futures.process and multiprocessing, about 1 MB resident)
+    load only in a run with more than one worker."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _default_out() -> str:
@@ -244,7 +254,8 @@ def cmd_verify(args) -> int:
     tasks = [(args.theorem, cfg, entry, w) for entry, w in entries]
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # read as a module attribute, so a replaced pool class is the one used
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_task, tasks, chunksize=1))
     else:
         rows = [_run_task(t) for t in tasks]

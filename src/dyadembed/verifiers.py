@@ -28,6 +28,19 @@ sorted once into a one-weight slot that every certificate of that weight
 reads, for any root J.  A deeper tree is split one level at a time, and
 only two adjacent levels are held at once.
 
+Beside the sort the slot keeps a store of the work that does not depend on
+the test function f, so each certificate of the weight computes only its
+f-dependent part: embed's int N^2/phi and fd-embed's weighted-Haar w-part
+on every level, keyed by (w, Psi); embed2's u(N, M) at every node's own
+budget and at the finest level's phantom budget, keyed by (w, Psi) and the
+sequence; and the normalized copies of the most recent four sequences.  An
+entry is computed row by row on the whole tree with the operations a
+certificate would run, so a later certificate, or one under a subtree root,
+reads the bits it would have computed.  Keys are matched by identity and
+held, so no id is reused; the store goes with the slot when the weight or
+Psi changes, and holds at most about 150 bytes a node.  The BellmanKernel
+of the most recent Psi is kept as well, so its C is evaluated once.
+
 Skip rule: nodes on which w vanishes identically carry no term and no
 inequality.  They are computed with the rest of their level, then dropped,
 and not counted.  Every per-node inequality is checked on a whole level at
@@ -193,6 +206,12 @@ class _Level(NamedTuple):
         """The rows' entries of a per-level sequence of arrays."""
         return per_level[self.level][self.first:self.first + self.rows.live.size]
 
+    def shared(self, whole_tree, fn) -> np.ndarray:
+        """fn(self), or its rows' entries of whole_tree (fn of every level of
+        the whole tree, _whole_tree) when there is one: fn is a row-wise
+        computation, so the two are bit for bit the same."""
+        return fn(self) if whole_tree is None else self.own(whole_tree)
+
     def kids(self, per_level) -> tuple[np.ndarray, np.ndarray]:
         """The (minus, plus) children's entries of a per-level sequence."""
         part = per_level[self.level + 1][2 * self.first:2 * (self.first + self.rows.live.size)]
@@ -298,29 +317,75 @@ def _sorted_levels(w: DyadicWeight, j: DyadicInterval, same: list):
 # dense row number, and its n_psi) and phi 8 bytes a finest cell.
 _SLOT_BYTES = 2 ** 20
 
-# The most recently used weight, (w, levels, psi, phi, n_psi): levels[l] is
-# the _Rows of every node of level l, phi is psi.phi on the finest grid and
-# n_psi[l] holds every node's n_psi.  The sort depends on w alone and the
-# rest on (w, psi), so every bounded certificate of a weight reads one
-# sort.  The tuple is replaced whole, matched by the identity of w and psi,
-# and holds both, so their ids cannot be reused while it does.
+# The slot's store keeps the normalized copies of this many sequences, the
+# most recent ones (the CLI draws four sequence kinds per weight).
+_SEQ_ENTRIES = 4
+
+
+class _Slot(NamedTuple):
+    """The most recently used weight: levels[l] is the _Rows of every node of
+    level l, phi is psi.phi on the finest grid and n_psi[l] holds every
+    node's n_psi.  The sort depends on w alone and the rest on (w, psi), so
+    every bounded certificate of a weight reads one sort.  store holds what
+    the certificates of (w, psi) share beyond it (_shared)."""
+
+    w: DyadicWeight
+    levels: tuple
+    psi: PsiFunction
+    phi: np.ndarray
+    n_psi: tuple
+    store: dict
+
+
+# The slot is replaced whole, matched by the identity of w and psi, and
+# holds both, so their ids cannot be reused while it does.
 _slot = None
 
 
-def _tree(w: DyadicWeight, psi: PsiFunction):
+def _tree(w: DyadicWeight, psi: PsiFunction) -> _Slot:
     """The slot for (w, psi), refilled on a miss; a new psi keeps the sort."""
     global _slot
     slot = _slot
-    if slot is not None and slot[0] is w:
-        if slot[2] is psi:
+    if slot is not None and slot.w is w:
+        if slot.psi is psi:
             return slot
-        levels = slot[1]
+        levels = slot.levels
     else:
         levels = tuple(_sorted_levels(w, ROOT, _constant_rows(w)))
     phi = psi.phi(_top_grid(w, ROOT))
     n_psi = tuple(rows.integral(phi[::rows.live.size]) for rows in levels)
-    _slot = (w, levels, psi, phi, n_psi)
+    _slot = _Slot(w, levels, psi, phi, n_psi, {})
     return _slot
+
+
+def _slot_of(w: DyadicWeight, psi: PsiFunction) -> _Slot | None:
+    """The slot filled for (w, psi), or None for a tree too large for it."""
+    if (w.depth + 1) * 2 ** w.depth * 9 > _SLOT_BYTES:
+        return None
+    return _tree(w, psi)
+
+
+def _shared(slot: _Slot, name: str, key, make, keep: int = 1):
+    """make(), computed once while slot holds its (w, psi) and kept in its
+    store under name for the identity of key (None for work of (w, psi)
+    alone), beside the entries of at most keep - 1 other keys; the oldest
+    is dropped.  An entry holds its key, so the key's id cannot be reused
+    while it is kept."""
+    entries = slot.store.setdefault(name, {})
+    entry = entries.get(id(key))
+    if entry is None:
+        if len(entries) == keep:
+            del entries[next(iter(entries))]
+        entry = entries[id(key)] = (key, make())
+    return entry[1]
+
+
+def _whole_tree(slot: _Slot | None, name: str, key, fn):
+    """fn(level) for every level of the slot's whole tree, kept in its store
+    (see _shared), or None off the slot: each level then computes its own."""
+    if slot is None:
+        return None
+    return _shared(slot, name, key, lambda: tuple(map(fn, _levels(slot.w, slot.psi, ROOT))))
 
 
 def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
@@ -328,18 +393,18 @@ def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
     row ranges of the slot's whole-tree levels, or for a tree too large for
     the slot, each split from the one above when it is reached."""
     grid = _top_grid(w, j)
-    if (w.depth + 1) * 2 ** w.depth * 9 > _SLOT_BYTES:
+    slot = _slot_of(w, psi)
+    if slot is None:
         phi = psi.phi(grid)
         for lev, rows in enumerate(_sorted_levels(w, j, _constant_rows(w)), j.level):
             width = 2 ** (lev - j.level)
             yield _Level(lev, j.index * width, grid[::width], phi[::width], rows, None)
         return
-    _, tree, _, phi, n_psi = _tree(w, psi)
     for lev in range(j.level, w.depth + 1):
         width = 2 ** (lev - j.level)
         a, b = j.index * width, (j.index + 1) * width
-        yield _Level(lev, a, grid[::width], phi[::2 ** lev], tree[lev].part(a, b),
-                     n_psi[lev][a:b])
+        yield _Level(lev, a, grid[::width], slot.phi[::2 ** lev], slot.levels[lev].part(a, b),
+                     slot.n_psi[lev][a:b])
 
 
 def _pairs(levels, potential):
@@ -411,11 +476,27 @@ def _T(kernel: BellmanKernel, lv: _Level, divisor: np.ndarray):
     return lv.grid * g[:x.size].reshape(x.shape), g[x.size:]
 
 
-def _normalized(seq: CarlesonSequence) -> tuple[CarlesonSequence, float]:
-    """seq scaled to Carleson norm 1 if its norm exceeds 1, and the factor."""
+def _normalized(seq: CarlesonSequence, slot: _Slot | None) -> tuple[CarlesonSequence, float]:
+    """seq scaled to Carleson norm 1 if its norm exceeds 1, and the factor;
+    kept in slot's store for the most recent _SEQ_ENTRIES sequences."""
+    if slot is not None:
+        return _shared(slot, "normalized", seq, lambda: _normalized(seq, None), _SEQ_ENTRIES)
     if carleson_norm(seq) > 1.0 + 1e-12:
         return seq.normalized()
     return seq, 1.0
+
+
+# The kernel of the most recent psi: C, is_normalized and the kernel's own
+# tables are evaluated once per psi, not once per certificate.  The kernel
+# holds psi, so its id cannot be reused while it is kept.
+_kernel_memo = None
+
+
+def _kernel(psi: PsiFunction) -> BellmanKernel:
+    global _kernel_memo
+    if _kernel_memo is None or _kernel_memo.psi is not psi:
+        _kernel_memo = BellmanKernel(psi)
+    return _kernel_memo
 
 
 class LevelChecks(NamedTuple):
@@ -519,7 +600,7 @@ def verify_folk(w: DyadicWeight, seq: CarlesonSequence,
     """
     from .corpus import check_rhi  # local import, corpus builds on this module
 
-    seqn, norm = _normalized(seq)
+    seqn, norm = _normalized(seq, _slot if _slot is not None and _slot.w is w else None)
     lhs = 0.0
     count = 0
     for lev in range(j.level, w.depth + 1):
@@ -574,6 +655,8 @@ def _embed_levels(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
     avgs = _level_averages(w)
     script_T = lambda lv, divisor: lv.integral(*_T(kernel, lv, divisor))
     own_T = lambda lv: script_T(lv, lv.own(acc) + 1.0)
+    n2_phi = lambda lv: lv.integral(lv.grid * lv.grid / lv.phi)
+    shared_n2_phi = _whole_tree(_slot_of(w, kernel.psi), "n2_phi", None, n2_phi)
     for lv, pot, below, pot_kids in _pairs(_levels(w, kernel.psi, j), own_T):
         a_par, alpha = lv.own(acc), lv.own(seq.levels)
         over = lv.rows.live & (a_par > 1.0 + 1e-9)
@@ -587,7 +670,7 @@ def _embed_levels(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
         else:
             t_minus, t_plus = pot_kids[0::2], pot_kids[1::2]
         gain = 0.5 * (t_minus + t_plus) - pot
-        stage1 = EMBED_STEP_FACTOR * alpha * lv.integral(lv.grid * lv.grid / lv.phi)
+        stage1 = EMBED_STEP_FACTOR * alpha * lv.shared(shared_n2_phi, n2_phi)
         # the lhs term a_I <w>_I^2 / n_psi is stage2 over the step factor
         term = _bump_term(alpha, lv.own(avgs), lv.n_psi())
         yield _chain(lv, term, gain, stage1, EMBED_STEP_FACTOR * term, tol)
@@ -601,26 +684,38 @@ def _paraproduct_levels(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     acc = seq.accumulators
     f_avgs = _level_averages(f.product(w))
 
-    def bellman(lv, m_budget):
-        """B~(f, N_I, M) = f^2 / u(N_I, M), u(N, M) = int (2N - T(M+1, N)) dt."""
+    def u(lv, m_budget):
+        """u(N_I, M) = int (2N - T(M+1, N)) dt of every row."""
         out = (m_budget < -1e-9) | (m_budget > 1.0 + 1e-9)
         if out.any():
             raise ValueError(f"M = {m_budget[out][0]} outside [0, 1]")
         t, t_at_one = _T(kernel, lv, m_budget + 1.0)
-        u = lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one)
+        return lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one)
+
+    def bellman(lv, u_i):
+        """B~(f, N_I, M) = f^2 / u(N_I, M)."""
         fv = lv.own(f_avgs)
-        if np.any((u <= 0) & (fv != 0)):
+        if np.any((u_i <= 0) & (fv != 0)):
             raise ValueError("f^2/u undefined: u <= 0 with f != 0")
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(u > 0, fv * fv / u, 0.0)
+            return np.where(u_i > 0, fv * fv / u_i, 0.0)
 
-    own_B = lambda lv: bellman(lv, lv.own(acc))
+    # u at each node's own budget, and at the finest level's phantom budget
+    # M - a, depend on (w, seq, psi) alone: every f of the sequence reads
+    # them.  Only a whole tree shares them: the parametric kernel's matrix
+    # product may round a row differently in an array of another size.
+    own_u = lambda lv: u(lv, lv.own(acc))
+    phantom_u = lambda lv: u(lv, lv.own(acc) - lv.own(seq.levels)) if lv.level == w.depth else None
+    slot = _slot_of(w, kernel.psi) if j == ROOT else None
+    shared_own_u = _whole_tree(slot, "u", seq, own_u)
+    shared_phantom_u = _whole_tree(slot, "phantom_u", seq, phantom_u)
+    own_B = lambda lv: bellman(lv, lv.shared(shared_own_u, own_u))
     for lv, pot, below, pot_kids in _pairs(_levels(w, kernel.psi, j), own_B):
         f_i, a, m_i = lv.own(f_avgs), lv.own(seq.levels), lv.own(acc)
         if below is None:
             # phantom generation: the finest-level sequence mass enters
             # as a pure shift of the accumulator variable
-            lhs = -pot + bellman(lv, m_i - a)
+            lhs = -pot + bellman(lv, lv.shared(shared_phantom_u, phantom_u))
             f_sum, m_sum = f_i, a + (m_i - a)
         else:
             f_minus, f_plus = lv.kids(f_avgs)
@@ -641,7 +736,7 @@ def _paraproduct_levels(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
             inside = (1e-4 < m_i) & (m_i < 1.0 - 1e-4)
             mid = np.where(inside, m_i, 0.5)
             h = 1e-5
-            slope = -(bellman(lv, mid + h) - bellman(lv, mid - h)) / (2 * h)
+            slope = -(bellman(lv, u(lv, mid + h)) - bellman(lv, u(lv, mid - h))) / (2 * h)
             with np.errstate(divide="ignore", invalid="ignore"):
                 target = PARAPRODUCT_CONSTANT * f_i * f_i / n_val
             passed &= ~(inside & (slope < target * (1 - 1e-6) - 1e-12))
@@ -657,7 +752,7 @@ def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
     Per node the full two-stage chain of check_pde_step is asserted; the
     telescoped potential is bounded by B(1) <= B'(1) at the leaves.
     """
-    kernel = BellmanKernel(psi)
+    kernel = _kernel(psi)
     return bellman_induction(_pde_levels(w, kernel, j, tol), j,
                              constant=16.0 * kernel.C, rhs_base=w.mass(j),
                              theorem="d-embed", breakdown={"leaf_bound": kernel.C},
@@ -676,8 +771,8 @@ def verify_embed(w: DyadicWeight, seq: CarlesonSequence, psi: PsiFunction,
     accumulator variable), so the constant is unchanged.  The sequence is
     normalized to Carleson norm 1 if needed (recorded).
     """
-    kernel = BellmanKernel(psi)
-    seq, normalization = _normalized(seq)
+    kernel = _kernel(psi)
+    seq, normalization = _normalized(seq, _slot_of(w, psi))
     return bellman_induction(_embed_levels(w, seq, kernel, j, tol), j,
                              constant=4.0 * kernel.C, rhs_base=w.mass(j),
                              theorem="embed",
@@ -701,9 +796,9 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     step's right side over the constant, so f == 1 reproduces verify_embed's
     lhs bit for bit.
     """
-    kernel = BellmanKernel(psi)
+    kernel = _kernel(psi)
     _require_normalized(kernel)
-    seq, normalization = _normalized(seq)
+    seq, normalization = _normalized(seq, _slot_of(w, psi))
     levels = _paraproduct_levels(w, f, seq, kernel, j, spot_check_derivative, tol)
     return bellman_induction(levels, j, constant=1.0 / PARAPRODUCT_CONSTANT,
                              rhs_base=f.squared().product(w).integral(j),
@@ -728,29 +823,72 @@ class _HaarLevel(NamedTuple):
     root_avg: np.ndarray    # sqrt(<w>_I), the bound on alpha
 
 
+class _HaarWeight(NamedTuple):
+    """The w-part of the weighted Haar split of one level's live nodes: what
+    every f of the weight shares."""
+
+    level: int
+    index: np.ndarray       # node indices
+    p: np.ndarray           # <w>_{I+}
+    q: np.ndarray           # <w>_{I-}
+    avg: np.ndarray         # <w>_I
+    two_sided: np.ndarray   # both children carry w-mass
+    kappa: np.ndarray
+    alpha: np.ndarray
+    root_avg: np.ndarray    # sqrt(<w>_I)
+    n_psi: np.ndarray
+
+    def part(self, a: int, b: int) -> "_HaarWeight":
+        """The nodes a to b - 1."""
+        lo, hi = np.searchsorted(self.index, (a, b))
+        return _HaarWeight(self.level, *(v[lo:hi] for v in self[1:]))
+
+
+def _haar_weight(lv: _Level, w_avgs) -> _HaarWeight:
+    live = lv.rows.live
+    q, p = (v[live] for v in lv.kids(w_avgs))
+    length = 2.0 ** -lv.level
+    avg = lv.own(w_avgs)[live]
+    two_sided = (p != 0.0) & (q != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass_p, mass_q = p * length / 2.0, q * length / 2.0
+        kappa = np.sqrt(mass_p * mass_q / (mass_p + mass_q))
+        alpha = np.where(two_sided, np.sqrt(2.0 * p * q / (p + q)), 0.0)
+    return _HaarWeight(lv.level, lv.first + np.flatnonzero(live), p, q, avg, two_sided,
+                       kappa, alpha, np.sqrt(avg), lv.n_psi()[live])
+
+
+def _haar_weights(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
+    """The _HaarWeight of every level of the subtree under j above the
+    finest: node ranges of the slot's whole-tree levels, or computed a level
+    at a time for a tree too large for the slot."""
+    def weights(root):
+        w_avgs = _level_averages(w)
+        return (_haar_weight(lv, w_avgs) for lv in _levels(w, psi, root) if lv.level < w.depth)
+
+    slot = _slot_of(w, psi)
+    if slot is None:
+        yield from weights(j)
+        return
+    for hw in _shared(slot, "haar", None, lambda: tuple(weights(ROOT)))[j.level:]:
+        width = 2 ** (hw.level - j.level)
+        yield hw.part(j.index * width, (j.index + 1) * width)
+
+
 def _haar_levels(w: DyadicWeight, fw: StepFunction, psi: PsiFunction,
                  j: DyadicInterval):
     """The weighted Haar split of fw on every level above the finest."""
-    w_avgs, fw_avgs = _level_averages(w), _level_averages(fw)
-    for lv in _levels(w, psi, j):
-        if lv.level == w.depth:
-            return
-        live = lv.rows.live
-        q, p = (v[live] for v in lv.kids(w_avgs))
-        y, x = (v[live] for v in lv.kids(fw_avgs))
-        length = 2.0 ** -lv.level
-        avg = lv.own(w_avgs)[live]
-        drift = lv.own(fw_avgs)[live] / avg * 0.5 * (p - q)
-        two_sided = (p != 0.0) & (q != 0.0)
+    fw_avgs = _level_averages(fw)
+    for hw in _haar_weights(w, psi, j):
+        below = fw_avgs[hw.level + 1]
+        y, x = below[2 * hw.index], below[2 * hw.index + 1]
+        length = 2.0 ** -hw.level
+        drift = fw_avgs[hw.level][hw.index] / hw.avg * 0.5 * (hw.p - hw.q)
         with np.errstate(divide="ignore", invalid="ignore"):
-            mass_p, mass_q = p * length / 2.0, q * length / 2.0
-            kappa = np.sqrt(mass_p * mass_q / (mass_p + mass_q))
-            inner = np.where(two_sided, kappa * (x / p - y / q), 0.0)
-            alpha = np.where(two_sided, np.sqrt(2.0 * p * q / (p + q)), 0.0)
-        haar = alpha * inner / np.sqrt(length)
-        yield _HaarLevel(lv.level, lv.first + np.flatnonzero(live), lv.n_psi()[live],
-                         2.0 * (0.5 * (x - y)), 2.0 * haar, 2.0 * drift,
-                         inner, alpha, np.sqrt(avg))
+            inner = np.where(hw.two_sided, hw.kappa * (x / hw.p - y / hw.q), 0.0)
+        haar = hw.alpha * inner / np.sqrt(length)
+        yield _HaarLevel(hw.level, hw.index, hw.n_psi, 2.0 * (0.5 * (x - y)), 2.0 * haar,
+                         2.0 * drift, inner, hw.alpha, hw.root_avg)
 
 
 def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
@@ -769,7 +907,7 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
     4 * 16 B'(1)), and their cross sum (Cauchy-Schwarz).  The report
     itemizes all three plus the budgets actually attained.
     """
-    kernel = BellmanKernel(psi)
+    kernel = _kernel(psi)
     psi_min = psi.min_psi
     fw = f.product(w)
     f2w = f.squared().product(w)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -181,6 +182,30 @@ def test_H_at_knot_below_and_zero(alpha):
 def test_B_endpoint_limits(kernel2):
     assert float(kernel2.B(1e-15)) < 1e-13
     assert float(kernel2.G(1e-15)) < 0.05  # 1/log(1/s) -> 0
+
+
+@pytest.mark.parametrize("family", ["log-bump", "loglog-bump"])
+def test_B_on_a_whole_grid_holds_few_temporaries(family, monkeypatch):
+    # B on the survival grid of a depth-20 tree, as d-embed evaluates it:
+    # its G and H parts are combined in place and H below the clamp knot is
+    # taken in chunks, so its traced peak stays within 4 times its output
+    kernel = BellmanKernel(psi_closed_form(2.0, family))
+    m = 2 ** 20
+    grid = (m - np.arange(m)) / m
+    sample = grid[::997]
+    want = kernel.B(sample)     # builds the kernel's tables
+    tracemalloc.start()
+    try:
+        out = kernel.B(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.nbytes
+    # the chunks give the bits of one evaluation of the whole grid, and any
+    # shape the values of its points
+    monkeypatch.setattr(bellman, "_H_CHUNK", 2 ** 30)
+    assert np.array_equal(out.view(np.int64), kernel.B(grid).view(np.int64))
+    assert np.array_equal(kernel.B(np.stack((sample, sample[::-1]))), [want, want[::-1]])
 
 
 def test_B_convexity_chords(kernel2):

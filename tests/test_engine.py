@@ -12,9 +12,11 @@
   equal children, and bit-identical ratios and verdicts under w -> 2^k w.
 * Reflection x -> 1 - x: Haar differences flip sign exactly, verdicts are
   unchanged, and each lhs moves only by the reordering of its sum.
-* The one-weight level slot: every way into it gives the certificates of a
-  run that starts with an empty slot, and of one that never uses it, bit
-  for bit.
+* The one-weight level slot and its store: every way into them (other f,
+  other or equal sequences, another weight in between, a subtree root)
+  gives the certificates of a run that starts with an empty slot, and of
+  one that never uses it, bit for bit; the store keeps nothing of an
+  earlier weight and a bounded number of bytes a node.
 * The top-down sort: every level split from the one above, with each
   constant row expanded back to its dense form, equals a stable sort of
   that level on its own, bit for bit; a constant row's one-value sum equals
@@ -53,8 +55,10 @@ from dyadembed import (
     verify_embed,
     verify_embed2,
     verify_fd_embed,
+    verify_folk,
     weighted_haar_decompose,
 )
+from dyadembed.cli import FUNCTION_KINDS
 from dyadembed.bellman import (
     EMBED_STEP_FACTOR,
     PARAPRODUCT_CONSTANT,
@@ -344,16 +348,37 @@ def _clear_slot():
     verifiers._slot = None
 
 
-def _bounded_runs(w, psi, j=ROOT, keep_ledger=False, tol=DEFAULT_TOL, before=None):
-    """The four bounded certificates of w under root j, each reduced to the
-    repr of (theorem, lhs, ratio, breakdown, failures, per_node): repr
+def _one_f(w):
+    return (gen_test_function("random-bounded", w.depth, 3),)
+
+
+def _one_seq(w):
+    return (gen_carleson_sequence("random", w.depth, 2),)
+
+
+def _five_f(w):
+    """The CLI's five test functions of w."""
+    return tuple(gen_test_function(k, w.depth, s, weight=w) for k, s in FUNCTION_KINDS)
+
+
+def _bounded_runs(weights, psi, j=ROOT, keep_ledger=False, tol=DEFAULT_TOL, before=None,
+                  fs=_one_f, seqs=_one_seq):
+    """The bounded certificates of each weight in turn under root j: d-embed,
+    embed and folk for every sequence of seqs(w), embed2 for every f of
+    fs(w) and every sequence, and fd-embed for every f.  Each is reduced to
+    the repr of (theorem, lhs, ratio, breakdown, failures, per_node): repr
     writes every float exactly.  before() runs ahead of each one."""
-    f = gen_test_function("random-bounded", w.depth, 3)
-    seq = gen_carleson_sequence("random", w.depth, 2)
-    runs = [lambda: verify_d_embed(w, psi, j, keep_ledger=keep_ledger, tol=tol),
-            lambda: verify_embed(w, seq, psi, j, keep_ledger=keep_ledger, tol=tol),
-            lambda: verify_embed2(w, f, seq, psi, j, tol=tol),
-            lambda: verify_fd_embed(w, f, psi, j, tol=tol)]
+    runs = []
+    for w in weights:
+        f_list, seq_list = fs(w), seqs(w)
+        runs.append(lambda w=w: verify_d_embed(w, psi, j, keep_ledger=keep_ledger, tol=tol))
+        for seq in seq_list:
+            runs.append(lambda w=w, seq=seq: verify_embed(w, seq, psi, j,
+                                                          keep_ledger=keep_ledger, tol=tol))
+            runs.append(lambda w=w, seq=seq: verify_folk(w, seq, j, tol=tol))
+            runs += [lambda w=w, f=f, seq=seq: verify_embed2(w, f, seq, psi, j, tol=tol)
+                     for f in f_list]
+        runs += [lambda w=w, f=f: verify_fd_embed(w, f, psi, j, tol=tol) for f in f_list]
     out = []
     for run in runs:
         if before is not None:
@@ -363,15 +388,36 @@ def _bounded_runs(w, psi, j=ROOT, keep_ledger=False, tol=DEFAULT_TOL, before=Non
     return out
 
 
+def _equal_copy(seq):
+    return CarlesonSequence(seq.depth, seq.levels)
+
+
 SLOT_CASES = {
-    # name: (run kwargs, run on an equal-valued new weight object); the
-    # slot is first filled by d-embed of the weight under PSI
-    "same-w-same-psi": ({"psi": PSI}, False),
-    "same-w-other-psi": ({"psi": LOGLOG}, False),
-    "subtree-left": ({"psi": PSI, "j": DyadicInterval(2, 0)}, False),
-    "subtree-right": ({"psi": PSI, "j": DyadicInterval(1, 1)}, False),
-    "keep-ledger": ({"psi": PSI, "keep_ledger": True}, False),
-    "equal-values-new-object": ({"psi": PSI}, True),
+    # name: (run kwargs, the weights to run from w); the slot is first
+    # filled by d-embed of w under PSI
+    "same-w-same-psi": ({"psi": PSI}, lambda w: [w]),
+    "same-w-other-psi": ({"psi": LOGLOG}, lambda w: [w]),
+    "subtree-left": ({"psi": PSI, "j": DyadicInterval(2, 0)}, lambda w: [w]),
+    "subtree-right": ({"psi": PSI, "j": DyadicInterval(1, 1), "fs": _five_f},
+                      lambda w: [w]),
+    "keep-ledger": ({"psi": PSI, "keep_ledger": True}, lambda w: [w]),
+    "equal-values-new-object": ({"psi": PSI}, lambda w: [DyadicWeight(w.depth, w.values.copy())]),
+    # the store's work of one (w, seq) read by every f
+    "five-f-one-seq": ({"psi": PSI, "fs": _five_f}, lambda w: [w]),
+    # a sequence object with the values of the one before it
+    "equal-seq-new-object": ({"psi": PSI, "seqs": lambda w: (_one_seq(w)[0],
+                                                            _equal_copy(_one_seq(w)[0]))},
+                             lambda w: [w]),
+    # a sequence that is normalized first, with its equal copy
+    "seq-norm-above-one": ({"psi": PSI, "seqs": lambda w: (_one_seq(w)[0].scaled(3.0),) * 2
+                            + (_equal_copy(_one_seq(w)[0].scaled(3.0)),)},
+                           lambda w: [w]),
+    # two sequences of one weight, the first again after the second
+    "seq-a-b-a": ({"psi": PSI, "seqs": lambda w: (_one_seq(w) + (gen_carleson_sequence(
+        "stopping-time", w.depth),)) * 2 + (_one_seq(w)[0].scaled(3.0),)}, lambda w: [w]),
+    # weight A, then another weight B, then A again
+    "weights-a-b-a": ({"psi": PSI, "fs": _five_f},
+                      lambda w: [w, gen_weight(CorpusSpec("two-level-gap", 7, (1.0,))), w]),
 }
 
 
@@ -379,34 +425,81 @@ SLOT_CASES = {
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
 @pytest.mark.parametrize("case", SLOT_CASES)
 def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
-    kwargs, fresh = SLOT_CASES[case]
+    kwargs, weights = SLOT_CASES[case]
     w = gen_weight(spec)
     _clear_slot()
     verify_d_embed(w, PSI)
-    assert verifiers._slot[0] is w and verifiers._slot[2] is PSI
-    target = DyadicWeight(w.depth, w.values.copy()) if fresh else w
-    warm = _bounded_runs(target, tol=tol, **kwargs)
-    assert verifiers._slot[0] is target and verifiers._slot[2] is kwargs["psi"]
-    cold = _bounded_runs(target, tol=tol, before=_clear_slot, **kwargs)
+    assert verifiers._slot.w is w and verifiers._slot.psi is PSI
+    targets = weights(w)
+    warm = _bounded_runs(targets, tol=tol, **kwargs)
+    assert verifiers._slot.w is targets[-1] and verifiers._slot.psi is kwargs["psi"]
+    cold = _bounded_runs(targets, tol=tol, before=_clear_slot, **kwargs)
     monkeypatch.setattr(verifiers, "_SLOT_BYTES", 0)   # sort level by level
     _clear_slot()
-    unslotted = _bounded_runs(target, tol=tol, **kwargs)
+    unslotted = _bounded_runs(targets, tol=tol, **kwargs)
     assert verifiers._slot is None
     assert warm == cold
     assert warm == unslotted
     if kwargs["psi"] is not PSI:
         # the check can tell the two Psi apart
-        assert warm != _bounded_runs(target, PSI, tol=tol)
+        assert warm != _bounded_runs(targets, PSI, tol=tol)
+
+
+def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
+    # five embed2 and five fd-embed certificates of one (w, seq): one
+    # whole-tree pass fills each entry of the store, the other four read it
+    w = gen_weight(CorpusSpec("random-martingale", 8, (0.6,), 3))
+    seq = _one_seq(w)[0].scaled(3.0)
+    _clear_slot()
+    made = []
+    shared = verifiers._shared
+
+    def counting(slot, name, key, make, keep=1):
+        return shared(slot, name, key, lambda: made.append(name) or make(), keep)
+
+    monkeypatch.setattr(verifiers, "_shared", counting)
+    for f in _five_f(w):
+        verify_embed2(w, f, seq, PSI)
+        verify_fd_embed(w, f, PSI)
+    assert sorted(made) == ["haar", "normalized", "phantom_u", "u"]
+    assert verifiers._kernel(PSI) is verifiers._kernel(PSI)
 
 
 def _slot_bytes(slot):
     """(cells, total): the bytes of the slot's dense cells (piece lengths
-    and child labels), and of every array the slot holds."""
-    _, levels, _, phi, n_psi = slot
-    cells = sum(rows.pieces.nbytes + rows.plus.nbytes for rows in levels)
+    and child labels), and of every array of the sort, phi and n_psi."""
+    cells = sum(rows.pieces.nbytes + rows.plus.nbytes for rows in slot.levels)
     per_row = sum(rows.const.nbytes + rows.live.nbytes + rows.value.nbytes
-                  + (0 if rows.dense is None else rows.dense.nbytes) for rows in levels)
-    return cells, cells + per_row + phi.nbytes + sum(a.nbytes for a in n_psi)
+                  + (0 if rows.dense is None else rows.dense.nbytes) for rows in slot.levels)
+    return cells, cells + per_row + slot.phi.nbytes + sum(a.nbytes for a in slot.n_psi)
+
+
+def _store_bytes(slot):
+    """The bytes of every array the slot's store holds: its per-level
+    arrays, and each normalized sequence that is not the caller's own, with
+    the prefix sums and accumulators cached on it."""
+    seen, total = set(), 0
+
+    def count(x):
+        nonlocal total
+        if isinstance(x, np.ndarray):
+            if id(x) not in seen:
+                seen.add(id(x))
+                total += x.nbytes
+        elif isinstance(x, CarlesonSequence):
+            for name in ("levels", "prefix_sums", "accumulators"):
+                count(vars(x).get(name, ()))
+        elif isinstance(x, (tuple, list)):
+            for v in x:
+                count(v)
+
+    for name, entries in slot.store.items():
+        for key, value in entries.values():
+            if name == "normalized":
+                # a sequence of norm <= 1 is its own normalized copy
+                value = () if value[0] is key else value[0]
+            count(value)
+    return total
 
 
 def test_slot_holds_one_weight_within_its_bound():
@@ -420,7 +513,7 @@ def test_slot_holds_one_weight_within_its_bound():
     gc.collect()
     assert gone() is None                   # replaced whole: one weight at a time
     slot = verifiers._slot
-    assert slot[0] is w13 and len(slot[1]) == 14
+    assert slot.w is w13 and len(slot.levels) == 14
     # the spike's levels 0..12 hold one dense row each, of 2^(13 - l)
     # cells; every other row is constant
     assert _slot_bytes(slot)[0] == 9 * (2 ** 14 - 2)
@@ -429,6 +522,52 @@ def test_slot_holds_one_weight_within_its_bound():
     cert = verify_d_embed(spike_weight(14), PSI)
     assert cert.passed and cert.node_count == 14
     assert verifiers._slot is slot
+
+
+def test_store_keeps_nothing_of_the_previous_weight():
+    # after a certificate of another weight under another Psi, no weight,
+    # sequence, test function or Psi of the first one is reachable
+    psi = psi_closed_form(2.0)
+    w = gen_weight(CorpusSpec("random-martingale", 8, (0.6,), 3))
+    f = _one_f(w)[0]
+    seq = _one_seq(w)[0].scaled(3.0)
+    _clear_slot()
+    certs = _bounded_runs([w], psi, fs=lambda w: (f,), seqs=lambda w: (seq,))
+    (_, (normalized, _)), = verifiers._slot.store["normalized"].values()
+    assert normalized is not seq and len(certs) == 5
+    refs = [weakref.ref(x) for x in (w, f, seq, normalized, psi)]
+    del w, f, seq, normalized, psi
+    other = gen_weight(CorpusSpec("lacunary", 8, (0.25,)))
+    assert verify_fd_embed(other, _one_f(other)[0], LOGLOG).passed
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+@pytest.mark.parametrize("make", [
+    spike_weight, lambda d: gen_weight(CorpusSpec("random-martingale", d, (0.6,), 3)),
+], ids=["spike", "random-martingale"])
+def test_store_bytes_per_row(make):
+    # the deepest tree the slot admits, with every entry of the store filled
+    # and more sequences than it keeps.  Per node row: int N^2/phi and u 8
+    # bytes each, the phantom u 8 bytes a finest node, the Haar w-part 65
+    # bytes a node above the finest (an int64 index, 7 float64 arrays and a
+    # bool mask), and each kept sequence's normalized copy 24 bytes (its
+    # values, prefix sums and accumulators)
+    depth = 13
+    w = make(depth)
+    _clear_slot()
+    seqs = [gen_carleson_sequence("random", depth, s).scaled(3.0) for s in range(6)]
+    for seq in seqs:
+        verify_embed(w, seq, PSI)
+    verify_embed2(w, _one_f(w)[0], seqs[-1], PSI)
+    verify_fd_embed(w, _one_f(w)[0], PSI)
+    slot = verifiers._slot
+    assert slot.w is w and len(slot.store["normalized"]) == verifiers._SEQ_ENTRIES
+    rows = 2 ** (depth + 1) - 1
+    bound = (16 * rows + 8 * 2 ** depth + 65 * (2 ** depth - 1)
+             + 24 * verifiers._SEQ_ENTRIES * rows)
+    assert 0 < _store_bytes(slot) <= bound
+    assert bound <= 150 * rows
 
 
 def _half_constant(depth):
