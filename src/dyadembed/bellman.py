@@ -235,29 +235,26 @@ class BellmanKernel:
     # raw pieces (without the 1/k factor) ---------------------------------
 
     def _G_raw(self, s: np.ndarray) -> np.ndarray:
-        """Raw G for s > 0.  The closed forms are evaluated in place, two
-        arrays of s's size at a time."""
+        """Raw G for s > 0.  Each closed form is built from chains of
+        operations on unnamed arrays, whose buffers numpy reuses when they
+        are large, so that at most three arrays of s's size are held."""
         psi = self.psi
         a, x0 = psi.alpha, self._x0
-        with np.errstate(divide="ignore"):
-            x = np.divide(1.0, s)
-            np.log(x, out=x)
         if psi.mode in ("clamped-log", "clamped-loglog"):
-            below = np.maximum(x, x0, out=x)
+            with np.errstate(divide="ignore"):
+                x = np.maximum(np.log(1.0 / s), x0)
             g0 = x0
             if psi.mode == "clamped-loglog":
-                np.log(below, out=below)
+                x = np.log(x)
                 g0 = math.log(x0)
-            below **= 1.0 - a
-            below /= a - 1.0
+            below = x ** (1.0 - a) / (a - 1.0)
+            del x
             g0 = g0 ** (1.0 - a) / (a - 1.0)
-            above = np.maximum(s, psi.s0)
-            above /= psi.s0
-            np.log(above, out=above)
-            above /= psi.clamp_value
-            above += g0
+            above = g0 + np.log(np.maximum(s, psi.s0) / psi.s0) / psi.clamp_value
             np.copyto(above, below, where=s <= psi.s0)
             return above
+        with np.errstate(divide="ignore"):
+            x = np.log(1.0 / s)
         # parametric: panel grid on x-space plus an analytic-tail estimate
         grid = self._ensure_G_grid()
         xs = np.minimum(x, 59.0)
@@ -266,10 +263,7 @@ class BellmanKernel:
     def _H_raw(self, s: np.ndarray) -> np.ndarray:
         """Raw H for s > 0: linear from _h0 on [s0, inf), the integral below."""
         psi = self.psi
-        out = np.maximum(s, psi.s0)
-        out -= psi.s0
-        out /= psi.clamp_value
-        out += self._h0
+        out = self._h0 + (np.maximum(s, psi.s0) - psi.s0) / psi.clamp_value
         below = np.nonzero(s < psi.s0)
         for a in range(0, below[0].size, _H_CHUNK):
             at = tuple(i[a:a + _H_CHUNK] for i in below)
@@ -323,19 +317,13 @@ class BellmanKernel:
 
     def B(self, s) -> np.ndarray | float:
         """Convex potential with B(0) = B'(0) = 0 and B'' = 1/phi:
-        s G_raw(s) / k - H_raw(s) / k, evaluated in place, so that it holds
-        about three arrays of s's size at once."""
+        s G_raw(s) / k - H_raw(s) / k, one chain of operations on unnamed
+        arrays (see _G_raw), zeroed in place where s <= 0, so that at most
+        four arrays of s's size are held."""
         arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
         pos = np.maximum(arr, 1e-300)
-        out = self._G_raw(pos)
-        out *= pos
-        out /= self.psi.k
-        h = self._H_raw(pos)
-        del pos
-        h /= self.psi.k
-        out -= h
-        del h
-        out[np.logical_not(arr > 0)] = 0.0
+        out = pos * self._G_raw(pos) / self.psi.k - self._H_raw(pos) / self.psi.k
+        np.copyto(out, 0.0, where=~(arr > 0))
         return out if np.ndim(s) else float(out[0])
 
     def U(self, s) -> np.ndarray | float:

@@ -188,7 +188,8 @@ def test_B_endpoint_limits(kernel2):
 def test_B_on_a_whole_grid_holds_few_temporaries(family, monkeypatch):
     # B on the survival grid of a depth-20 tree, as d-embed evaluates it:
     # its G and H parts are combined in place and H below the clamp knot is
-    # taken in chunks, so its traced peak stays within 4 times its output
+    # taken in chunks, so its traced peak stays within 4.5 times its output
+    # (6.3 and 8.4 times when each step held its own array)
     kernel = BellmanKernel(psi_closed_form(2.0, family))
     m = 2 ** 20
     grid = (m - np.arange(m)) / m
@@ -200,7 +201,7 @@ def test_B_on_a_whole_grid_holds_few_temporaries(family, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * out.nbytes
+    assert peak <= 4.5 * out.nbytes
     # the chunks give the bits of one evaluation of the whole grid, and any
     # shape the values of its points
     monkeypatch.setattr(bellman, "_H_CHUNK", 2 ** 30)
