@@ -33,13 +33,14 @@ the test function f, so each certificate of the weight computes only its
 f-dependent part: embed's int N^2/phi and fd-embed's weighted-Haar w-part
 on every level, keyed by (w, Psi); embed2's u(N, M) at every node's own
 budget and at the finest level's phantom budget, keyed by (w, Psi) and the
-sequence; and the normalized copies of the most recent four sequences.  An
-entry is computed row by row on the whole tree with the operations a
-certificate would run, so a later certificate, or one under a subtree root,
-reads the bits it would have computed.  Keys are matched by identity and
-held, so no id is reused; the store goes with the slot when the weight or
-Psi changes, and holds at most about 150 bytes a node.  The BellmanKernel
-of the most recent Psi is kept as well, so its C is evaluated once.
+sequence, for a certificate of the whole tree; and the normalized copies of
+the most recent four sequences.  An entry is computed row by row on the
+whole tree with the operations a certificate would run, so a later
+certificate, or one under a subtree root, reads the bits it would have
+computed.  Keys are matched by identity and held, so no id is reused; the
+store goes with the slot when the weight or Psi changes, and holds at most
+about 150 bytes a node.  The BellmanKernel of the most recent Psi is kept
+as well, so its C is evaluated once.
 
 Skip rule: nodes on which w vanishes identically carry no term and no
 inequality.  They are computed with the rest of their level, then dropped,

@@ -392,6 +392,18 @@ def _equal_copy(seq):
     return CarlesonSequence(seq.depth, seq.levels)
 
 
+def _seqs_above_one(w):
+    """A sequence of norm 3 twice, then an equal copy of it."""
+    scaled = _one_seq(w)[0].scaled(3.0)
+    return scaled, scaled, _equal_copy(scaled)
+
+
+def _seqs_a_b_a(w):
+    """Two sequences in turn, then a third that is normalized first."""
+    a, b = _one_seq(w)[0], gen_carleson_sequence("stopping-time", w.depth)
+    return a, b, a, b, a.scaled(3.0)
+
+
 SLOT_CASES = {
     # name: (run kwargs, the weights to run from w); the slot is first
     # filled by d-embed of w under PSI
@@ -408,13 +420,8 @@ SLOT_CASES = {
     "equal-seq-new-object": ({"psi": PSI, "seqs": lambda w: (_one_seq(w)[0],
                                                             _equal_copy(_one_seq(w)[0]))},
                              lambda w: [w]),
-    # a sequence that is normalized first, with its equal copy
-    "seq-norm-above-one": ({"psi": PSI, "seqs": lambda w: (_one_seq(w)[0].scaled(3.0),) * 2
-                            + (_equal_copy(_one_seq(w)[0].scaled(3.0)),)},
-                           lambda w: [w]),
-    # two sequences of one weight, the first again after the second
-    "seq-a-b-a": ({"psi": PSI, "seqs": lambda w: (_one_seq(w) + (gen_carleson_sequence(
-        "stopping-time", w.depth),)) * 2 + (_one_seq(w)[0].scaled(3.0),)}, lambda w: [w]),
+    "seq-norm-above-one": ({"psi": PSI, "seqs": _seqs_above_one}, lambda w: [w]),
+    "seq-a-b-a": ({"psi": PSI, "seqs": _seqs_a_b_a}, lambda w: [w]),
     # weight A, then another weight B, then A again
     "weights-a-b-a": ({"psi": PSI, "fs": _five_f},
                       lambda w: [w, gen_weight(CorpusSpec("two-level-gap", 7, (1.0,))), w]),
