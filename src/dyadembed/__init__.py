@@ -58,8 +58,6 @@ from .bellman import (
 from .verifiers import (
     Certificate,
     FailureDemo,
-    LevelChecks,
-    bellman_induction,
     failure_demo,
     spike_d_embed_closed_form,
     spike_weight,

@@ -129,7 +129,11 @@ def young_function(family: str, alpha: float) -> YoungFunction:
     yf = YoungFunction(family, alpha)
     # grid admissibility: Phi' >= 0 and nondecreasing for t >= t_min
     t = np.geomspace(yf.t_min, 1e12, 1000)
-    d = yf.dphi(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = yf.dphi(t)
+    if not np.all(np.isfinite(d)):
+        raise ConstructionError(f"alpha = {alpha:g} is too large for {family}: Phi' "
+                                f"overflows a float on t in [{yf.t_min:.6g}, 1e12]")
     if np.any(d < 0) or np.any(np.diff(d) < -1e-9 * np.abs(d[:-1])):
         raise ConstructionError(f"Phi' not admissible for {family}(alpha={alpha})")
     return yf
@@ -227,6 +231,19 @@ class PsiFunction:
         raise NotImplementedError("closed form only for the clamped log family")
 
 
+def _clamp_value(family: str, alpha: float, base: float, scale: float = 1.0) -> float:
+    """scale * base ** alpha, the raw Psi on the clamp of a closed-form
+    family; a ConstructionError where that is not a finite float."""
+    try:
+        value = scale * base ** alpha
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConstructionError(f"alpha = {alpha:g} is too large for {family}: Psi on its "
+                                f"clamp overflows a float")
+    return value
+
+
 def psi_closed_form(alpha: float, family: str = "log-bump",
                     clamp_s0: float | None = None,
                     normalize: bool = True) -> PsiFunction:
@@ -235,8 +252,9 @@ def psi_closed_form(alpha: float, family: str = "log-bump",
     The clamp keeps s*Psi(s) increasing: constant value on [s0, 1] with s0
     at the monotonicity knot (ln(1/s0) = alpha for the log family).  Raises
     for a non-finite alpha and for alpha <= 1, where 1/(s Psi) is not
-    integrable at 0, and for a clamp_s0 that is not finite and positive or
-    lies beyond the knot.
+    integrable at 0, for a clamp_s0 that is not finite and positive or
+    lies beyond the knot, and for an alpha so large that the clamp point
+    underflows to 0 or the clamp value overflows.
     """
     if not math.isfinite(alpha):
         raise ConstructionError(f"alpha must be finite, got {alpha}")
@@ -248,7 +266,10 @@ def psi_closed_form(alpha: float, family: str = "log-bump",
         s0 = math.exp(-alpha) if clamp_s0 is None else clamp_s0
         if clamp_s0 is not None and clamp_s0 > math.exp(-alpha) + 1e-15:
             raise ConstructionError("clamp_s0 beyond the monotonicity knot")
-        clamp_value = math.log(1.0 / s0) ** alpha
+        if s0 == 0.0:
+            raise ConstructionError(f"alpha = {alpha:g} is too large for {family}: the "
+                                    f"clamp point exp(-alpha) underflows to 0")
+        clamp_value = _clamp_value(family, alpha, math.log(1.0 / s0))
         mode = "clamped-log"
     elif family == "loglog-bump":
         knot = _loglog_clamp_knot(alpha)
@@ -256,7 +277,7 @@ def psi_closed_form(alpha: float, family: str = "log-bump",
         if x0 < knot - 1e-12:
             raise ConstructionError("clamp_s0 beyond the monotonicity knot")
         s0 = math.exp(-x0)
-        clamp_value = x0 * math.log(x0) ** alpha
+        clamp_value = _clamp_value(family, alpha, math.log(x0), x0)
         mode = "clamped-loglog"
     else:
         raise ConstructionError(f"unknown Psi family {family!r}")
@@ -285,12 +306,17 @@ def psi_from_phi(phi: YoungFunction) -> PsiFunction:
     """Parametric Psi: Psi(s) = Phi'(t) where s = 1/(Phi(t) Phi'(t)).
 
     For s above s(t_min) the value clamps to the constant Phi'(t_min).
-    Requires Phi*Phi' strictly increasing beyond t_min (checked on a grid;
-    violations are reported with the offending range).  Not normalized:
-    pass the result to normalized_psi for the m-profile inequalities.
+    Requires Phi*Phi' finite and strictly increasing beyond t_min (checked
+    on a grid; violations are reported with the offending range).  Not
+    normalized: pass the result to normalized_psi for the m-profile
+    inequalities.
     """
     t_grid = np.geomspace(phi.t_min, 1e14, 400)
-    g = phi.phi(t_grid) * phi.dphi(t_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = phi.phi(t_grid) * phi.dphi(t_grid)
+    if not np.all(np.isfinite(g)):
+        raise ConstructionError(f"alpha = {phi.alpha:g} is too large: Phi*Phi' overflows a "
+                                f"float on t in [{phi.t_min:.6g}, 1e14]")
     bad = np.diff(g) <= 0
     if np.any(bad):
         i = int(np.argmax(bad))

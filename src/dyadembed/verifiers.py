@@ -28,28 +28,40 @@ sorted once into a one-weight slot that every certificate of that weight
 reads, for any root J.  A deeper tree is split one level at a time, and
 only two adjacent levels are held at once.
 
-Beside the sort the slot keeps a store of the work that does not depend on
-the test function f, so each certificate of the weight computes only its
-f-dependent part: embed's int N^2/phi and fd-embed's weighted-Haar w-part
-on every level, keyed by (w, Psi); embed2's u(N, M) at every node's own
-budget and at the finest level's phantom budget, keyed by (w, Psi) and the
-sequence, for a certificate of the whole tree; and the normalized copies of
-the most recent four sequences.  An entry is computed row by row on the
-whole tree with the operations a certificate would run, so a later
-certificate, or one under a subtree root, reads the bits it would have
-computed.  Keys are matched by identity and held, so no id is reused; the
-store goes with the slot when the weight or Psi changes, and holds at most
-about 150 bytes a node.  The BellmanKernel of the most recent Psi is kept
+Beside the sort the slot holds every node's live flag and n_psi in heap
+order, and a store of the work that does not depend on the test function
+f, so each certificate of the weight computes only its f-dependent part:
+embed's int N^2/phi on every level and, for a certificate of the whole
+tree, fd-embed's weighted-Haar w-part at every node above the finest
+level, keyed by (w, Psi); embed2's u(N, M) at every node's own budget and
+at the finest level's phantom budget, keyed by (w, Psi) and the sequence;
+and the normalized copies of the most recent four sequences.  An entry is
+computed row by row on the whole tree with the operations a certificate
+would run, so a later certificate, or one under a subtree root, reads the
+bits it would have computed.  Keys are matched by identity and held, so no
+id is reused; the store goes with the slot when the weight or Psi changes,
+and holds at most about 150 bytes a node.  The BellmanKernel of the most recent Psi is kept
 as well, so its C is evaluated once.
+
+`embed2` and `fd-embed` check every node of the subtree under J in one
+pass.  Its nodes are held in heap order, level-major with the index
+ascending, so the node at k has its children at 2k + 1 and 2k + 2.  What
+needs the sorted rows (n_psi, u) is integrated level by level, or read from
+the slot, into arrays over these nodes; every step after that is
+elementwise and runs once over them: the weighted Haar split with its
+identity and alpha-bound checks, the potentials f^2/u and their gains, the
+f/M consistency checks and the verdicts.  `d-embed` and `embed` check one
+level at a time.  Each elementwise step takes the same inputs as it would
+a level at a time, and the sums add the same terms in the same order, so
+the values are bit for bit those of a level-by-level walk.
 
 Skip rule: nodes on which w vanishes identically carry no term and no
 inequality.  They are computed with the rest of their level, then dropped,
-and not counted.  Every per-node inequality is checked on a whole level at
-once; failed nodes are reported level-major with the index ascending, as
-plain Python numbers.  `d-embed`, `embed` and `embed2` reduce their
-per-level checks through `bellman_induction`; `fd-embed` sums its weighted
-Haar split level by level.  The per-node functions of `bellman` and
-`carleson` (check_pde_step, check_embed_step, check_paraproduct_step,
+and not counted.  Failed nodes are reported level-major with the index
+ascending, as plain Python numbers.  `d-embed`, `embed` and `embed2` reduce
+their checks through `bellman_induction`; `fd-embed` sums its weighted
+Haar split.  The per-node functions of `bellman` and `carleson`
+(check_pde_step, check_embed_step, check_paraproduct_step,
 weighted_haar_decompose) compute the same quantities one node at a time.
 
 Certificate constants (derived, documented in the module docstrings of
@@ -70,7 +82,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -207,6 +218,12 @@ class _Level(NamedTuple):
         """The rows' entries of a per-level sequence of arrays."""
         return per_level[self.level][self.first:self.first + self.rows.live.size]
 
+    def of(self, nodes: np.ndarray) -> np.ndarray:
+        """The rows' entries of an array over the nodes of the subtree in
+        heap order (_heap_order), where a level of width W starts at W - 1."""
+        width = self.rows.live.size
+        return nodes[width - 1:2 * width - 1]
+
     def shared(self, whole_tree, fn) -> np.ndarray:
         """fn(self), or its rows' entries of whole_tree (fn of every level of
         the whole tree, _whole_tree) when there is one: fn is a row-wise
@@ -227,6 +244,18 @@ class _Level(NamedTuple):
         plus = self.rows.plus
         signs = np.where(plus.ravel()[::-1], 1, -1)
         return (np.cumsum(signs)[::-1] / self.grid.size).reshape(plus.shape)
+
+
+def _heap_order(depth: int, j: DyadicInterval):
+    """(level, index, heap) of every node of the subtree under j in heap
+    order, level-major with the index ascending, so the node at k has its
+    children at 2k + 1 and 2k + 2; heap is its position in the whole tree's
+    heap order, 2^level - 1 + index.  The level is an int8."""
+    widths = 2 ** np.arange(depth - j.level + 1)
+    width = np.repeat(widths, widths)
+    local = np.arange(width.size) + 1 - width    # the index under j
+    level = np.repeat(np.arange(j.level, depth + 1, dtype=np.int8), widths)
+    return level, j.index * width + local, (2 ** j.level + j.index) * width - 1 + local
 
 
 def _row_integral(pieces: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -325,16 +354,18 @@ _SEQ_ENTRIES = 4
 
 class _Slot(NamedTuple):
     """The most recently used weight: levels[l] is the _Rows of every node of
-    level l, phi is psi.phi on the finest grid and n_psi[l] holds every
-    node's n_psi.  The sort depends on w alone and the rest on (w, psi), so
+    level l, live and n_psi hold every node's flag and n_psi in heap order
+    (each level's live flags are a view of live), and phi is psi.phi on the
+    finest grid.  The sort depends on w alone and the rest on (w, psi), so
     every bounded certificate of a weight reads one sort.  store holds what
     the certificates of (w, psi) share beyond it (_shared)."""
 
     w: DyadicWeight
     levels: tuple
+    live: np.ndarray
     psi: PsiFunction
     phi: np.ndarray
-    n_psi: tuple
+    n_psi: np.ndarray
     store: dict
 
 
@@ -350,12 +381,15 @@ def _tree(w: DyadicWeight, psi: PsiFunction) -> _Slot:
     if slot is not None and slot.w is w:
         if slot.psi is psi:
             return slot
-        levels = slot.levels
+        levels, live = slot.levels, slot.live
     else:
         levels = tuple(_sorted_levels(w, ROOT, _constant_rows(w)))
+        live = np.concatenate([rows.live for rows in levels])
+        levels = tuple(rows._replace(live=live[2 ** lev - 1:2 ** (lev + 1) - 1])
+                       for lev, rows in enumerate(levels))
     phi = psi.phi(_top_grid(w, ROOT))
-    n_psi = tuple(rows.integral(phi[::rows.live.size]) for rows in levels)
-    _slot = _Slot(w, levels, psi, phi, n_psi, {})
+    n_psi = np.concatenate([rows.integral(phi[::rows.live.size]) for rows in levels])
+    _slot = _Slot(w, levels, live, psi, phi, n_psi, {})
     return _slot
 
 
@@ -405,7 +439,7 @@ def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
         width = 2 ** (lev - j.level)
         a, b = j.index * width, (j.index + 1) * width
         yield _Level(lev, a, grid[::width], slot.phi[::2 ** lev], slot.levels[lev].part(a, b),
-                     slot.n_psi[lev][a:b])
+                     slot.n_psi[2 ** lev - 1 + a:2 ** lev - 1 + b])
 
 
 def _pairs(levels, potential):
@@ -424,6 +458,29 @@ def _pairs(levels, potential):
 
 def _level_averages(g: StepFunction) -> tuple[np.ndarray, ...]:
     return tuple(g.level_averages(lev) for lev in range(g.depth + 1))
+
+
+def _node_arrays(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval, at,
+                 **per_level) -> dict:
+    """live and n_psi of every node of the subtree under j, and fn(level) of
+    every level of it for each fn of per_level, all in heap order.  at
+    indexes the subtree's nodes in the whole tree's heap order: their
+    positions, or slice(None) for the whole tree.  On the slot, live and
+    n_psi are read from it and j's levels are walked for per_level alone;
+    off it, one walk computes them all from the row integrals."""
+    slot = _slot_of(w, psi)
+    if slot is None:
+        out = {}
+        per_level = {"live": lambda lv: lv.rows.live, "n_psi": _Level.n_psi, **per_level}
+    else:
+        out = {"live": slot.live[at], "n_psi": slot.n_psi[at]}
+    if per_level:
+        parts = {name: [] for name in per_level}
+        for lv in _levels(w, psi, j):
+            for name, fn in per_level.items():
+                parts[name].append(fn(lv))
+        out.update((name, np.concatenate(part)) for name, part in parts.items())
+    return out
 
 
 _SUM_QUEUE = 2 ** 12     # queued terms that make a _NodeSum add them up
@@ -501,9 +558,10 @@ def _kernel(psi: PsiFunction) -> BellmanKernel:
 
 
 class LevelChecks(NamedTuple):
-    """The checked nodes of one level: the live ones, index ascending."""
+    """The checked nodes of a chunk of the walk, level-major with the index
+    ascending: the live ones of one level, or of a whole subtree."""
 
-    level: int
+    level: np.ndarray       # node levels (int8)
     index: np.ndarray       # node indices
     term: np.ndarray        # certificate lhs term of each node
     gain: np.ndarray        # left side of each node inequality
@@ -513,7 +571,8 @@ class LevelChecks(NamedTuple):
 
 def _live(lv: _Level, term, gain, bounds, passed) -> LevelChecks:
     live = lv.rows.live
-    return LevelChecks(lv.level, lv.first + np.flatnonzero(live), term[live],
+    index = lv.first + np.flatnonzero(live)
+    return LevelChecks(np.full(index.size, lv.level, dtype=np.int8), index, term[live],
                        gain[live], tuple(b[live] for b in bounds), passed[live])
 
 
@@ -544,15 +603,15 @@ def bellman_induction(levels: Iterable[LevelChecks], j: DyadicInterval,
     failures = []
     ledger = []
     for lc in levels:
-        length = 2.0 ** -lc.level
+        length = np.ldexp(1.0, -lc.level)
         lhs.add(length * lc.term)
         gain_total.add(length * lc.gain)
         count += lc.index.size
         bad = ~lc.passed
-        failures += zip(repeat(lc.level), lc.index[bad].tolist(), lc.gain[bad].tolist(),
+        failures += zip(lc.level[bad].tolist(), lc.index[bad].tolist(), lc.gain[bad].tolist(),
                         *(b[bad].tolist() for b in lc.bounds))
         if keep_ledger:
-            ledger += zip(repeat(lc.level), lc.index.tolist(), lc.term.tolist(),
+            ledger += zip(lc.level.tolist(), lc.index.tolist(), lc.term.tolist(),
                           lc.gain.tolist())
     lhs = lhs.value()
     bound = constant * rhs_base
@@ -677,13 +736,20 @@ def _embed_levels(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
         yield _chain(lv, term, gain, stage1, EMBED_STEP_FACTOR * term, tol)
 
 
-def _paraproduct_levels(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
+def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
                         kernel: BellmanKernel, j: DyadicInterval,
-                        spot_check_derivative: bool, tol: Tolerances):
-    """check_paraproduct_step on every level, the finest through a phantom
-    generation."""
-    acc = seq.accumulators
-    f_avgs = _level_averages(f.product(w))
+                        spot_check_derivative: bool, tol: Tolerances) -> LevelChecks:
+    """check_paraproduct_step at every node of the subtree under j, the
+    finest level through a phantom generation: one pass over its node
+    arrays in heap order, after the row integrals of u."""
+    psi = kernel.psi
+    level, index, heap = _heap_order(w.depth, j)
+    whole = j == ROOT
+    at = slice(None) if whole else heap
+    m = np.concatenate(seq.accumulators)[at]
+    a = np.concatenate(seq.levels)[at]
+    f_i = f.product(w).heap_averages()[at]
+    above = f_i.size // 2     # the nodes above the finest level
 
     def u(lv, m_budget):
         """u(N_I, M) = int (2N - T(M+1, N)) dt of every row."""
@@ -693,9 +759,8 @@ def _paraproduct_levels(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
         t, t_at_one = _T(kernel, lv, m_budget + 1.0)
         return lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one)
 
-    def bellman(lv, u_i):
+    def bellman(u_i, fv):
         """B~(f, N_I, M) = f^2 / u(N_I, M)."""
-        fv = lv.own(f_avgs)
         if np.any((u_i <= 0) & (fv != 0)):
             raise ValueError("f^2/u undefined: u <= 0 with f != 0")
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -705,44 +770,51 @@ def _paraproduct_levels(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     # M - a, depend on (w, seq, psi) alone: every f of the sequence reads
     # them.  Only a whole tree shares them: the parametric kernel's matrix
     # product may round a row differently in an array of another size.
-    own_u = lambda lv: u(lv, lv.own(acc))
-    phantom_u = lambda lv: u(lv, lv.own(acc) - lv.own(seq.levels)) if lv.level == w.depth else None
-    slot = _slot_of(w, kernel.psi) if j == ROOT else None
-    shared_own_u = _whole_tree(slot, "u", seq, own_u)
-    shared_phantom_u = _whole_tree(slot, "phantom_u", seq, phantom_u)
-    own_B = lambda lv: bellman(lv, lv.shared(shared_own_u, own_u))
-    for lv, pot, below, pot_kids in _pairs(_levels(w, kernel.psi, j), own_B):
-        f_i, a, m_i = lv.own(f_avgs), lv.own(seq.levels), lv.own(acc)
-        if below is None:
-            # phantom generation: the finest-level sequence mass enters
-            # as a pure shift of the accumulator variable
-            lhs = -pot + bellman(lv, lv.shared(shared_phantom_u, phantom_u))
-            f_sum, m_sum = f_i, a + (m_i - a)
-        else:
-            f_minus, f_plus = lv.kids(f_avgs)
-            m_minus, m_plus = lv.kids(acc)
-            lhs = -pot + 0.5 * pot_kids[0::2] + 0.5 * pot_kids[1::2]
-            f_sum, m_sum = 0.5 * f_minus + 0.5 * f_plus, a + (0.5 * m_minus + 0.5 * m_plus)
-        live = lv.rows.live
-        if np.any(live & (np.abs(f_sum - f_i) > tol.identity * np.maximum(1.0, np.abs(f_i)))):
-            raise ValueError("f inconsistent with sum alpha_k f_k")
-        if np.any(live & (np.abs(m_sum - m_i) > tol.identity * np.maximum(1.0, np.abs(m_i)))):
-            raise ValueError("M inconsistent with a + sum alpha_k M_k")
-        n_val = lv.n_psi()
-        term = _bump_term(a, f_i, n_val)
-        rhs = PARAPRODUCT_CONSTANT * term
-        passed = lhs >= rhs - _slack(tol, lhs, rhs)
-        if spot_check_derivative:
-            # central difference of B~ in M against its bound f^2 / (16 n_psi)
-            inside = (1e-4 < m_i) & (m_i < 1.0 - 1e-4)
-            mid = np.where(inside, m_i, 0.5)
-            h = 1e-5
-            slope = -(bellman(lv, u(lv, mid + h)) - bellman(lv, u(lv, mid - h))) / (2 * h)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                target = PARAPRODUCT_CONSTANT * f_i * f_i / n_val
-            passed &= ~(inside & (slope < target * (1 - 1e-6) - 1e-12))
-        # the lhs term a_I <fw>_I^2 / n_psi is the step's right side over its constant
-        yield _live(lv, term, lhs, (rhs,), passed)
+    u_parts = {"u": lambda lv: u(lv, lv.of(m)),
+               "phantom": lambda lv: u(lv, lv.of(m) - lv.of(a)) if lv.level == w.depth
+               else _NO_VALUES}
+
+    def whole_tree_u():
+        nodes = _node_arrays(w, psi, ROOT, at, **u_parts)
+        return nodes["u"], nodes["phantom"]
+
+    slot = _slot_of(w, psi) if whole else None
+    per_level = {} if slot is not None else dict(u_parts)
+    if spot_check_derivative:
+        inside = (1e-4 < m) & (m < 1.0 - 1e-4)
+        mid = np.where(inside, m, 0.5)
+        h = 1e-5
+        per_level.update(up=lambda lv: u(lv, lv.of(mid) + h),
+                         down=lambda lv: u(lv, lv.of(mid) - h))
+    nodes = _node_arrays(w, psi, j, at, **per_level)
+    if slot is not None:
+        nodes["u"], nodes["phantom"] = _shared(slot, "u", seq, whole_tree_u)
+
+    pot = bellman(nodes["u"], f_i)
+    # phantom generation: the finest-level sequence mass enters as a pure
+    # shift of the accumulator variable
+    lhs = np.concatenate((-pot[:above] + 0.5 * pot[1::2] + 0.5 * pot[2::2],
+                          -pot[above:] + bellman(nodes["phantom"], f_i[above:])))
+    f_sum = np.concatenate((0.5 * f_i[1::2] + 0.5 * f_i[2::2], f_i[above:]))
+    m_sum = a + np.concatenate((0.5 * m[1::2] + 0.5 * m[2::2], m[above:] - a[above:]))
+    live = nodes["live"]
+    if np.any(live & (np.abs(f_sum - f_i) > tol.identity * np.maximum(1.0, np.abs(f_i)))):
+        raise ValueError("f inconsistent with sum alpha_k f_k")
+    if np.any(live & (np.abs(m_sum - m) > tol.identity * np.maximum(1.0, np.abs(m)))):
+        raise ValueError("M inconsistent with a + sum alpha_k M_k")
+    n_val = nodes["n_psi"]
+    # the lhs term a_I <fw>_I^2 / n_psi is the step's right side over its constant
+    term = _bump_term(a, f_i, n_val)
+    rhs = PARAPRODUCT_CONSTANT * term
+    passed = lhs >= rhs - _slack(tol, lhs, rhs)
+    if spot_check_derivative:
+        # central difference of B~ in M against its bound f^2 / (16 n_psi)
+        slope = -(bellman(nodes["up"], f_i) - bellman(nodes["down"], f_i)) / (2 * h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            target = PARAPRODUCT_CONSTANT * f_i * f_i / n_val
+        passed &= ~(inside & (slope < target * (1 - 1e-6) - 1e-12))
+    return LevelChecks(level[live], index[live], term[live], lhs[live], (rhs[live],),
+                       passed[live])
 
 
 def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
@@ -800,8 +872,8 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     kernel = _kernel(psi)
     _require_normalized(kernel)
     seq, normalization = _normalized(seq, _slot_of(w, psi))
-    levels = _paraproduct_levels(w, f, seq, kernel, j, spot_check_derivative, tol)
-    return bellman_induction(levels, j, constant=1.0 / PARAPRODUCT_CONSTANT,
+    checks = _paraproduct_checks(w, f, seq, kernel, j, spot_check_derivative, tol)
+    return bellman_induction([checks], j, constant=1.0 / PARAPRODUCT_CONSTANT,
                              rhs_base=f.squared().product(w).integral(j),
                              theorem="embed2",
                              breakdown={"normalization": normalization,
@@ -809,27 +881,13 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
                              tol=tol)
 
 
-class _HaarLevel(NamedTuple):
-    """weighted_haar_decompose on the live nodes of one level, in full (not
-    half) differences: full = haar + drift up to rounding."""
-
-    level: int
-    index: np.ndarray
-    n_psi: np.ndarray
-    full: np.ndarray        # Delta_I(fw)
-    haar: np.ndarray        # w-Haar part, 0 where a child carries no w-mass
-    drift: np.ndarray       # (<fw>_I / <w>_I) Delta_I w
-    inner: np.ndarray       # (f, h_I^w)_{L2(w)}, 0 where a child carries no w-mass
-    alpha: np.ndarray       # Haar coefficient, 0 where a child carries no w-mass
-    root_avg: np.ndarray    # sqrt(<w>_I), the bound on alpha
-
-
 class _HaarWeight(NamedTuple):
-    """The w-part of the weighted Haar split of one level's live nodes: what
-    every f of the weight shares."""
+    """The w-part of the weighted Haar split at the live nodes of a subtree
+    above the finest level, in heap order: what every f of the weight
+    shares."""
 
-    level: int
-    index: np.ndarray       # node indices
+    level: np.ndarray       # node levels (int8)
+    heap: np.ndarray        # positions in the whole tree's heap order
     p: np.ndarray           # <w>_{I+}
     q: np.ndarray           # <w>_{I-}
     avg: np.ndarray         # <w>_I
@@ -839,57 +897,49 @@ class _HaarWeight(NamedTuple):
     root_avg: np.ndarray    # sqrt(<w>_I)
     n_psi: np.ndarray
 
-    def part(self, a: int, b: int) -> "_HaarWeight":
-        """The nodes a to b - 1."""
-        lo, hi = np.searchsorted(self.index, (a, b))
-        return _HaarWeight(self.level, *(v[lo:hi] for v in self[1:]))
 
-
-def _haar_weight(lv: _Level, w_avgs) -> _HaarWeight:
-    live = lv.rows.live
-    q, p = (v[live] for v in lv.kids(w_avgs))
-    length = 2.0 ** -lv.level
-    avg = lv.own(w_avgs)[live]
+def _haar_weight(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval) -> _HaarWeight:
+    level, _, heap = _heap_order(w.depth, j)
+    nodes = _node_arrays(w, psi, j, heap)
+    keep = nodes["live"] & (level < w.depth)
+    level, heap = level[keep], heap[keep]
+    avgs = w.heap_averages()
+    q, p, avg = avgs[2 * heap + 1], avgs[2 * heap + 2], avgs[heap]
+    length = np.ldexp(1.0, -level)
     two_sided = (p != 0.0) & (q != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         mass_p, mass_q = p * length / 2.0, q * length / 2.0
         kappa = np.sqrt(mass_p * mass_q / (mass_p + mass_q))
         alpha = np.where(two_sided, np.sqrt(2.0 * p * q / (p + q)), 0.0)
-    return _HaarWeight(lv.level, lv.first + np.flatnonzero(live), p, q, avg, two_sided,
-                       kappa, alpha, np.sqrt(avg), lv.n_psi()[live])
+    return _HaarWeight(level, heap, p, q, avg, two_sided, kappa, alpha, np.sqrt(avg),
+                       nodes["n_psi"][keep])
 
 
-def _haar_weights(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
-    """The _HaarWeight of every level of the subtree under j above the
-    finest: node ranges of the slot's whole-tree levels, or computed a level
-    at a time for a tree too large for the slot."""
-    def weights(root):
-        w_avgs = _level_averages(w)
-        return (_haar_weight(lv, w_avgs) for lv in _levels(w, psi, root) if lv.level < w.depth)
-
-    slot = _slot_of(w, psi)
+def _haar_split(w: DyadicWeight, fw: StepFunction, psi: PsiFunction, j: DyadicInterval):
+    """weighted_haar_decompose of fw at the live nodes of the subtree under
+    j above the finest level, in full (not half) differences: (hw, full,
+    haar, drift, inner) with hw the w-part (_HaarWeight), full = Delta_I(fw)
+    = haar + drift up to rounding, haar the w-Haar part and inner = (f,
+    h_I^w)_{L2(w)}, both 0 where a child carries no w-mass, and drift =
+    (<fw>_I / <w>_I) Delta_I w.  The w-part of a whole tree is kept in the
+    slot's store."""
+    slot = _slot_of(w, psi) if j == ROOT else None
     if slot is None:
-        yield from weights(j)
-        return
-    for hw in _shared(slot, "haar", None, lambda: tuple(weights(ROOT)))[j.level:]:
-        width = 2 ** (hw.level - j.level)
-        yield hw.part(j.index * width, (j.index + 1) * width)
+        hw = _haar_weight(w, psi, j)
+    else:
+        hw = _shared(slot, "haar", None, lambda: _haar_weight(w, psi, ROOT))
+    avgs = fw.heap_averages()
+    y, x = avgs[2 * hw.heap + 1], avgs[2 * hw.heap + 2]
+    drift = avgs[hw.heap] / hw.avg * 0.5 * (hw.p - hw.q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.where(hw.two_sided, hw.kappa * (x / hw.p - y / hw.q), 0.0)
+    haar = hw.alpha * inner / np.sqrt(np.ldexp(1.0, -hw.level))
+    return hw, 2.0 * (0.5 * (x - y)), 2.0 * haar, 2.0 * drift, inner
 
 
-def _haar_levels(w: DyadicWeight, fw: StepFunction, psi: PsiFunction,
-                 j: DyadicInterval):
-    """The weighted Haar split of fw on every level above the finest."""
-    fw_avgs = _level_averages(fw)
-    for hw in _haar_weights(w, psi, j):
-        below = fw_avgs[hw.level + 1]
-        y, x = below[2 * hw.index], below[2 * hw.index + 1]
-        length = 2.0 ** -hw.level
-        drift = fw_avgs[hw.level][hw.index] / hw.avg * 0.5 * (hw.p - hw.q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = np.where(hw.two_sided, hw.kappa * (x / hw.p - y / hw.q), 0.0)
-        haar = hw.alpha * inner / np.sqrt(length)
-        yield _HaarLevel(hw.level, hw.index, hw.n_psi, 2.0 * (0.5 * (x - y)), 2.0 * haar,
-                         2.0 * drift, inner, hw.alpha, hw.root_avg)
+def _walk_total(terms: np.ndarray) -> float:
+    """The sum of terms added one at a time, in order, from 0.0."""
+    return float(np.cumsum(np.concatenate((np.zeros(1), terms)))[-1])
 
 
 def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
@@ -922,31 +972,30 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
                            float("nan"), float("nan"), False, float("nan"),
                            breakdown={"reason": "differential embedding failed"})
 
-    sums = lhs, s_haar, s_drift, s_cross, parseval = [_NodeSum() for _ in range(5)]
+    hw, full, haar, drift, inner = _haar_split(w, fw, psi, j)
+    err = np.abs(full - (haar + drift))
+    identity = err > tol.identity * np.maximum(1.0, np.abs(full)) * 10
+    bound = hw.alpha > hw.root_avg * (1 + 1e-12)
+    # per failed node, level-major with the index ascending: the identity
+    # failure first, then the alpha bound
+    failed = sorted(
+        [(k, 0, "identity", e) for k, e in zip(np.flatnonzero(identity).tolist(),
+                                               err[identity].tolist())]
+        + [(k, 1, "alpha-bound", a) for k, a in zip(np.flatnonzero(bound).tolist(),
+                                                    hw.alpha[bound].tolist())])
     failures = []
-    count = 0
-    max_alpha_excess = -float("inf")
-    for s in _haar_levels(w, fw, psi, j):
-        count += s.index.size
-        err = np.abs(s.full - (s.haar + s.drift))
-        identity = err > tol.identity * np.maximum(1.0, np.abs(s.full)) * 10
-        bound = s.alpha > s.root_avg * (1 + 1e-12)
-        # per failed node: the identity failure first, then the alpha bound
-        failed = sorted(
-            [(i, 0, "identity", e) for i, e in zip(s.index[identity].tolist(),
-                                                   err[identity].tolist())]
-            + [(i, 1, "alpha-bound", a) for i, a in zip(s.index[bound].tolist(),
-                                                        s.alpha[bound].tolist())])
-        failures += [(s.level, i, kind, v) for i, _, kind, v in failed]
-        if s.index.size:
-            max_alpha_excess = max(max_alpha_excess, float(np.max(s.alpha - s.root_avg)))
-        length = 2.0 ** -s.level
-        lhs.add(length * s.full * s.full / s.n_psi)
-        s_haar.add(length * s.haar * s.haar / s.n_psi)
-        s_drift.add(length * s.drift * s.drift / s.n_psi)
-        s_cross.add(2.0 * length * s.haar * s.drift / s.n_psi)
-        parseval.add(s.inner ** 2)
-    lhs, s_haar, s_drift, s_cross, parseval = (total.value() for total in sums)
+    for k, _, kind, v in failed:
+        lev = int(hw.level[k])
+        failures.append((lev, int(hw.heap[k]) + 1 - 2 ** lev, kind, v))
+    max_alpha_excess = float(np.max(hw.alpha - hw.root_avg, initial=-np.inf))
+    length = np.ldexp(1.0, -hw.level)
+    lhs, s_haar, s_drift, s_cross, parseval = map(_walk_total, (
+        length * full * full / hw.n_psi,
+        length * haar * haar / hw.n_psi,
+        length * drift * drift / hw.n_psi,
+        2.0 * length * haar * drift / hw.n_psi,
+        inner ** 2))
+    count = hw.heap.size
 
     base = f2w.integral(j)
     constant = 8.0 / psi_min + 128.0 * kernel.C

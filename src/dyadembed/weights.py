@@ -93,6 +93,14 @@ class StepFunction:
             raise ValueError("level deeper than depth")
         return self._level_sums[level] / 2 ** (self.depth - level)
 
+    def heap_averages(self) -> np.ndarray:
+        """The averages of every interval in heap order, level-major with
+        the index ascending ((l, i) at 2^l - 1 + i), bit for bit those of
+        level_averages."""
+        levels = np.arange(self.depth + 1)
+        divisors = np.repeat(np.ldexp(1.0, self.depth - levels), 2 ** levels)
+        return np.concatenate(self._level_sums) / divisors
+
     def level_integrals(self, level: int) -> np.ndarray:
         return self._level_sums[level] * 2.0 ** (-self.depth)
 

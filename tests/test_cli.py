@@ -273,6 +273,28 @@ def test_nonfinite_alpha_is_config_error(alpha, tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("alpha", ["200", "1e3", "1e308"])
+@pytest.mark.parametrize("family", ["log-bump", "loglog-bump", "parametric"])
+def test_large_alpha_is_config_error(family, alpha, tmp_path, capsys):
+    # a clamp value past the largest float, a clamp point exp(-alpha) that
+    # underflows to 0, or a Phi*Phi' that overflows on the admissibility
+    # grid: the Psi cannot be built, and both commands say so.  The
+    # loglog-bump clamp value at alpha = 200 is 8.5e120, a float, so that
+    # Psi is built and tabulated (verify would go on to the corpus)
+    builds = (family, alpha) == ("loglog-bump", "200")
+    commands = [["psi-table"]] + ([] if builds else [["verify", "--theorem", "d-embed"]])
+    for command in commands:
+        rc = main(command + ["--psi-family", family, "--alpha", alpha,
+                             "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if builds:
+            assert rc == 0
+        else:
+            assert rc == 3
+            assert "is too large" in err
+
+
 @pytest.mark.parametrize("family", ["log-bump", "loglog-bump"])
 @pytest.mark.parametrize("clamp, message", [
     ("nan", "clamp_s0 must be finite and positive"),

@@ -1,8 +1,11 @@
 """The level-batched certificate engine against independent oracles.
 
 * The per-node path: every node's term, stage1, stage2 and verdict from the
-  engine (`verifiers._pde_levels` and its siblings) must match the per-node
-  checks of `bellman` and `carleson`, evaluated on `w.distribution(node)`.
+  engine (`verifiers._pde_levels` and `_embed_levels` a level at a time,
+  `_paraproduct_checks` and `_haar_split` in one pass over a subtree's node
+  arrays) must match the per-node checks of `bellman` and `carleson`,
+  evaluated on `w.distribution(node)`, on whole trees of depth <= 8, under
+  subtree roots, and on a depth-14 tree past the level slot.
   The per-node t-integrals run over the distinct values of a node, the
   engine's over its sorted cell block with zero-length pieces for ties and
   zero cells, so the two agree up to the order of at most 2^8 positive
@@ -68,8 +71,8 @@ from dyadembed.bellman import (
 from dyadembed import verifiers
 from dyadembed.verifiers import (
     _embed_levels,
-    _haar_levels,
-    _paraproduct_levels,
+    _haar_split,
+    _paraproduct_checks,
     _pde_levels,
 )
 
@@ -93,28 +96,47 @@ def _rel(a: float, b: float) -> bool:
     return abs(a - b) <= REL * max(abs(a), abs(b))
 
 
-def _live_nodes(w, lev):
-    return [k for k in range(2 ** lev) if not w.is_zero_on(DyadicInterval(lev, k))]
+def _live_nodes(w, top, j=ROOT):
+    """(level, index) of the live nodes of the subtree under j down to level
+    top, level-major with the index ascending."""
+    return [(lev, k) for lev in range(j.level, top + 1)
+            for k in range(j.index << (lev - j.level), (j.index + 1) << (lev - j.level))
+            if not w.is_zero_on(DyadicInterval(lev, k))]
+
+
+def _compare_checks(w, checks, oracle, top, j=ROOT, sample=None):
+    """Engine LevelChecks chunks against oracle(node) -> (term, gain, bounds,
+    passed, potential), node by node: the chunks list the live nodes of the
+    subtree under j down to level top.  sample(node), when given, picks the
+    nodes handed to the oracle.  Returns the number of nodes."""
+    checks = list(checks)
+    level = np.concatenate([lc.level for lc in checks]).tolist()
+    index = np.concatenate([lc.index for lc in checks]).tolist()
+    assert list(zip(level, index)) == _live_nodes(w, top, j)
+    fields = [np.concatenate(arrays) for arrays in zip(*((lc.term, lc.gain, lc.passed, *lc.bounds)
+                                                         for lc in checks))]
+    for r, node in enumerate(zip(level, index)):
+        if sample is not None and not sample(node):
+            continue
+        term, gain, bounds, passed, potential = oracle(DyadicInterval(*node))
+        got_term, got_gain, got_passed, *got_bounds = (float(v[r]) for v in fields)
+        assert _rel(got_term, term), node
+        assert abs(got_gain - gain) <= REL * max(1.0, abs(potential)), node
+        for got, want in zip(got_bounds, bounds):
+            assert _rel(got, want), node
+        assert bool(got_passed) == passed, node
+    return len(level)
 
 
 def _compare_levels(w, levels, oracle, phantom):
-    """Engine LevelChecks against oracle(node) -> (term, gain, bounds,
-    passed, potential), node by node; returns the number of nodes."""
-    top = w.depth if phantom else w.depth - 1
+    """_compare_checks of the whole tree for an engine that yields one chunk
+    per level, down to the finest level through a phantom generation."""
     levels = list(levels)
-    assert [lc.level for lc in levels] == list(range(top + 1))
-    count = 0
-    for lc in levels:
-        assert lc.index.tolist() == _live_nodes(w, lc.level)
-        for r, idx in enumerate(lc.index.tolist()):
-            term, gain, bounds, passed, potential = oracle(DyadicInterval(lc.level, idx))
-            assert _rel(float(lc.term[r]), term), (lc.level, idx)
-            assert abs(float(lc.gain[r]) - gain) <= REL * max(1.0, abs(potential)), (lc.level, idx)
-            for got, want in zip(lc.bounds, bounds):
-                assert _rel(float(got[r]), want), (lc.level, idx)
-            assert bool(lc.passed[r]) == passed, (lc.level, idx)
-            count += 1
-    return count
+    top = w.depth if phantom else w.depth - 1
+    assert len(levels) == top + 1
+    for lev, lc in enumerate(levels):
+        assert np.all(lc.level == lev), lev
+    return _compare_checks(w, levels, oracle, top)
 
 
 @pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
@@ -160,13 +182,10 @@ def test_embed_levels_match_per_node(spec, tol):
     assert verify_embed(w, seq, PSI, tol=tol).node_count == count
 
 
-@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
-def test_paraproduct_levels_match_per_node(spec, tol):
-    w = gen_weight(spec)
-    f = gen_test_function("random-bounded", w.depth, 7)
+def _paraproduct_oracle(w, f, seq, tol):
+    """check_paraproduct_step of a node, with the spot check of the
+    derivative; seq is normalized."""
     fw = f.product(w)
-    seq, _ = gen_carleson_sequence("random", w.depth, 5).normalized()
     acc = seq.accumulators
 
     def oracle(node):
@@ -185,35 +204,100 @@ def test_paraproduct_levels_match_per_node(spec, tol):
         potential = scalar_bellman(f_i, KERNEL.u_of_m(d_i, m_i))
         return (rep.rhs / PARAPRODUCT_CONSTANT, rep.lhs, (rep.rhs,), rep.passed, potential)
 
-    levels = _paraproduct_levels(w, f, seq, KERNEL, ROOT, True, tol)
-    count = _compare_levels(w, levels, oracle, phantom=True)
-    assert verify_embed2(w, f, seq, PSI, tol=tol).node_count == count
+    return oracle
+
+
+def _compare_paraproduct(w, j, tol, sample=None):
+    f = gen_test_function("random-bounded", w.depth, 7)
+    seq, _ = gen_carleson_sequence("random", w.depth, 5).normalized()
+    checks = _paraproduct_checks(w, f, seq, KERNEL, j, True, tol)
+    count = _compare_checks(w, [checks], _paraproduct_oracle(w, f, seq, tol), w.depth, j, sample)
+    cert = verify_embed2(w, f, seq, PSI, j, spot_check_derivative=True, tol=tol)
+    assert cert.node_count == count
+    failed = {(lev, idx) for lev, idx, *_ in cert.failures}
+    assert failed == set(zip(checks.level[~checks.passed].tolist(),
+                             checks.index[~checks.passed].tolist()))
+    return cert
+
+
+@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
+def test_paraproduct_levels_match_per_node(spec, tol):
+    _compare_paraproduct(gen_weight(spec), ROOT, tol)
+
+
+def _compare_haar(w, j, sample=None):
+    """_haar_split of the subtree under j against weighted_haar_decompose and
+    n_psi of each node (of the nodes sample picks, when given), and the
+    fd-embed certificate's node count."""
+    f = gen_test_function("random-bounded", w.depth, 8)
+    fw = f.product(w)
+    hw, full, haar, drift, inner = _haar_split(w, fw, PSI, j)
+    index = hw.heap + 1 - 2 ** hw.level.astype(np.int64)
+    nodes = list(zip(hw.level.tolist(), index.tolist()))
+    assert nodes == _live_nodes(w, w.depth - 1, j)
+    for r, node in enumerate(nodes):
+        if sample is not None and not sample(node):
+            continue
+        node = DyadicInterval(*node)
+        split = weighted_haar_decompose(w, f, node, fw=fw)
+        n_val = n_psi(PSI, w.distribution(node))
+        want_full = 2.0 * split.half_difference
+        assert _rel(float(hw.n_psi[r]), n_val), node
+        assert float(full[r]) == want_full, node
+        assert _rel(float(full[r] ** 2 / hw.n_psi[r]), want_full * want_full / n_val), node
+        assert float(drift[r]) == 2.0 * split.drift_term, node
+        assert float(haar[r]) == 2.0 * split.haar_term, node
+        assert float(inner[r]) == split.inner_product, node
+        assert float(hw.alpha[r]) == split.alpha, node
+    cert = verify_fd_embed(w, f, PSI, j)
+    assert cert.passed and cert.failures == ()
+    assert cert.node_count == len(nodes)
 
 
 @pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
 def test_haar_levels_match_per_node(spec):
+    _compare_haar(gen_weight(spec), ROOT)
+
+
+SUBTREE_ROOTS = [DyadicInterval(1, 1), DyadicInterval(2, 2)]
+
+
+def _root_id(j):
+    return f"root{j.level}-{j.index}"
+
+
+@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
+@pytest.mark.parametrize("j", SUBTREE_ROOTS, ids=_root_id)
+def test_node_pass_under_subtree_roots_matches_per_node(j, tol, spec):
     w = gen_weight(spec)
-    f = gen_test_function("random-bounded", w.depth, 8)
-    fw = f.product(w)
-    count = 0
-    for s in _haar_levels(w, fw, PSI, ROOT):
-        assert s.index.tolist() == _live_nodes(w, s.level)
-        for r, idx in enumerate(s.index.tolist()):
-            node = DyadicInterval(s.level, idx)
-            split = weighted_haar_decompose(w, f, node, fw=fw)
-            n_val = n_psi(PSI, w.distribution(node))
-            full = 2.0 * split.half_difference
-            assert _rel(float(s.n_psi[r]), n_val)
-            assert float(s.full[r]) == full
-            assert _rel(float(s.full[r] ** 2 / s.n_psi[r]), full * full / n_val)
-            assert float(s.drift[r]) == 2.0 * split.drift_term
-            assert float(s.haar[r]) == 2.0 * split.haar_term
-            assert float(s.inner[r]) == split.inner_product
-            assert float(s.alpha[r]) == split.alpha
-            count += 1
-    cert = verify_fd_embed(w, f, PSI)
-    assert cert.passed and cert.failures == ()
-    assert cert.node_count == count
+    _compare_paraproduct(w, j, tol)
+    if tol is DEFAULT_TOL:
+        _compare_haar(w, j)
+
+
+def _sampled(node):
+    """Every node of levels 0..5, and about one in 97 below: a fixed pick
+    that keeps the per-node oracle of a depth-14 tree to a few hundred
+    nodes."""
+    lev, idx = node
+    return lev <= 5 or (idx * 2654435761 + lev) % 97 == 0
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
+@pytest.mark.parametrize("j", [ROOT] + SUBTREE_ROOTS, ids=_root_id)
+def test_node_pass_past_the_slot_matches_per_node(j, tol):
+    # a depth-14 tree is above the slot's bound: its levels are sorted and
+    # integrated one at a time, then checked in one pass
+    w = gen_weight(CorpusSpec("random-martingale", 14, (0.6,), 3))
+    _clear_slot()
+    cert = _compare_paraproduct(w, j, tol, _sampled)
+    assert verifiers._slot is None
+    if tol is STRICT:
+        assert cert.failures
+    else:
+        _compare_haar(w, j, _sampled)
 
 
 def _assert_spike_closed_form(depth):
@@ -468,7 +552,7 @@ def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
     for f in _five_f(w):
         verify_embed2(w, f, seq, PSI)
         verify_fd_embed(w, f, PSI)
-    assert sorted(made) == ["haar", "normalized", "phantom_u", "u"]
+    assert sorted(made) == ["haar", "normalized", "u"]
     assert verifiers._kernel(PSI) is verifiers._kernel(PSI)
 
 
@@ -478,7 +562,7 @@ def _slot_bytes(slot):
     cells = sum(rows.pieces.nbytes + rows.plus.nbytes for rows in slot.levels)
     per_row = sum(rows.const.nbytes + rows.live.nbytes + rows.value.nbytes
                   + (0 if rows.dense is None else rows.dense.nbytes) for rows in slot.levels)
-    return cells, cells + per_row + slot.phi.nbytes + sum(a.nbytes for a in slot.n_psi)
+    return cells, cells + per_row + slot.phi.nbytes + slot.n_psi.nbytes
 
 
 def _store_bytes(slot):
@@ -556,10 +640,10 @@ def test_store_keeps_nothing_of_the_previous_weight():
 def test_store_bytes_per_row(make):
     # the deepest tree the slot admits, with every entry of the store filled
     # and more sequences than it keeps.  Per node row: int N^2/phi and u 8
-    # bytes each, the phantom u 8 bytes a finest node, the Haar w-part 65
-    # bytes a node above the finest (an int64 index, 7 float64 arrays and a
-    # bool mask), and each kept sequence's normalized copy 24 bytes (its
-    # values, prefix sums and accumulators)
+    # bytes each, the phantom u 8 bytes a finest node, the Haar w-part 66
+    # bytes a node above the finest (an int64 heap position, an int8 level,
+    # 7 float64 arrays and a bool mask), and each kept sequence's normalized
+    # copy 24 bytes (its values, prefix sums and accumulators)
     depth = 13
     w = make(depth)
     _clear_slot()
@@ -571,7 +655,7 @@ def test_store_bytes_per_row(make):
     slot = verifiers._slot
     assert slot.w is w and len(slot.store["normalized"]) == verifiers._SEQ_ENTRIES
     rows = 2 ** (depth + 1) - 1
-    bound = (16 * rows + 8 * 2 ** depth + 65 * (2 ** depth - 1)
+    bound = (16 * rows + 8 * 2 ** depth + 66 * (2 ** depth - 1)
              + 24 * verifiers._SEQ_ENTRIES * rows)
     assert 0 < _store_bytes(slot) <= bound
     assert bound <= 150 * rows
