@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -191,7 +192,8 @@ def cmd_verify(args) -> int:
         workers=args.workers, depth=depth, seed=args.seed,
         tol_ineq=args.tolerance_ineq, tol_identity=args.tolerance_identity)
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _write(out_dir):
+        return 3
     try:
         psi = cfg.psi()
     except ConstructionError as exc:
@@ -216,7 +218,8 @@ def cmd_verify(args) -> int:
             "d_embed_change": demo.d_embed_change,
             "verdict": "pass" if demo.passed else "fail",
         }
-        _write_json(out_dir / "failure_demo.json", report)
+        if not _write(out_dir / "failure_demo.json", _json_text(report)):
+            return 3
         print(json.dumps(report, sort_keys=True, indent=1))
         return 0 if demo.passed else 2
 
@@ -235,7 +238,8 @@ def cmd_verify(args) -> int:
             "pointwise_sweep": sweep,
             "verdict": "pass" if ok else "fail",
         }
-        _write_json(out_dir / "bellman_checks.json", report)
+        if not _write(out_dir / "bellman_checks.json", _json_text(report)):
+            return 3
         print(json.dumps({k: report[k] for k in ("bprime_1", "b_1", "verdict")},
                          sort_keys=True))
         return 0 if ok else 2
@@ -262,14 +266,13 @@ def cmd_verify(args) -> int:
     results = [r for task_rows in rows for r in task_rows]
 
     cert_path = out_dir / f"certificates_{args.theorem}.json"
-    _write_json(cert_path, results)
     csv_path = out_dir / f"summary_{args.theorem}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "depth", "lhs", "rhs", "ratio", "verdict"])
-        for r in results:
-            writer.writerow([r["weight"], r["depth"], repr(r["lhs"]),
-                             repr(r["rhs_base"]), repr(r["ratio"]), r["verdict"]])
+    table = [[r["weight"], r["depth"], repr(r["lhs"]), repr(r["rhs_base"]), repr(r["ratio"]),
+             r["verdict"]] for r in results]
+    if not (_write(cert_path, _json_text(results))
+            and _write(csv_path, _csv_text(["id", "depth", "lhs", "rhs", "ratio", "verdict"],
+                                           table))):
+        return 3
     n_fail = sum(1 for r in results if r["verdict"] != "pass")
     print(f"{args.theorem}: {len(results) - n_fail}/{len(results)} certificates pass; "
           f"wrote {cert_path} and {csv_path}")
@@ -336,7 +339,8 @@ def cmd_psi_table(args) -> int:
         return 3
     kernel = BellmanKernel(psi)
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _write(out_dir):
+        return 3
     path = out_dir / f"psi_table_{cfg.psi_family}_a{cfg.alpha:g}.csv"
     s = np.geomspace(1e-12, 1.0, 1000)
     psis = np.asarray(psi.psi(s))
@@ -344,17 +348,38 @@ def cmd_psi_table(args) -> int:
     bprime = np.asarray(kernel.G(s))
     bvals = np.asarray(kernel.B(s))
     mvals = bvals if kernel.is_normalized else np.full_like(bvals, float("nan"))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "psi", "phi", "bprime", "b", "m"])
-        for row in zip(s, psis, phis, bprime, bvals, mvals):
-            writer.writerow([repr(float(v)) for v in row])
+    rows = [[repr(float(v)) for v in row] for row in zip(s, psis, phis, bprime, bvals, mvals)]
+    if not _write(path, _csv_text(["s", "psi", "phi", "bprime", "b", "m"], rows)):
+        return 3
     print(f"wrote {path}")
     return 0
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+def _write(path: Path, text: str | None = None) -> bool:
+    """Create the directory path (text None) or write text to the file path;
+    False, after a one-line message, when that fails (a file named as the
+    directory, a directory named as the file, no permission)."""
+    try:
+        if text is None:
+            path.mkdir(parents=True, exist_ok=True)
+        else:
+            path.write_text(text, newline="")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def _csv_text(header: list, rows: list) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

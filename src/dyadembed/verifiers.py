@@ -31,29 +31,31 @@ only two adjacent levels are held at once.
 Beside the sort the slot holds every node's live flag and n_psi in heap
 order, and a store of the work that does not depend on the test function
 f, so each certificate of the weight computes only its f-dependent part:
-embed's int N^2/phi on every level and, for a certificate of the whole
-tree, fd-embed's weighted-Haar w-part at every node above the finest
-level, keyed by (w, Psi); embed2's u(N, M) at every node's own budget and
-at the finest level's phantom budget, keyed by (w, Psi) and the sequence;
-and the normalized copies of the most recent four sequences.  An entry is
-computed row by row on the whole tree with the operations a certificate
-would run, so a later certificate, or one under a subtree root, reads the
-bits it would have computed.  Keys are matched by identity and held, so no
-id is reused; the store goes with the slot when the weight or Psi changes,
-and holds at most about 150 bytes a node.  The BellmanKernel of the most recent Psi is kept
-as well, so its C is evaluated once.
+embed's int N^2/phi at every node, for any root J, and, for a certificate
+of the whole tree, fd-embed's weighted-Haar w-part at every node above the
+finest level, keyed by (w, Psi); embed2's u(N, M) at every node's own
+budget and at the finest level's phantom budget, keyed by (w, Psi) and the
+sequence; and the normalized copies of the most recent four sequences.  An
+entry is computed row by row on the whole tree with the operations a
+certificate would run, so a later certificate, or one under a subtree
+root, reads the bits it would have computed.  Keys are matched by identity
+and held, so no id is reused; the store goes with the slot when the weight
+or Psi changes, and holds at most about 150 bytes a node.  The
+BellmanKernel of the most recent Psi is kept as well, so its C is
+evaluated once.
 
-`embed2` and `fd-embed` check every node of the subtree under J in one
+Every bounded certificate checks every node of the subtree under J in one
 pass.  Its nodes are held in heap order, level-major with the index
 ascending, so the node at k has its children at 2k + 1 and 2k + 2.  What
-needs the sorted rows (n_psi, u) is integrated level by level, or read from
-the slot, into arrays over these nodes; every step after that is
-elementwise and runs once over them: the weighted Haar split with its
-identity and alpha-bound checks, the potentials f^2/u and their gains, the
-f/M consistency checks and the verdicts.  `d-embed` and `embed` check one
-level at a time.  Each elementwise step takes the same inputs as it would
-a level at a time, and the sums add the same terms in the same order, so
-the values are bit for bit those of a level-by-level walk.
+needs the sorted rows (n_psi, the potentials script-B and script-T, the
+stage-1 integral of the half difference, int N^2/phi, u) is integrated
+level by level, or read from the slot, into arrays over these nodes; every
+step after that is elementwise and runs once over them: the gains, the
+stage bounds, the weighted Haar split with its identity and alpha-bound
+checks, the f/M consistency checks and the verdicts.  Each elementwise step
+takes the same inputs as it would a level at a time, and every sum over
+nodes is a running sum in heap order, so the values are bit for bit those
+of a node-by-node walk.
 
 Skip rule: nodes on which w vanishes identically carry no term and no
 inequality.  They are computed with the rest of their level, then dropped,
@@ -82,7 +84,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,8 +201,6 @@ class _Rows(NamedTuple):
 class _Level(NamedTuple):
     """One level of the subtree under J: its rows and the shared grid."""
 
-    level: int
-    first: int              # index of the level's leftmost node under J
     grid: np.ndarray        # (m,) survival values (m - k)/m
     phi: np.ndarray         # (m,) phi on the grid
     rows: _Rows
@@ -214,26 +214,11 @@ class _Level(NamedTuple):
             return self.kept_n_psi
         return self.integral(self.phi)
 
-    def own(self, per_level) -> np.ndarray:
-        """The rows' entries of a per-level sequence of arrays."""
-        return per_level[self.level][self.first:self.first + self.rows.live.size]
-
     def of(self, nodes: np.ndarray) -> np.ndarray:
         """The rows' entries of an array over the nodes of the subtree in
-        heap order (_heap_order), where a level of width W starts at W - 1."""
+        heap order, where a level of width W starts at W - 1."""
         width = self.rows.live.size
         return nodes[width - 1:2 * width - 1]
-
-    def shared(self, whole_tree, fn) -> np.ndarray:
-        """fn(self), or its rows' entries of whole_tree (fn of every level of
-        the whole tree, _whole_tree) when there is one: fn is a row-wise
-        computation, so the two are bit for bit the same."""
-        return fn(self) if whole_tree is None else self.own(whole_tree)
-
-    def kids(self, per_level) -> tuple[np.ndarray, np.ndarray]:
-        """The (minus, plus) children's entries of a per-level sequence."""
-        part = per_level[self.level + 1][2 * self.first:2 * (self.first + self.rows.live.size)]
-        return part[0::2], part[1::2]
 
     def half_difference(self) -> np.ndarray:
         """(N_{I+} - N_{I-})/2 on every piece of the dense rows of a level
@@ -246,16 +231,24 @@ class _Level(NamedTuple):
         return (np.cumsum(signs)[::-1] / self.grid.size).reshape(plus.shape)
 
 
-def _heap_order(depth: int, j: DyadicInterval):
-    """(level, index, heap) of every node of the subtree under j in heap
-    order, level-major with the index ascending, so the node at k has its
-    children at 2k + 1 and 2k + 2; heap is its position in the whole tree's
-    heap order, 2^level - 1 + index.  The level is an int8."""
+def _subtree_at(depth: int, j: DyadicInterval):
+    """The positions of the nodes of the subtree under j in the whole tree's
+    heap order, taken in the subtree's own heap order (level-major with the
+    index ascending, so the node at k has its children at 2k + 1 and
+    2k + 2): slice(None) for the whole tree."""
+    if j == ROOT:
+        return slice(None)
     widths = 2 ** np.arange(depth - j.level + 1)
     width = np.repeat(widths, widths)
-    local = np.arange(width.size) + 1 - width    # the index under j
-    level = np.repeat(np.arange(j.level, depth + 1, dtype=np.int8), widths)
-    return level, j.index * width + local, (2 ** j.level + j.index) * width - 1 + local
+    return (2 ** j.level + j.index) * width - 1 + (np.arange(width.size) + 1 - width)
+
+
+def _labels(pos: np.ndarray, j: DyadicInterval):
+    """(level, index) of the nodes at the positions pos of the subtree under
+    j in its heap order; the level is an int8."""
+    below = np.frexp(pos + 1.0)[1] - 1      # floor(log2(pos + 1)), exact
+    width = np.left_shift(1, below, dtype=np.int64)
+    return (below + j.level).astype(np.int8), j.index * width + (pos + 1 - width)
 
 
 def _row_integral(pieces: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -415,14 +408,6 @@ def _shared(slot: _Slot, name: str, key, make, keep: int = 1):
     return entry[1]
 
 
-def _whole_tree(slot: _Slot | None, name: str, key, fn):
-    """fn(level) for every level of the slot's whole tree, kept in its store
-    (see _shared), or None off the slot: each level then computes its own."""
-    if slot is None:
-        return None
-    return _shared(slot, name, key, lambda: tuple(map(fn, _levels(slot.w, slot.psi, ROOT))))
-
-
 def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
     """The levels of the subtree under j, from j's own down to the finest:
     row ranges of the slot's whole-tree levels, or for a tree too large for
@@ -431,79 +416,41 @@ def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
     slot = _slot_of(w, psi)
     if slot is None:
         phi = psi.phi(grid)
-        for lev, rows in enumerate(_sorted_levels(w, j, _constant_rows(w)), j.level):
-            width = 2 ** (lev - j.level)
-            yield _Level(lev, j.index * width, grid[::width], phi[::width], rows, None)
+        for below, rows in enumerate(_sorted_levels(w, j, _constant_rows(w))):
+            yield _Level(grid[::2 ** below], phi[::2 ** below], rows, None)
         return
     for lev in range(j.level, w.depth + 1):
         width = 2 ** (lev - j.level)
         a, b = j.index * width, (j.index + 1) * width
-        yield _Level(lev, a, grid[::width], slot.phi[::2 ** lev], slot.levels[lev].part(a, b),
+        yield _Level(grid[::width], slot.phi[::2 ** lev], slot.levels[lev].part(a, b),
                      slot.n_psi[2 ** lev - 1 + a:2 ** lev - 1 + b])
 
 
-def _pairs(levels, potential):
-    """Yield (level, pot, below, pot_below) for consecutive levels, with
-    below and pot_below None for the finest one.  potential(level) is
-    computed once per level; the parents read it from pot_below."""
-    levels = iter(levels)
-    cur = next(levels)
-    pot = potential(cur)
-    for below in levels:
-        pot_below = potential(below)
-        yield cur, pot, below, pot_below
-        cur, pot = below, pot_below
-    yield cur, pot, None, None
-
-
-def _level_averages(g: StepFunction) -> tuple[np.ndarray, ...]:
-    return tuple(g.level_averages(lev) for lev in range(g.depth + 1))
-
-
 def _node_arrays(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval, at,
-                 **per_level) -> dict:
-    """live and n_psi of every node of the subtree under j, and fn(level) of
-    every level of it for each fn of per_level, all in heap order.  at
-    indexes the subtree's nodes in the whole tree's heap order: their
-    positions, or slice(None) for the whole tree.  On the slot, live and
-    n_psi are read from it and j's levels are walked for per_level alone;
-    off it, one walk computes them all from the row integrals."""
+                 finest=None, **per_level) -> dict:
+    """live and n_psi of every node of the subtree under j, fn(level) of
+    every level of it for each fn of per_level, each written level by level
+    into one array over its nodes in heap order, and fn(level) of the
+    finest level alone for each fn of the dict finest.  at indexes the
+    subtree's nodes in the whole tree's heap order (_subtree_at).  On the
+    slot, live and n_psi are read from it and j's levels are walked for the
+    fns alone; off it, one walk computes them all from the row integrals."""
     slot = _slot_of(w, psi)
     if slot is None:
         out = {}
         per_level = {"live": lambda lv: lv.rows.live, "n_psi": _Level.n_psi, **per_level}
     else:
         out = {"live": slot.live[at], "n_psi": slot.n_psi[at]}
-    if per_level:
-        parts = {name: [] for name in per_level}
+    if per_level or finest:
+        size = 2 ** (w.depth - j.level + 1) - 1
         for lv in _levels(w, psi, j):
             for name, fn in per_level.items():
-                parts[name].append(fn(lv))
-        out.update((name, np.concatenate(part)) for name, part in parts.items())
+                part = fn(lv)
+                if name not in out:
+                    out[name] = np.empty(size, dtype=part.dtype)
+                lv.of(out[name])[:] = part
+        out.update((name, fn(lv)) for name, fn in (finest or {}).items())
     return out
-
-
-_SUM_QUEUE = 2 ** 12     # queued terms that make a _NodeSum add them up
-
-
-class _NodeSum:
-    """A sum of per-node terms added one at a time in the order of a
-    node-by-node walk, level-major with the index ascending.  Levels queue
-    up and are added in one cumsum when the value is read or the queue
-    holds _SUM_QUEUE terms: a small tree pays one cumsum, not one per
-    level, and a deep one holds about one level of terms."""
-
-    def __init__(self):
-        self.parts, self.queued = [np.zeros(1)], 0
-
-    def add(self, terms: np.ndarray) -> None:
-        self.parts.append(terms)
-        self.queued += terms.size
-        if self.queued >= _SUM_QUEUE:
-            self.parts, self.queued = [np.array([self.value()])], 0
-
-    def value(self) -> float:
-        return float(np.cumsum(np.concatenate(self.parts))[-1])
 
 
 def _slack(tol: Tolerances, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -558,8 +505,8 @@ def _kernel(psi: PsiFunction) -> BellmanKernel:
 
 
 class LevelChecks(NamedTuple):
-    """The checked nodes of a chunk of the walk, level-major with the index
-    ascending: the live ones of one level, or of a whole subtree."""
+    """The checked nodes of the subtree under a root J: the live ones, in
+    heap order (level-major with the index ascending)."""
 
     level: np.ndarray       # node levels (int8)
     index: np.ndarray       # node indices
@@ -569,58 +516,60 @@ class LevelChecks(NamedTuple):
     passed: np.ndarray
 
 
-def _live(lv: _Level, term, gain, bounds, passed) -> LevelChecks:
-    live = lv.rows.live
-    index = lv.first + np.flatnonzero(live)
-    return LevelChecks(np.full(index.size, lv.level, dtype=np.int8), index, term[live],
-                       gain[live], tuple(b[live] for b in bounds), passed[live])
+def _live_checks(j: DyadicInterval, live: np.ndarray, term, gain, bounds,
+                 passed) -> LevelChecks:
+    """The LevelChecks of the live nodes of arrays over the subtree under j
+    in heap order."""
+    pos = np.flatnonzero(live)
+    return LevelChecks(*_labels(pos, j), term[pos], gain[pos], tuple(b[pos] for b in bounds),
+                       passed[pos])
 
 
-def _chain(lv: _Level, term, gain, stage1, stage2, tol: Tolerances) -> LevelChecks:
+def _chain(j: DyadicInterval, live, term, gain, stage1, stage2,
+           tol: Tolerances) -> LevelChecks:
     """The two-stage chain gain >= stage1 >= stage2, within slack."""
     passed = ((gain >= stage1 - _slack(tol, gain, stage1))
               & (stage1 >= stage2 - _slack(tol, stage1, stage2)))
-    return _live(lv, term, gain, (stage1, stage2), passed)
+    return _live_checks(j, live, term, gain, (stage1, stage2), passed)
 
 
-def bellman_induction(levels: Iterable[LevelChecks], j: DyadicInterval,
+def _walk_total(terms: np.ndarray) -> float:
+    """The sum of terms added one at a time, in order, from 0.0."""
+    return float(np.cumsum(np.concatenate((np.zeros(1), terms)))[-1])
+
+
+def bellman_induction(checks: LevelChecks, j: DyadicInterval,
                       constant: float, rhs_base: float, theorem: str,
                       breakdown: dict, keep_ledger: bool = False,
                       tol: Tolerances = DEFAULT_TOL) -> Certificate:
-    """Reduce the per-level node checks of the subtree under j.
+    """Reduce the node checks of the subtree under j.
 
     The telescoping identity sum |I| gain_I = +-(leaf potential - root
     potential) is bookkeeping; the certificate asserts
 
         lhs := sum |I| * term_I  <=  constant * rhs_base
 
-    and fails if any node inequality failed, each such node recorded as
-    (level, index, gain, *bounds).  keep_ledger keeps (level, index, term,
-    gain) for every node in per_node.
+    summed node by node in heap order, and fails if any node inequality
+    failed, each such node recorded as (level, index, gain, *bounds).
+    keep_ledger keeps (level, index, term, gain) for every node in per_node.
     """
-    lhs, gain_total = _NodeSum(), _NodeSum()
-    count = 0
-    failures = []
-    ledger = []
-    for lc in levels:
-        length = np.ldexp(1.0, -lc.level)
-        lhs.add(length * lc.term)
-        gain_total.add(length * lc.gain)
-        count += lc.index.size
-        bad = ~lc.passed
-        failures += zip(lc.level[bad].tolist(), lc.index[bad].tolist(), lc.gain[bad].tolist(),
-                        *(b[bad].tolist() for b in lc.bounds))
-        if keep_ledger:
-            ledger += zip(lc.level.tolist(), lc.index.tolist(), lc.term.tolist(),
-                          lc.gain.tolist())
-    lhs = lhs.value()
+    length = np.ldexp(1.0, -checks.level)
+    lhs = _walk_total(length * checks.term)
+    bad = ~checks.passed
+    failures = tuple(zip(checks.level[bad].tolist(), checks.index[bad].tolist(),
+                         checks.gain[bad].tolist(), *(b[bad].tolist() for b in checks.bounds)))
+    ledger = ()
+    if keep_ledger:
+        ledger = tuple(zip(checks.level.tolist(), checks.index.tolist(), checks.term.tolist(),
+                           checks.gain.tolist()))
     bound = constant * rhs_base
     passed = lhs <= bound + tol.slack(bound, lhs) and not failures
     return Certificate(theorem, (j.level, j.index), lhs, rhs_base, constant,
                        passed, lhs / rhs_base if rhs_base > 0 else 0.0,
-                       node_count=count, failures=tuple(failures),
-                       breakdown={**breakdown, "telescoped_gain": gain_total.value()},
-                       per_node=tuple(ledger))
+                       node_count=checks.index.size, failures=failures,
+                       breakdown={**breakdown,
+                                  "telescoped_gain": _walk_total(length * checks.gain)},
+                       per_node=ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -687,53 +636,73 @@ def verify_folk(w: DyadicWeight, seq: CarlesonSequence,
 # the bounded certificates
 # ---------------------------------------------------------------------------
 
-def _pde_levels(w: DyadicWeight, kernel: BellmanKernel, j: DyadicInterval,
-                tol: Tolerances):
-    """check_pde_step on every level above the finest."""
-    avgs = _level_averages(w)
+def _pde_checks(w: DyadicWeight, kernel: BellmanKernel, j: DyadicInterval,
+                tol: Tolerances) -> LevelChecks:
+    """check_pde_step at every node of the subtree under j above the finest
+    level: one pass over its node arrays in heap order, after the row
+    integrals of script-B and of stage1."""
+    at = _subtree_at(w.depth, j)
     b_top = kernel.B(_top_grid(w, j))
-    script_B = lambda lv: lv.integral(b_top[::b_top.size // lv.grid.size])
-    for lv, pot, below, pot_kids in _pairs(_levels(w, kernel.psi, j), script_B):
-        if below is None:
-            return
-        minus, plus = lv.kids(avgs)
-        dw = plus - minus
-        gain = 0.5 * (pot_kids[0::2] + pot_kids[1::2]) - pot
-        # h = 0 at N = 1 on a constant row: its two children are equal
-        stage1 = PDE_STAGE1_FACTOR * lv.integral(lv.half_difference() ** 2 / lv.phi, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):   # n_psi = 0 off the live rows
-            stage2 = PDE_FINAL_FACTOR * dw * dw / lv.n_psi()
-        # certificate lhs counts (Delta_I w)^2 / n_psi = stage2 / final factor
-        yield _chain(lv, stage2 / PDE_FINAL_FACTOR, gain, stage1, stage2, tol)
+    nodes = _node_arrays(
+        w, kernel.psi, j, at,
+        pot=lambda lv: lv.integral(b_top[::b_top.size // lv.grid.size]),
+        # h = 0 at N = 1 on a constant row: its two children are equal.
+        # Every row of the finest level is one, so its unread entries are
+        # one product a node
+        stage1=lambda lv: lv.integral(lv.half_difference() ** 2 / lv.phi, 0.0))
+    del b_top
+    pot = nodes.pop("pot")
+    above = pot.size // 2
+    gain = 0.5 * (pot[1::2] + pot[2::2]) - pot[:above]
+    del pot
+    stage1 = PDE_STAGE1_FACTOR * nodes.pop("stage1")[:above]
+    avgs = w.heap_averages()[at]
+    dw = avgs[2::2] - avgs[1::2]
+    del avgs
+    with np.errstate(divide="ignore", invalid="ignore"):   # n_psi = 0 off the live rows
+        stage2 = PDE_FINAL_FACTOR * dw * dw / nodes["n_psi"][:above]
+    # certificate lhs counts (Delta_I w)^2 / n_psi = stage2 / final factor
+    return _chain(j, nodes["live"][:above], stage2 / PDE_FINAL_FACTOR, gain, stage1, stage2,
+                  tol)
 
 
-def _embed_levels(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
-                  j: DyadicInterval, tol: Tolerances):
-    """check_embed_step on every level, the finest through a phantom
-    generation."""
-    acc = seq.accumulators
-    avgs = _level_averages(w)
+def _embed_checks(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
+                  j: DyadicInterval, tol: Tolerances) -> LevelChecks:
+    """check_embed_step at every node of the subtree under j, the finest
+    level through a phantom generation: one pass over its node arrays in
+    heap order, after the row integrals of script-T and int N^2/phi."""
+    psi = kernel.psi
+    at = _subtree_at(w.depth, j)
+    m = np.concatenate(seq.accumulators)[at]
+    alpha = np.concatenate(seq.levels)[at]
     script_T = lambda lv, divisor: lv.integral(*_T(kernel, lv, divisor))
-    own_T = lambda lv: script_T(lv, lv.own(acc) + 1.0)
     n2_phi = lambda lv: lv.integral(lv.grid * lv.grid / lv.phi)
-    shared_n2_phi = _whole_tree(_slot_of(w, kernel.psi), "n2_phi", None, n2_phi)
-    for lv, pot, below, pot_kids in _pairs(_levels(w, kernel.psi, j), own_T):
-        a_par, alpha = lv.own(acc), lv.own(seq.levels)
-        over = lv.rows.live & (a_par > 1.0 + 1e-9)
-        if over.any():
-            raise ValueError(f"Carleson accumulator {a_par[over][0]} exceeds 1; "
-                             "normalize first")
-        if below is None:
-            # phantom generation below the finest level: identical
-            # children carrying the remaining accumulator mass (zero)
-            t_minus = t_plus = script_T(lv, (a_par - alpha) + 1.0)
-        else:
-            t_minus, t_plus = pot_kids[0::2], pot_kids[1::2]
-        gain = 0.5 * (t_minus + t_plus) - pot
-        stage1 = EMBED_STEP_FACTOR * alpha * lv.shared(shared_n2_phi, n2_phi)
-        # the lhs term a_I <w>_I^2 / n_psi is stage2 over the step factor
-        term = _bump_term(alpha, lv.own(avgs), lv.n_psi())
-        yield _chain(lv, term, gain, stage1, EMBED_STEP_FACTOR * term, tol)
+    # int N^2/phi depends on (w, psi) alone: the slot's store keeps it for
+    # the whole tree, and a subtree root reads its nodes there
+    slot = _slot_of(w, psi)
+    nodes = _node_arrays(
+        w, psi, j, at,
+        # phantom generation below the finest level: identical children
+        # carrying the remaining accumulator mass (zero)
+        finest={"phantom": lambda lv: script_T(lv, (lv.of(m) - lv.of(alpha)) + 1.0)},
+        pot=lambda lv: script_T(lv, lv.of(m) + 1.0),
+        **({} if slot is not None else {"n2_phi": n2_phi}))
+    if slot is not None:
+        nodes["n2_phi"] = _shared(slot, "n2_phi", None, lambda: _node_arrays(
+            w, psi, ROOT, slice(None), n2_phi=n2_phi)["n2_phi"])[at]
+    live = nodes["live"]
+    over = live & (m > 1.0 + 1e-9)
+    if over.any():
+        raise ValueError(f"Carleson accumulator {m[over][0]} exceeds 1; normalize first")
+    del m
+    pot, phantom = nodes.pop("pot"), nodes.pop("phantom")
+    gain = 0.5 * np.concatenate((pot[1::2] + pot[2::2], phantom + phantom)) - pot
+    del pot, phantom
+    stage1 = EMBED_STEP_FACTOR * alpha * nodes.pop("n2_phi")
+    # the lhs term a_I <w>_I^2 / n_psi is stage2 over the step factor
+    term = _bump_term(alpha, w.heap_averages()[at], nodes["n_psi"])
+    del alpha
+    return _chain(j, live, term, gain, stage1, EMBED_STEP_FACTOR * term, tol)
 
 
 def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
@@ -743,9 +712,8 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     finest level through a phantom generation: one pass over its node
     arrays in heap order, after the row integrals of u."""
     psi = kernel.psi
-    level, index, heap = _heap_order(w.depth, j)
     whole = j == ROOT
-    at = slice(None) if whole else heap
+    at = _subtree_at(w.depth, j)
     m = np.concatenate(seq.accumulators)[at]
     a = np.concatenate(seq.levels)[at]
     f_i = f.product(w).heap_averages()[at]
@@ -770,23 +738,22 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     # M - a, depend on (w, seq, psi) alone: every f of the sequence reads
     # them.  Only a whole tree shares them: the parametric kernel's matrix
     # product may round a row differently in an array of another size.
-    u_parts = {"u": lambda lv: u(lv, lv.of(m)),
-               "phantom": lambda lv: u(lv, lv.of(m) - lv.of(a)) if lv.level == w.depth
-               else _NO_VALUES}
+    own_u = {"u": lambda lv: u(lv, lv.of(m))}
+    phantom_u = {"phantom": lambda lv: u(lv, lv.of(m) - lv.of(a))}
 
     def whole_tree_u():
-        nodes = _node_arrays(w, psi, ROOT, at, **u_parts)
+        nodes = _node_arrays(w, psi, ROOT, at, phantom_u, **own_u)
         return nodes["u"], nodes["phantom"]
 
     slot = _slot_of(w, psi) if whole else None
-    per_level = {} if slot is not None else dict(u_parts)
+    per_level, finest = ({}, None) if slot is not None else (dict(own_u), phantom_u)
     if spot_check_derivative:
         inside = (1e-4 < m) & (m < 1.0 - 1e-4)
         mid = np.where(inside, m, 0.5)
         h = 1e-5
         per_level.update(up=lambda lv: u(lv, lv.of(mid) + h),
                          down=lambda lv: u(lv, lv.of(mid) - h))
-    nodes = _node_arrays(w, psi, j, at, **per_level)
+    nodes = _node_arrays(w, psi, j, at, finest, **per_level)
     if slot is not None:
         nodes["u"], nodes["phantom"] = _shared(slot, "u", seq, whole_tree_u)
 
@@ -813,8 +780,7 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
         with np.errstate(divide="ignore", invalid="ignore"):
             target = PARAPRODUCT_CONSTANT * f_i * f_i / n_val
         passed &= ~(inside & (slope < target * (1 - 1e-6) - 1e-12))
-    return LevelChecks(level[live], index[live], term[live], lhs[live], (rhs[live],),
-                       passed[live])
+    return _live_checks(j, live, term, lhs, (rhs,), passed)
 
 
 def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
@@ -826,7 +792,7 @@ def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
     telescoped potential is bounded by B(1) <= B'(1) at the leaves.
     """
     kernel = _kernel(psi)
-    return bellman_induction(_pde_levels(w, kernel, j, tol), j,
+    return bellman_induction(_pde_checks(w, kernel, j, tol), j,
                              constant=16.0 * kernel.C, rhs_base=w.mass(j),
                              theorem="d-embed", breakdown={"leaf_bound": kernel.C},
                              keep_ledger=keep_ledger, tol=tol)
@@ -846,7 +812,7 @@ def verify_embed(w: DyadicWeight, seq: CarlesonSequence, psi: PsiFunction,
     """
     kernel = _kernel(psi)
     seq, normalization = _normalized(seq, _slot_of(w, psi))
-    return bellman_induction(_embed_levels(w, seq, kernel, j, tol), j,
+    return bellman_induction(_embed_checks(w, seq, kernel, j, tol), j,
                              constant=4.0 * kernel.C, rhs_base=w.mass(j),
                              theorem="embed",
                              breakdown={"normalization": normalization,
@@ -873,7 +839,7 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     _require_normalized(kernel)
     seq, normalization = _normalized(seq, _slot_of(w, psi))
     checks = _paraproduct_checks(w, f, seq, kernel, j, spot_check_derivative, tol)
-    return bellman_induction([checks], j, constant=1.0 / PARAPRODUCT_CONSTANT,
+    return bellman_induction(checks, j, constant=1.0 / PARAPRODUCT_CONSTANT,
                              rhs_base=f.squared().product(w).integral(j),
                              theorem="embed2",
                              breakdown={"normalization": normalization,
@@ -899,10 +865,11 @@ class _HaarWeight(NamedTuple):
 
 
 def _haar_weight(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval) -> _HaarWeight:
-    level, _, heap = _heap_order(w.depth, j)
-    nodes = _node_arrays(w, psi, j, heap)
-    keep = nodes["live"] & (level < w.depth)
-    level, heap = level[keep], heap[keep]
+    nodes = _node_arrays(w, psi, j, _subtree_at(w.depth, j))
+    live = nodes["live"]
+    keep = np.flatnonzero(live[:live.size // 2])     # the live nodes above the finest level
+    level, index = _labels(keep, j)
+    heap = np.left_shift(1, level, dtype=np.int64) - 1 + index
     avgs = w.heap_averages()
     q, p, avg = avgs[2 * heap + 1], avgs[2 * heap + 2], avgs[heap]
     length = np.ldexp(1.0, -level)
@@ -935,11 +902,6 @@ def _haar_split(w: DyadicWeight, fw: StepFunction, psi: PsiFunction, j: DyadicIn
         inner = np.where(hw.two_sided, hw.kappa * (x / hw.p - y / hw.q), 0.0)
     haar = hw.alpha * inner / np.sqrt(np.ldexp(1.0, -hw.level))
     return hw, 2.0 * (0.5 * (x - y)), 2.0 * haar, 2.0 * drift, inner
-
-
-def _walk_total(terms: np.ndarray) -> float:
-    """The sum of terms added one at a time, in order, from 0.0."""
-    return float(np.cumsum(np.concatenate((np.zeros(1), terms)))[-1])
 
 
 def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,

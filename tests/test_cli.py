@@ -259,6 +259,27 @@ def test_psi_table(tmp_path):
     assert float(rows[-1]["s"]) == 1.0
 
 
+@pytest.mark.parametrize("blocked", ["out-is-a-file", "result-is-a-directory"])
+@pytest.mark.parametrize("command, result", [
+    (["verify", "--theorem", "d-embed"], "certificates_d-embed.json"),
+    (["psi-table"], "psi_table_log-bump_a2.csv"),
+])
+def test_unwritable_out_is_config_error(command, result, blocked, small_corpus, tmp_path,
+                                        capsys):
+    # --out naming a file, or a result file whose name is taken by a
+    # directory: one line on stderr and exit 3, not a traceback
+    out = tmp_path / "out"
+    if blocked == "out-is-a-file":
+        out.write_text("")
+    else:
+        (out / result).mkdir(parents=True)
+    if command[0] == "verify":
+        command = command + ["--corpus", str(small_corpus)]
+    assert main(command + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_psi_table_inadmissible_reports(tmp_path):
     rc = main(["psi-table", "--alpha", "0.8", "--out", str(tmp_path)])
     assert rc == 3

@@ -1,18 +1,19 @@
 """The level-batched certificate engine against independent oracles.
 
 * The per-node path: every node's term, stage1, stage2 and verdict from the
-  engine (`verifiers._pde_levels` and `_embed_levels` a level at a time,
-  `_paraproduct_checks` and `_haar_split` in one pass over a subtree's node
-  arrays) must match the per-node checks of `bellman` and `carleson`,
-  evaluated on `w.distribution(node)`, on whole trees of depth <= 8, under
-  subtree roots, and on a depth-14 tree past the level slot.
+  engine (`verifiers._pde_checks`, `_embed_checks`, `_paraproduct_checks`
+  and `_haar_split`, each one pass over a subtree's node arrays) must match
+  the per-node checks of `bellman` and `carleson`, evaluated on
+  `w.distribution(node)`, on whole trees of depth <= 8, under subtree
+  roots, and on a depth-14 tree past the level slot.
   The per-node t-integrals run over the distinct values of a node, the
   engine's over its sorted cell block with zero-length pieces for ties and
   zero cells, so the two agree up to the order of at most 2^8 positive
   terms: 1e-13 relative, and 1e-13 * max(1, potential) absolute for a gain,
   which is a difference of potentials.
 * Exact invariants: the spike closed form at depth 18, zero gain between
-  equal children, and bit-identical ratios and verdicts under w -> 2^k w.
+  equal children, a running sum that adds node by node in heap order, and
+  bit-identical ratios and verdicts under w -> 2^k w.
 * Reflection x -> 1 - x: Haar differences flip sign exactly, verdicts are
   unchanged, and each lhs moves only by the reordering of its sum.
 * The one-weight level slot and its store: every way into them (other f,
@@ -70,10 +71,10 @@ from dyadembed.bellman import (
 )
 from dyadembed import verifiers
 from dyadembed.verifiers import (
-    _embed_levels,
+    _embed_checks,
     _haar_split,
     _paraproduct_checks,
-    _pde_levels,
+    _pde_checks,
 )
 
 PSI = psi_closed_form(2.0)
@@ -105,16 +106,13 @@ def _live_nodes(w, top, j=ROOT):
 
 
 def _compare_checks(w, checks, oracle, top, j=ROOT, sample=None):
-    """Engine LevelChecks chunks against oracle(node) -> (term, gain, bounds,
-    passed, potential), node by node: the chunks list the live nodes of the
+    """Engine LevelChecks against oracle(node) -> (term, gain, bounds,
+    passed, potential), node by node: the checks list the live nodes of the
     subtree under j down to level top.  sample(node), when given, picks the
     nodes handed to the oracle.  Returns the number of nodes."""
-    checks = list(checks)
-    level = np.concatenate([lc.level for lc in checks]).tolist()
-    index = np.concatenate([lc.index for lc in checks]).tolist()
+    level, index = checks.level.tolist(), checks.index.tolist()
     assert list(zip(level, index)) == _live_nodes(w, top, j)
-    fields = [np.concatenate(arrays) for arrays in zip(*((lc.term, lc.gain, lc.passed, *lc.bounds)
-                                                         for lc in checks))]
+    fields = (checks.term, checks.gain, checks.passed, *checks.bounds)
     for r, node in enumerate(zip(level, index)):
         if sample is not None and not sample(node):
             continue
@@ -128,39 +126,43 @@ def _compare_checks(w, checks, oracle, top, j=ROOT, sample=None):
     return len(level)
 
 
-def _compare_levels(w, levels, oracle, phantom):
-    """_compare_checks of the whole tree for an engine that yields one chunk
-    per level, down to the finest level through a phantom generation."""
-    levels = list(levels)
-    top = w.depth if phantom else w.depth - 1
-    assert len(levels) == top + 1
-    for lev, lc in enumerate(levels):
-        assert np.all(lc.level == lev), lev
-    return _compare_checks(w, levels, oracle, top)
+def _assert_failures(cert, checks):
+    """The certificate's failed nodes are the checks that did not pass."""
+    failed = {(lev, idx) for lev, idx, *_ in cert.failures}
+    assert failed == set(zip(checks.level[~checks.passed].tolist(),
+                             checks.index[~checks.passed].tolist()))
 
 
-@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
-def test_pde_levels_match_per_node(spec, tol):
-    w = gen_weight(spec)
+def _pde_oracle(w, tol):
+    """check_pde_step of a node."""
 
     def oracle(node):
         res = check_pde_step(w, node, PSI, KERNEL, tol=tol)
         return (res.stage2 / PDE_FINAL_FACTOR, res.gain, (res.stage1, res.stage2),
                 res.passed, KERNEL.script_B(w.distribution(node)))
 
-    count = _compare_levels(w, _pde_levels(w, KERNEL, ROOT, tol), oracle, phantom=False)
-    cert = verify_d_embed(w, PSI, tol=tol)
+    return oracle
+
+
+def _compare_pde(w, j, tol, sample=None):
+    checks = _pde_checks(w, KERNEL, j, tol)
+    count = _compare_checks(w, checks, _pde_oracle(w, tol), w.depth - 1, j, sample)
+    cert = verify_d_embed(w, PSI, j, tol=tol)
     assert cert.node_count == count
-    if tol is DEFAULT_TOL:
-        assert cert.passed and cert.failures == ()
+    _assert_failures(cert, checks)
+    return cert
 
 
 @pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
-def test_embed_levels_match_per_node(spec, tol):
-    w = gen_weight(spec)
-    seq, _ = gen_carleson_sequence("random", w.depth, 4).normalized()
+def test_pde_levels_match_per_node(spec, tol):
+    cert = _compare_pde(gen_weight(spec), ROOT, tol)
+    if tol is DEFAULT_TOL:
+        assert cert.passed and cert.failures == ()
+
+
+def _embed_oracle(w, seq, tol):
+    """check_embed_step of a node; seq is normalized."""
     acc = seq.accumulators
 
     def oracle(node):
@@ -177,9 +179,23 @@ def test_embed_levels_match_per_node(spec, tol):
         return (res.stage2 / EMBED_STEP_FACTOR, res.gain, (res.stage1, res.stage2),
                 res.passed, KERNEL.script_T(a_par + 1.0, d_i))
 
-    count = _compare_levels(w, _embed_levels(w, seq, KERNEL, ROOT, tol), oracle,
-                            phantom=True)
-    assert verify_embed(w, seq, PSI, tol=tol).node_count == count
+    return oracle
+
+
+def _compare_embed(w, j, tol, sample=None):
+    seq, _ = gen_carleson_sequence("random", w.depth, 4).normalized()
+    checks = _embed_checks(w, seq, KERNEL, j, tol)
+    count = _compare_checks(w, checks, _embed_oracle(w, seq, tol), w.depth, j, sample)
+    cert = verify_embed(w, seq, PSI, j, tol=tol)
+    assert cert.node_count == count
+    _assert_failures(cert, checks)
+    return cert
+
+
+@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
+def test_embed_levels_match_per_node(spec, tol):
+    _compare_embed(gen_weight(spec), ROOT, tol)
 
 
 def _paraproduct_oracle(w, f, seq, tol):
@@ -211,12 +227,10 @@ def _compare_paraproduct(w, j, tol, sample=None):
     f = gen_test_function("random-bounded", w.depth, 7)
     seq, _ = gen_carleson_sequence("random", w.depth, 5).normalized()
     checks = _paraproduct_checks(w, f, seq, KERNEL, j, True, tol)
-    count = _compare_checks(w, [checks], _paraproduct_oracle(w, f, seq, tol), w.depth, j, sample)
+    count = _compare_checks(w, checks, _paraproduct_oracle(w, f, seq, tol), w.depth, j, sample)
     cert = verify_embed2(w, f, seq, PSI, j, spot_check_derivative=True, tol=tol)
     assert cert.node_count == count
-    failed = {(lev, idx) for lev, idx, *_ in cert.failures}
-    assert failed == set(zip(checks.level[~checks.passed].tolist(),
-                             checks.index[~checks.passed].tolist()))
+    _assert_failures(cert, checks)
     return cert
 
 
@@ -272,7 +286,8 @@ def _root_id(j):
 @pytest.mark.parametrize("j", SUBTREE_ROOTS, ids=_root_id)
 def test_node_pass_under_subtree_roots_matches_per_node(j, tol, spec):
     w = gen_weight(spec)
-    _compare_paraproduct(w, j, tol)
+    for compare in (_compare_pde, _compare_embed, _compare_paraproduct):
+        compare(w, j, tol)
     if tol is DEFAULT_TOL:
         _compare_haar(w, j)
 
@@ -292,11 +307,12 @@ def test_node_pass_past_the_slot_matches_per_node(j, tol):
     # integrated one at a time, then checked in one pass
     w = gen_weight(CorpusSpec("random-martingale", 14, (0.6,), 3))
     _clear_slot()
-    cert = _compare_paraproduct(w, j, tol, _sampled)
-    assert verifiers._slot is None
-    if tol is STRICT:
-        assert cert.failures
-    else:
+    for compare in (_compare_pde, _compare_embed, _compare_paraproduct):
+        cert = compare(w, j, tol, _sampled)
+        assert verifiers._slot is None
+        if tol is STRICT:
+            assert cert.failures, cert.theorem
+    if tol is DEFAULT_TOL:
         _compare_haar(w, j, _sampled)
 
 
@@ -320,28 +336,26 @@ def test_equal_children_have_zero_gain():
     # would exceed the slack and fail the certificate
     block = np.random.default_rng(1).uniform(1.0, 2.0, 64)
     w = DyadicWeight(9, np.tile(block, 8) * 1e100)
-    levels = list(_pde_levels(w, KERNEL, ROOT, DEFAULT_TOL))
-    for lc in levels[:3]:
-        assert np.all(lc.gain == 0.0) and np.all(lc.bounds[0] == 0.0)
+    checks = _pde_checks(w, KERNEL, ROOT, DEFAULT_TOL)
+    assert checks.level[:7].tolist() == [0, 1, 1, 2, 2, 2, 2]    # heap positions 0..6
+    assert np.all(checks.gain[:7] == 0.0) and np.all(checks.bounds[0][:7] == 0.0)
     assert verify_d_embed(w, PSI).passed
 
 
 def test_node_sum_adds_in_walk_order():
-    # a depth-14 tree's levels, with wide exponents so that any other order
-    # of the additions rounds differently: the queued sum, folded whenever
-    # it holds _SUM_QUEUE terms, equals the node-by-node running total
+    # a depth-14 tree's levels in heap order, with wide exponents so that
+    # any other order of the additions rounds differently: _walk_total
+    # equals the node-by-node running total
     rng = np.random.default_rng(3)
     levels = [rng.uniform(-1.0, 1.0, 2 ** lev) * 10.0 ** rng.integers(-8, 9, 2 ** lev)
               for lev in range(15)]
-    total = verifiers._NodeSum()
     expected = 0.0
     for terms in levels:
-        total.add(terms)
         for t in terms.tolist():
             expected += t
-    assert sum(map(len, levels)) > 4 * verifiers._SUM_QUEUE
-    assert total.value() == expected
-    assert total.value() != math.fsum(np.concatenate(levels))
+    total = verifiers._walk_total(np.concatenate(levels))
+    assert total == expected
+    assert total != math.fsum(np.concatenate(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -816,11 +830,11 @@ def test_constant_row_sum_is_its_dense_sum(v, m):
 @pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
 def test_half_difference_matches_its_row_form(spec):
     w = gen_weight(spec)
-    for lv in verifiers._levels(w, PSI, ROOT):
-        if lv.level == w.depth:
+    for lev, lv in enumerate(verifiers._levels(w, PSI, ROOT)):
+        if lev == w.depth:
             break
         m = lv.grid.size
         plus_above = np.cumsum(lv.rows.plus[:, ::-1], axis=1)[:, ::-1]
         want = (2 * plus_above - (m - np.arange(m))) / m
         got = lv.half_difference()
-        assert got.dtype == want.dtype and np.array_equal(got, want), lv.level
+        assert got.dtype == want.dtype and np.array_equal(got, want), lev
