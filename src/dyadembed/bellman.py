@@ -13,10 +13,11 @@ x = log(1/s), and the exponential integral E_n comes from the package's own
 table of x e^x E_n(x) (per-octave polynomials built once per n from the
 continued fraction).  Other families fall back to a Gauss-Legendre panel
 grid in x = log(1/s), with panel edges pinned to the clamp knot so each
-panel integrand is smooth.  Nothing in the package loads scipy.  The
-normalization multiplier k of Psi is folded in: G, H, B all scale by 1/k,
-so m(s) (the profile with int_0^1 1/phi <= 1) is simply B of a normalized
-Psi.
+panel integrand is smooth, and its node terms summed in one fixed order, so
+every kernel value is a function of its point alone, whatever array holds
+it.  Nothing in the package loads scipy.  The normalization multiplier k of
+Psi is folded in: G, H, B all scale by 1/k, so m(s) (the profile with
+int_0^1 1/phi <= 1) is simply B of a normalized Psi.
 
 Derived inequality constants used throughout (each follows from phi
 increasing, Psi decreasing, and the divisor range only):
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -167,55 +168,56 @@ def _expn(n: int, x: np.ndarray) -> np.ndarray:
 # quadrature backend for families without special-function closed forms
 # ---------------------------------------------------------------------------
 
-class _PanelGrid:
-    """Cumulative tail integrals of g over x in [0, X] with GL panels.
+# x in [0, _PANEL_X] cut into _PANELS equal panels and at the clamp knot, each
+# with the _GL_ORDER-point rule; _PanelGrid._integral's sum is written for 12
+_PANEL_X = 60.0
+_PANELS = 1200
+_GL_ORDER = 12
 
-    tail(x) = int_x^X g(y) dy; panel edges include the supplied knots so g
-    only needs to be smooth per panel.
+
+class _PanelGrid:
+    """Cumulative tail integrals of g over x in [0, _PANEL_X] with GL panels.
+
+    tail(x) = int_x^X g(y) dy with X = _PANEL_X; the knot is a panel edge,
+    so g only needs to be smooth on each side of it.
     """
 
-    def __init__(self, g, knots: Sequence[float], X: float = 60.0,
-                 panels: int = 1200, order: int = 12) -> None:
-        edges = np.linspace(0.0, X, panels + 1)
-        edges = np.union1d(edges, [k for k in knots if 0.0 < k < X])
-        self.edges = edges
+    def __init__(self, g, knot: float) -> None:
         self.g = g
+        self.edges = np.union1d(np.linspace(0.0, _PANEL_X, _PANELS + 1), [min(knot, _PANEL_X)])
         # imported here so that closed-form kernels do not load numpy.polynomial
         from numpy.polynomial.legendre import leggauss
 
-        nodes, weights = leggauss(order)
-        self._nodes = nodes
-        self._weights = weights
-        a = edges[:-1]
-        b = edges[1:]
-        mid = 0.5 * (a + b)[:, None]
-        half = 0.5 * (b - a)[:, None]
-        vals = g(mid + half * nodes[None, :])
-        panel_ints = (half[:, 0]) * (vals @ weights)
-        suffix = np.zeros(edges.size)
-        suffix[:-1] = np.cumsum(panel_ints[::-1])[::-1]
-        self.suffix = suffix
+        self._nodes, self._weights = (v[:, None] for v in leggauss(_GL_ORDER))
+        panels = self._integral(self.edges[:-1], self.edges[1:])
+        self.suffix = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
+
+    def _integral(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """int_a^b g, elementwise over 1-d a and b: the weighted g at the 12
+        nodes of each interval (nodes-major) summed by one fixed elementwise
+        tree, so a value depends on its interval alone, not on its array."""
+        half = 0.5 * (b - a)
+        v = self.g(0.5 * (a + b) + half * self._nodes) * self._weights
+        v = v[:6] + v[6:]
+        v = v[:3] + v[3:]
+        return half * (v[0] + v[1] + v[2])
 
     def tail(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        xc = np.clip(x, 0.0, self.edges[-1])
-        idx = np.searchsorted(self.edges, xc, side="right")
-        idx = np.minimum(idx, self.edges.size - 1)
-        upper = self.edges[idx]
-        mid = 0.5 * (xc + upper)
-        half = 0.5 * (upper - xc)
-        vals = self.g(mid[:, None] + half[:, None] * self._nodes[None, :])
-        partial = half * (vals @ self._weights)
-        return partial + self.suffix[idx]
+        """tail at every point of x, in x's shape."""
+        x = np.asarray(x, dtype=np.float64)
+        xc = np.clip(x.ravel(), 0.0, self.edges[-1])
+        idx = np.minimum(np.searchsorted(self.edges, xc, side="right"), self.edges.size - 1)
+        return (self._integral(xc, self.edges[idx]) + self.suffix[idx]).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
 # kernel: G, H, B for one Psi
 # ---------------------------------------------------------------------------
 
-# points below the clamp knot whose raw H is evaluated at once: the integral
-# there holds several arrays of their number (a table row of 8 coefficients
-# per point, or 12 quadrature nodes), so a whole grid is taken in chunks
+# points below the clamp knot whose raw H is evaluated at once, to bound
+# memory: the integral there holds several arrays of their number (a table
+# row of 8 coefficients per point, or 12 quadrature nodes).  Each value is a
+# function of its point, so the chunking does not change a bit.
 _H_CHUNK = 2 ** 13
 
 
@@ -225,8 +227,6 @@ class BellmanKernel:
     def __init__(self, psi: PsiFunction) -> None:
         self.psi = psi
         self._x0 = math.log(1.0 / psi.s0) if psi.s0 < 1.0 else 0.0
-        self._H_grid: Optional[_PanelGrid] = None
-        self._G_grid: Optional[_PanelGrid] = None
         a = psi.alpha
         self._integer_log = (psi.mode == "clamped-log"
                              and abs(a - round(a)) < 1e-12 and round(a) >= 2)
@@ -256,9 +256,7 @@ class BellmanKernel:
         with np.errstate(divide="ignore"):
             x = np.log(1.0 / s)
         # parametric: panel grid on x-space plus an analytic-tail estimate
-        grid = self._ensure_G_grid()
-        xs = np.minimum(x, 59.0)
-        return grid.tail(xs) + self._param_G_tail
+        return self._G_grid.tail(np.minimum(x, _PANEL_X - 1.0)) + self._param_G_tail
 
     def _H_raw(self, s: np.ndarray) -> np.ndarray:
         """Raw H for s > 0: linear from _h0 on [s0, inf), the integral below."""
@@ -274,33 +272,29 @@ class BellmanKernel:
         """Raw H at x = log(1/s) >= x0, where Psi is unclamped."""
         if self._integer_log:
             return x ** (1.0 - self.psi.alpha) * _expn(self._n, x)
-        return self._ensure_H_grid().tail(x)
+        return self._H_grid.tail(x)
 
     @cached_property
     def _h0(self) -> float:
         """Raw H at the clamp knot, where its linear piece above s0 starts."""
         return float(self._H_below(np.array([self._x0]))[0])
 
-    def _ensure_H_grid(self) -> _PanelGrid:
-        if self._H_grid is None:
-            g = lambda y: np.exp(-y) / self.psi.psi_raw(np.exp(-y))
-            self._H_grid = _PanelGrid(g, knots=[self._x0])
-        return self._H_grid
+    @cached_property
+    def _H_grid(self) -> _PanelGrid:
+        return _PanelGrid(lambda y: np.exp(-y) / self.psi.psi_raw(np.exp(-y)), self._x0)
 
-    def _ensure_G_grid(self) -> _PanelGrid:
-        if self._G_grid is None:
-            g = lambda y: 1.0 / self.psi.psi_raw(np.exp(-y))
-            self._G_grid = _PanelGrid(g, knots=[self._x0])
-            # tail beyond x = 60 via the parametric identity: with
-            # y = log(Phi Phi'), int 1/Psi dy = int (1/Phi + Phi''/Phi'^2) dt,
-            # whose second part telescopes to 1/Phi'.  Table-grade accuracy.
-            src = self.psi.phi_source
-            if src is not None:
-                t60 = float(src.phi_dphi_inverse(math.exp(60.0)))
-                self._param_G_tail = src.tail_integral(t60) + 1.0 / float(src.dphi(t60))
-            else:
-                self._param_G_tail = 0.0
-        return self._G_grid
+    @cached_property
+    def _G_grid(self) -> _PanelGrid:
+        return _PanelGrid(lambda y: 1.0 / self.psi.psi_raw(np.exp(-y)), self._x0)
+
+    @cached_property
+    def _param_G_tail(self) -> float:
+        """Raw G's part beyond x = _PANEL_X, by the parametric identity: with
+        y = log(Phi Phi'), int 1/Psi dy = int (1/Phi + Phi''/Phi'^2) dt,
+        whose second part telescopes to 1/Phi'.  Table-grade accuracy."""
+        src = self.psi.phi_source
+        t_x = float(src.phi_dphi_inverse(math.exp(_PANEL_X)))
+        return src.tail_integral(t_x) + 1.0 / float(src.dphi(t_x))
 
     # public evaluators ---------------------------------------------------------
 

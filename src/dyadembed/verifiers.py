@@ -31,16 +31,17 @@ only two adjacent levels are held at once.
 Beside the sort the slot holds every node's live flag and n_psi in heap
 order, and a store of the work that does not depend on the test function
 f, so each certificate of the weight computes only its f-dependent part:
-embed's int N^2/phi at every node, for any root J, and, for a certificate
-of the whole tree, fd-embed's weighted-Haar w-part at every node above the
-finest level, keyed by (w, Psi); embed2's u(N, M) at every node's own
-budget and at the finest level's phantom budget, keyed by (w, Psi) and the
-sequence; and the normalized copies of the most recent four sequences.  An
-entry is computed row by row on the whole tree with the operations a
-certificate would run, so a later certificate, or one under a subtree
-root, reads the bits it would have computed.  Keys are matched by identity
-and held, so no id is reused; the store goes with the slot when the weight
-or Psi changes, and holds at most about 150 bytes a node.  The
+for any root J, embed's int N^2/phi at every node, keyed by (w, Psi), and
+embed2's u(N, M) at every node's own budget and at the finest level's
+phantom budget, keyed by (w, Psi) and the sequence; for a certificate of
+the whole tree, fd-embed's weighted-Haar w-part at every node above the
+finest level; and the normalized copies of the most recent four
+sequences.  An entry is computed row by row on the whole tree with the
+operations a certificate would run, and every kernel value is a function
+of its point alone (see `bellman`), so a later certificate, or one under a
+subtree root, reads the bits it would have computed.  Keys are matched by
+identity and held, so no id is reused; the store goes with the slot when
+the weight or Psi changes, and holds at most about 150 bytes a node.  The
 BellmanKernel of the most recent Psi is kept as well, so its C is
 evaluated once.
 
@@ -84,6 +85,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -712,10 +714,9 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     finest level through a phantom generation: one pass over its node
     arrays in heap order, after the row integrals of u."""
     psi = kernel.psi
-    whole = j == ROOT
     at = _subtree_at(w.depth, j)
-    m = np.concatenate(seq.accumulators)[at]
-    a = np.concatenate(seq.levels)[at]
+    m_all, a_all = np.concatenate(seq.accumulators), np.concatenate(seq.levels)
+    m, a = m_all[at], a_all[at]
     f_i = f.product(w).heap_averages()[at]
     above = f_i.size // 2     # the nodes above the finest level
 
@@ -734,28 +735,32 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(u_i > 0, fv * fv / u_i, 0.0)
 
-    # u at each node's own budget, and at the finest level's phantom budget
-    # M - a, depend on (w, seq, psi) alone: every f of the sequence reads
-    # them.  Only a whole tree shares them: the parametric kernel's matrix
-    # product may round a row differently in an array of another size.
-    own_u = {"u": lambda lv: u(lv, lv.of(m))}
-    phantom_u = {"phantom": lambda lv: u(lv, lv.of(m) - lv.of(a))}
+    def u_nodes(root, where, **per_level):
+        """_node_arrays of the subtree under root (its nodes at where) with u
+        at each node's own budget M and the finest level's phantom M - a."""
+        mj, aj = m_all[where], a_all[where]
+        return _node_arrays(w, psi, root, where,
+                            {"phantom": lambda lv: u(lv, lv.of(mj) - lv.of(aj))},
+                            u=lambda lv: u(lv, lv.of(mj)), **per_level)
 
-    def whole_tree_u():
-        nodes = _node_arrays(w, psi, ROOT, at, phantom_u, **own_u)
-        return nodes["u"], nodes["phantom"]
-
-    slot = _slot_of(w, psi) if whole else None
-    per_level, finest = ({}, None) if slot is not None else (dict(own_u), phantom_u)
+    per_level = {}
     if spot_check_derivative:
         inside = (1e-4 < m) & (m < 1.0 - 1e-4)
         mid = np.where(inside, m, 0.5)
         h = 1e-5
         per_level.update(up=lambda lv: u(lv, lv.of(mid) + h),
                          down=lambda lv: u(lv, lv.of(mid) - h))
-    nodes = _node_arrays(w, psi, j, at, finest, **per_level)
-    if slot is not None:
-        nodes["u"], nodes["phantom"] = _shared(slot, "u", seq, whole_tree_u)
+    # u depends on (w, seq, psi) alone: the slot's store keeps it for the
+    # whole tree, and every f of the sequence reads it there under any root
+    slot = _slot_of(w, psi)
+    if slot is None:
+        nodes = u_nodes(j, at, **per_level)
+    else:
+        nodes = _node_arrays(w, psi, j, at, **per_level)
+        u_all, phantom = _shared(slot, "u", seq, lambda: itemgetter("u", "phantom")(
+            u_nodes(ROOT, slice(None))))
+        width = 2 ** (w.depth - j.level)
+        nodes["u"], nodes["phantom"] = u_all[at], phantom[j.index * width:(j.index + 1) * width]
 
     pot = bellman(nodes["u"], f_i)
     # phantom generation: the finest-level sequence mass enters as a pure

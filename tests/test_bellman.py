@@ -24,9 +24,12 @@ from dyadembed import (
     gen_weight,
     mix,
     n_psi,
+    normalized_psi,
     psi_closed_form,
+    psi_from_phi,
     scalar_bellman,
     spike_weight,
+    young_function,
 )
 from dyadembed import bellman
 from dyadembed.orlicz import ConstructionError
@@ -90,6 +93,67 @@ def test_B_loglog_against_mpmath():
     kernel = BellmanKernel(psi)
     for s in (0.01, 0.3):
         assert float(kernel.B(s)) == pytest.approx(mp_B(psi, s), rel=1e-9)
+
+
+def test_H_loglog_against_mpmath():
+    # the panel-backed H below the clamp knot, int_x^inf e^-y / (y ln(y)^a)
+    # dy at x = log(1/s), and its linear piece above, against 40 digits
+    mp.mp.dps = 40
+    psi = psi_closed_form(2.0, family="loglog-bump")
+    kernel = BellmanKernel(psi)
+    s0, a = psi.s0, mp.mpf(psi.alpha)
+    s = np.concatenate([np.geomspace(2.0 ** -30, 1.0, 17), [s0, np.nextafter(s0, 0.0), 0.5]])
+
+    def below(x):
+        return mp.quad(lambda y: mp.exp(-y) / (y * mp.log(y) ** a),
+                       [x, x + 1, x + 8, x + 40, mp.inf])
+
+    h0 = below(mp.log(1 / mp.mpf(s0)))
+    ref = [(below(mp.log(1 / mp.mpf(v))) if v < s0
+            else h0 + (mp.mpf(v) - mp.mpf(s0)) / mp.mpf(psi.clamp_value)) / mp.mpf(psi.k)
+           for v in s]
+    got = kernel.H(s)
+    for v, want, g in zip(s, ref, got):
+        assert float(g) == pytest.approx(float(want), rel=4e-15), v
+
+
+_FAMILIES = {
+    "log-bump": psi_closed_form(2.0),
+    "loglog-bump": psi_closed_form(2.0, "loglog-bump"),
+    "parametric": normalized_psi(psi_from_phi(young_function("log-bump", 2.0))),
+}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_kernel_value_depends_on_its_point_alone(family):
+    # G, H and B give each of many points the bits it has alone inside
+    # arrays of 1 to 2^17 points (2^12 for the slower parametric kernel), at
+    # the start, in the middle and in the trailing rows; a 2-d input gets
+    # the values of its raveled points
+    psi = _FAMILIES[family]
+    kernel = BellmanKernel(psi)
+    rng = np.random.default_rng(5)
+    top, count = (12, 100) if family == "parametric" else (17, 1000)
+    probes = np.concatenate([[psi.s0, np.nextafter(psi.s0, 0.0), 0.5 * psi.s0, 1.0, 0.0],
+                             np.exp(-rng.uniform(0.0, 40.0, count))])
+    for name in "GHB":
+        fn = getattr(kernel, name)
+        alone = np.array([fn(np.array([p]))[0] for p in probes]).view(np.int64)
+        for n in 2 ** np.arange(top + 1):
+            fill = np.exp(-rng.uniform(0.0, 40.0, n))
+            chunk = min(n, probes.size)
+            places = sorted({0, (n - chunk) // 2, n - chunk})
+            # one array holds all three places once they do not overlap
+            for group in [places] if n >= 3 * chunk else [[at] for at in places]:
+                x = fill.copy()
+                for at in group:
+                    x[at:at + chunk] = probes[:chunk]
+                got = fn(x).view(np.int64)
+                for at in group:
+                    assert np.array_equal(got[at:at + chunk], alone[:chunk]), (name, n, at)
+        grid = probes[:21].reshape(3, 7)
+        assert np.array_equal(fn(grid).view(np.int64),
+                              fn(grid.ravel()).reshape(grid.shape).view(np.int64))
 
 
 def _en_points() -> np.ndarray:

@@ -52,7 +52,9 @@ from dyadembed import (
     gen_test_function,
     gen_weight,
     n_psi,
+    normalized_psi,
     psi_closed_form,
+    psi_from_phi,
     spike_d_embed_closed_form,
     spike_weight,
     verify_d_embed,
@@ -61,6 +63,7 @@ from dyadembed import (
     verify_fd_embed,
     verify_folk,
     weighted_haar_decompose,
+    young_function,
 )
 from dyadembed.cli import FUNCTION_KINDS
 from dyadembed.bellman import (
@@ -551,8 +554,9 @@ def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
 
 
 def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
-    # five embed2 and five fd-embed certificates of one (w, seq): one
-    # whole-tree pass fills each entry of the store, the other four read it
+    # five embed2 and five fd-embed certificates of one (w, seq), and five
+    # embed2 under a subtree root: one whole-tree pass fills each entry of
+    # the store, every other certificate reads it
     w = gen_weight(CorpusSpec("random-martingale", 8, (0.6,), 3))
     seq = _one_seq(w)[0].scaled(3.0)
     _clear_slot()
@@ -566,8 +570,37 @@ def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
     for f in _five_f(w):
         verify_embed2(w, f, seq, PSI)
         verify_fd_embed(w, f, PSI)
+        verify_embed2(w, f, seq, PSI, DyadicInterval(1, 1))
     assert sorted(made) == ["haar", "normalized", "u"]
     assert verifiers._kernel(PSI) is verifiers._kernel(PSI)
+
+
+def test_store_under_a_subtree_root_with_a_panel_kernel(monkeypatch):
+    # the parametric G is a panel sum: embed2 under (1, 1) reads the u that
+    # the store keeps for the whole tree, and gets the bits of the u it
+    # computes itself off the slot
+    psi = normalized_psi(psi_from_phi(young_function("log-bump", 2.0)))
+    w = gen_weight(CorpusSpec("random-martingale", 7, (0.6,), 3))
+    seq = _one_seq(w)[0]
+
+    def runs(before=None):
+        certs = []
+        for j in (DyadicInterval(1, 1), ROOT):
+            for f in _five_f(w):
+                if before is not None:
+                    before()
+                c = verify_embed2(w, f, seq, psi, j)
+                certs.append(repr((c.root, c.lhs, c.ratio, c.breakdown, c.failures)))
+        return certs
+
+    _clear_slot()
+    warm = runs()
+    cold = runs(before=_clear_slot)
+    monkeypatch.setattr(verifiers, "_SLOT_BYTES", 0)
+    _clear_slot()
+    unslotted = runs()
+    assert verifiers._slot is None
+    assert warm == cold == unslotted
 
 
 def _slot_bytes(slot):
