@@ -12,7 +12,11 @@ times g on the grid, and n_psi, script-B, int N^2/phi, T(A+1, .) and
 u(N, M) are array passes over a level; no per-node distribution object is
 built.  Ties and zero cells are pieces of length zero.  Row sums run left to
 right, so those pieces add exact zeros: two equal children have bitwise
-equal potentials, and their parent's gain is exactly zero.
+equal potentials, and their parent's gain is exactly zero.  numpy sums a
+contiguous axis pairwise, so a row is never reduced along its own axis: a
+level of few dense rows takes prefix sums, any other reduces a C-ordered
+copy of its transposed products over the outer axis, one row of it at a
+time (_row_integral).
 
 A node's potential (script-B, script-T or f^2/u) is computed once, on its
 own level, and its parent reads it there.  A node on which w is constant,
@@ -226,11 +230,14 @@ class _Level(NamedTuple):
         """(N_{I+} - N_{I-})/2 on every piece of the dense rows of a level
         above the finest, exact: m times it is the sum of +1 per right-child
         cell and -1 per left-child cell at or above each sorted position.
-        Every row holds m/2 of each, so one suffix sum over the whole level
-        restarts at each row boundary.  On a constant row it is 0 at N = 1."""
+        Every row holds m/2 of each, so that suffix sum is minus the sum
+        before the position, and one int32 prefix sum over the whole level
+        (|it| <= m/2) restarts at each row boundary.  On a constant row it
+        is 0 at N = 1."""
         plus = self.rows.plus
-        signs = np.where(plus.ravel()[::-1], 1, -1)
-        return (np.cumsum(signs)[::-1] / self.grid.size).reshape(plus.shape)
+        signs = plus.ravel().view(np.int8) * 2 - 1
+        above = signs - np.cumsum(signs, dtype=np.int32)
+        return (above / self.grid.size).reshape(plus.shape)
 
 
 def _subtree_at(depth: int, j: DyadicInterval):
@@ -256,9 +263,15 @@ def _labels(pos: np.ndarray, j: DyadicInterval):
 def _row_integral(pieces: np.ndarray, g: np.ndarray) -> np.ndarray:
     """int g(N_I(t)) dt of every row of pieces, for g sampled on the grid:
     one (m,) array for the level or one (W, m) row per node.  Summed left to
-    right, so zero-length pieces add exact zeros; the prefix sums overwrite
-    the products, so the sum holds one (W, m) temporary."""
+    right, so zero-length pieces add exact zeros.  numpy sums a contiguous
+    axis pairwise, so a row is never reduced along its own axis: from 16
+    rows on, the products are copied to a C-ordered (m, W) array (an extra
+    temporary) and reduced over its outer axis, one row of it at a time,
+    from -0.0, which adds nothing even to a -0.0; fewer rows are faster
+    with prefix sums, which overwrite the products."""
     buf = pieces * g
+    if buf.shape[0] >= 16:
+        return np.add.reduce(np.ascontiguousarray(buf.T), axis=0, initial=-0.0)
     np.cumsum(buf, axis=1, out=buf)
     return buf[:, -1].copy()
 
@@ -327,8 +340,9 @@ def _sorted_levels(w: DyadicWeight, j: DyadicInterval, same: list):
             return
         count, m = order.shape[0], m // 2
         split = np.empty((2 * count, m), dtype=np.int32)
-        split[0::2] = order[~plus].reshape(count, m)
-        split[1::2] = order[plus].reshape(count, m)
+        flat, right = order.ravel(), plus.ravel()
+        split[0::2] = np.compress(~right, flat).reshape(count, m)
+        split[1::2] = np.compress(right, flat).reshape(count, m)
         order = split
         if dense is not None:
             dense = np.stack((2 * dense, 2 * dense + 1), axis=1).ravel()

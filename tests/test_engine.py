@@ -25,10 +25,17 @@
   constant row expanded back to its dense form, equals a stable sort of
   that level on its own, bit for bit; a constant row's one-value sum equals
   the sum of its dense form, and the level sums equal their row-wise forms.
+* Row sums add left to right: `_row_integral` on every shape up to 2^15
+  cells, and on the row slices of `_Rows.part`, equals a Python-float
+  loop bit for bit, on data where a pairwise sum differs.  The int32 half
+  difference equals its row form, past the slot too, and stays exact at
+  m = 2^24.
 """
 
+import functools
 import gc
 import math
+import operator
 import weakref
 
 import numpy as np
@@ -860,9 +867,51 @@ def test_constant_row_sum_is_its_dense_sum(v, m):
         assert np.signbit(v * g[0]) and not np.signbit(want)
 
 
-@pytest.mark.parametrize("spec", ORACLE_WEIGHTS, ids=lambda s: s.label)
+def _left_to_right(rows):
+    """The oracle: each row's Python-float sum, first entry first."""
+    return np.array([functools.reduce(operator.add, row) for row in rows.tolist()])
+
+
+def test_row_sums_run_left_to_right():
+    # every shape 2^a x 2^b up to 2^15 cells, g on the grid and one g per
+    # row, and the row slices that _Rows.part hands out, against the
+    # left-to-right oracle bit for bit.  Mixed magnitudes from 1e-300 to
+    # 1e300 make a pairwise sum differ; a row of -0.0 products sums to -0.0
+    rng = np.random.default_rng(18)
+    scale = lambda shape: 10.0 ** rng.choice([-300, -150, -16, 0, 16, 150], shape)
+    pairwise_differs = 0
+    for a in range(16):
+        for b in range(16 - a):
+            width, m = 2 ** a, 2 ** b
+            pieces = rng.uniform(0.0, 1.0, (width, m)) * scale((width, m))
+            pieces[rng.uniform(size=(width, m)) < 0.1] = -0.0
+            pieces[width // 2] = -0.0
+            on_grid = rng.uniform(0.5, 2.0, m) * scale(m)
+            per_row = rng.uniform(0.5, 2.0, (width, m)) * scale((width, m))
+            for g in (on_grid, per_row):
+                want = _left_to_right(pieces * g)
+                got = verifiers._row_integral(pieces, g)
+                assert np.array_equal(_bits(got), _bits(want)), (width, m, g.ndim)
+                pairwise_differs += not np.array_equal(_bits(np.sum(pieces * g, axis=1)),
+                                                       _bits(want))
+            rows = verifiers._Rows(pieces, np.zeros((width, m), dtype=bool), None,
+                                   np.zeros(width, dtype=bool), np.empty(0),
+                                   np.ones(width, dtype=bool))
+            for lo, hi in ((0, (width + 1) // 2), (width // 4, width)):
+                for g in (on_grid, per_row[lo:hi]):
+                    got = rows.part(lo, hi).integral(g)
+                    want = _left_to_right(pieces[lo:hi] * g)
+                    assert np.array_equal(_bits(got), _bits(want)), (width, m, lo, hi)
+    assert pairwise_differs > 50
+
+
+HALF_DIFFERENCE_WEIGHTS = ORACLE_WEIGHTS + [CorpusSpec("random-martingale", 14, (0.6,), 3)]
+
+
+@pytest.mark.parametrize("spec", HALF_DIFFERENCE_WEIGHTS, ids=lambda s: s.label)
 def test_half_difference_matches_its_row_form(spec):
     w = gen_weight(spec)
+    assert (verifiers._slot_of(w, PSI) is None) == (w.depth == 14)
     for lev, lv in enumerate(verifiers._levels(w, PSI, ROOT)):
         if lev == w.depth:
             break
@@ -870,4 +919,23 @@ def test_half_difference_matches_its_row_form(spec):
         plus_above = np.cumsum(lv.rows.plus[:, ::-1], axis=1)[:, ::-1]
         want = (2 * plus_above - (m - np.arange(m))) / m
         got = lv.half_difference()
-        assert got.dtype == want.dtype and np.array_equal(got, want), lev
+        assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want)), lev
+
+
+@pytest.mark.parametrize("right_first", [False, True])
+def test_half_difference_is_exact_up_to_the_deepest_demo(right_first):
+    # one row of m = 2^24 cells (failure-demo --depth 24), its left-child
+    # cells all below or all above the right ones: the int32 prefix sum
+    # reaches m/2 in size, and the half difference is +-min(k, m - k)/m
+    m = 2 ** 24
+    plus = np.zeros((1, m), dtype=bool)
+    plus[0, m // 2:] = True
+    if right_first:
+        plus = ~plus
+    rows = verifiers._Rows(np.empty((1, m)), plus, None, np.zeros(1, dtype=bool),
+                           np.empty(0), np.ones(1, dtype=bool))
+    got = verifiers._Level(np.broadcast_to(0.0, (m,)), None, rows, None).half_difference()[0]
+    k = np.arange(0, m, 4093)
+    want = np.minimum(k, m - k) / m
+    assert np.array_equal(got[k], -want if right_first else want)
+    assert got[m // 2] == (-0.5 if right_first else 0.5)
