@@ -2,21 +2,20 @@
 certificate per embedding statement.
 
 Every bounded certificate runs on one level-batched engine.  Level l of the
-subtree under a root J is the (2^(l - J.level), m) matrix of sorted cell
-blocks, m = 2^(depth - l): row r holds the values of w on the node
-(l, first + r) in ascending order, s_0 <= ... <= s_{m-1}.  On the piece
-[s_{k-1}, s_k) (s_{-1} = 0) the node's normalized distribution function is
-exactly N_I(t) = (m - k)/m, a survival grid that every node of the level
-shares.  So every t-integral int g(N_I(t)) dt is a row sum of piece lengths
-times g on the grid, and n_psi, script-B, int N^2/phi, T(A+1, .) and
-u(N, M) are array passes over a level; no per-node distribution object is
-built.  Ties and zero cells are pieces of length zero.  Row sums run left to
-right, so those pieces add exact zeros: two equal children have bitwise
-equal potentials, and their parent's gain is exactly zero.  numpy sums a
-contiguous axis pairwise, so a row is never reduced along its own axis: a
-level of few dense rows takes prefix sums, any other reduces a C-ordered
-copy of its transposed products over the outer axis, one row of it at a
-time (_row_integral).
+tree is the (2^l, m) matrix of sorted cell blocks, m = 2^(depth - l): row r
+holds the values of w on the node (l, r) in ascending order, s_0 <= ... <=
+s_{m-1}.  On the piece [s_{k-1}, s_k) (s_{-1} = 0) the node's normalized
+distribution function is exactly N_I(t) = (m - k)/m, a survival grid that
+every node of the level shares.  So every t-integral int g(N_I(t)) dt is a
+row sum of piece lengths times g on the grid, and n_psi, script-B,
+int N^2/phi, T(A+1, .) and u(N, M) are array passes over a level; no
+per-node distribution object is built.  Ties and zero cells are pieces of
+length zero.  Row sums run left to right, so those pieces add exact zeros:
+two equal children have bitwise equal potentials, and their parent's gain
+is exactly zero.  numpy sums a contiguous axis pairwise, so a row is never
+reduced along its own axis: a level of few dense rows takes prefix sums,
+any other reduces a C-ordered copy of its transposed products over the
+outer axis, one row of it at a time (_row_integral).
 
 A node's potential (script-B, script-T or f^2/u) is computed once, on its
 own level, and its parent reads it there.  A node on which w is constant,
@@ -24,43 +23,46 @@ bit for bit, is held as its one value v: its sorted block is [v, ..., v],
 so each of its integrals is v g(1), and its descendants inherit v without
 a cell being read.  Dense array work runs only on the other rows, so a
 spike or a lacunary weight costs O(2^depth) in all, not per level.  Every
-tree is sorted once, top down: J's block is stable-sorted and each level
-below is a linear split of the non-constant rows of the one above.  The
-sorted blocks depend on w alone and n_psi on (w, Psi), so a tree whose
+tree is sorted once, top down: the root's block is stable-sorted and each
+level below is a linear split of the non-constant rows of the one above.
+The sorted blocks depend on w alone and n_psi on (w, Psi), so a tree whose
 dense sorted levels would fit in 1 MiB (every tree of depth <= 13) is
 sorted once into a one-weight slot that every certificate of that weight
-reads, for any root J.  A deeper tree is split one level at a time, and
-only two adjacent levels are held at once.
+reads.  A deeper tree is split one level at a time, and only two adjacent
+levels are held at once.
 
 Beside the sort the slot holds every node's live flag and n_psi in heap
 order, and a store of the work that does not depend on the test function
 f, so each certificate of the weight computes only its f-dependent part:
-for any root J, embed's int N^2/phi at every node, keyed by (w, Psi), and
-embed2's u(N, M) at every node's own budget and at the finest level's
-phantom budget, keyed by (w, Psi) and the sequence; for a certificate of
-the whole tree, fd-embed's weighted-Haar w-part at every node above the
-finest level; and the normalized copies of the most recent four
-sequences.  An entry is computed row by row on the whole tree with the
-operations a certificate would run, and every kernel value is a function
-of its point alone (see `bellman`), so a later certificate, or one under a
-subtree root, reads the bits it would have computed.  Keys are matched by
+embed's int N^2/phi at every node, keyed by (w, Psi); embed2's u(N, M) at
+every node's own budget and at the finest level's phantom budget, keyed by
+(w, Psi) and the sequence; fd-embed's weighted-Haar w-part at every node
+above the finest level; and the normalized copies of the most recent four
+sequences.  Every entry is (key, value), and the value of a node-array
+entry is one array over the whole tree: the first certificate that lacks
+it computes it in its own walk, as one more array, and keeps it.  Every
+kernel value is a function of its point alone (see `bellman`), so a later
+certificate reads the bits it would have computed.  Keys are matched by
 identity and held, so no id is reused; the store goes with the slot when
 the weight or Psi changes, and holds at most about 150 bytes a node.  The
 BellmanKernel of the most recent Psi is kept as well, so its C is
 evaluated once.
 
-Every bounded certificate checks every node of the subtree under J in one
-pass.  Its nodes are held in heap order, level-major with the index
-ascending, so the node at k has its children at 2k + 1 and 2k + 2.  What
+Every bounded certificate walks the whole tree, whatever its root J.  What
 needs the sorted rows (n_psi, the potentials script-B and script-T, the
 stage-1 integral of the half difference, int N^2/phi, u) is integrated
-level by level, or read from the slot, into arrays over these nodes; every
-step after that is elementwise and runs once over them: the gains, the
-stage bounds, the weighted Haar split with its identity and alpha-bound
-checks, the f/M consistency checks and the verdicts.  Each elementwise step
-takes the same inputs as it would a level at a time, and every sum over
-nodes is a running sum in heap order, so the values are bit for bit those
-of a node-by-node walk.
+level by level, or read from the slot, into arrays over the nodes in heap
+order, level-major with the index ascending, so the node at k has its
+children at 2k + 1 and 2k + 2.  Each of these depends on its node and the
+cells below it alone, so J only selects its subtree's nodes, in the
+subtree's own heap order, and its cells of the finest level (_node_arrays).
+A certificate under J != ROOT thus pays for the whole tree's walk.  Every
+step after that is elementwise and runs once over J's nodes: the gains,
+the stage bounds, the weighted Haar split with its identity and
+alpha-bound checks, the f/M consistency checks and the verdicts.  Each
+elementwise step takes the same inputs as it would a level at a time, and
+every sum over nodes is a running sum in heap order, so the values are bit
+for bit those of a node-by-node walk.
 
 Skip rule: nodes on which w vanishes identically carry no term and no
 inequality.  They are computed with the rest of their level, then dropped,
@@ -89,7 +91,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -190,39 +191,23 @@ class _Rows(NamedTuple):
         out[self.const] = ones
         return out
 
-    def part(self, a: int, b: int) -> "_Rows":
-        """Rows a to b - 1, renumbered from 0."""
-        if a == 0 and b == self.live.size:
-            return self
-        const = self.const[a:b]
-        if self.dense is None:
-            return self._replace(pieces=self.pieces[a:b], plus=self.plus[a:b],
-                                 const=const, live=self.live[a:b])
-        lo, hi = np.searchsorted(self.dense, (a, b))
-        skip = np.count_nonzero(self.const[:a])
-        return _Rows(self.pieces[lo:hi], self.plus[lo:hi], self.dense[lo:hi] - a, const,
-                     self.value[skip:skip + np.count_nonzero(const)], self.live[a:b])
-
 
 class _Level(NamedTuple):
-    """One level of the subtree under J: its rows and the shared grid."""
+    """One level of the tree: its rows and the shared grid."""
 
     grid: np.ndarray        # (m,) survival values (m - k)/m
     phi: np.ndarray         # (m,) phi on the grid
     rows: _Rows
-    kept_n_psi: np.ndarray | None   # (W,) the slot's n_psi(N_I), None off the slot
 
     def integral(self, g: np.ndarray, at_one=None) -> np.ndarray:
         return self.rows.integral(g, at_one)
 
     def n_psi(self) -> np.ndarray:
-        if self.kept_n_psi is not None:
-            return self.kept_n_psi
         return self.integral(self.phi)
 
     def of(self, nodes: np.ndarray) -> np.ndarray:
-        """The rows' entries of an array over the nodes of the subtree in
-        heap order, where a level of width W starts at W - 1."""
+        """The rows' entries of an array over the nodes of the tree in heap
+        order, where a level of width W starts at W - 1."""
         width = self.rows.live.size
         return nodes[width - 1:2 * width - 1]
 
@@ -276,10 +261,10 @@ def _row_integral(pieces: np.ndarray, g: np.ndarray) -> np.ndarray:
     return buf[:, -1].copy()
 
 
-def _top_grid(w: DyadicWeight, j: DyadicInterval) -> np.ndarray:
-    """The survival grid of j's own level.  Every grid below it is a slice,
-    grid[::2^(l - j.level)], so a kernel is evaluated on it once per tree."""
-    m = 2 ** (w.depth - j.level)
+def _top_grid(w: DyadicWeight) -> np.ndarray:
+    """The survival grid of the root's level.  Every grid below it is a
+    slice, grid[::2^l], so a kernel is evaluated on it once per tree."""
+    m = 2 ** w.depth
     return (m - np.arange(m)) / m
 
 
@@ -300,24 +285,23 @@ def _constant_rows(w: DyadicWeight) -> list:
     return [None] * (w.depth + 1 - len(same)) + same[::-1]
 
 
-def _sorted_levels(w: DyadicWeight, j: DyadicInterval, same: list):
-    """The _Rows of every level of the subtree under j, from j's own down to
-    the finest; same is _constant_rows(w).  j's block is stable-sorted once;
-    a row's sorted cells split, in order, into the sorted cells of its two
-    children, so each level below is a linear split of the one above and
-    ties stay in cell order, as a stable sort of the level would leave them.
-    A row that is constant leaves the split, and its value is read from the
-    block.  order holds positions in j's block (int32 halves the memory)."""
-    m = 2 ** (w.depth - j.level)
-    block = w.values[j.index * m:(j.index + 1) * m]
+def _sorted_levels(w: DyadicWeight, same: list):
+    """The _Rows of every level of the tree, root first; same is
+    _constant_rows(w).  The root's block is stable-sorted once; a row's
+    sorted cells split, in order, into the sorted cells of its two children,
+    so each level below is a linear split of the one above and ties stay in
+    cell order, as a stable sort of the level would leave them.  A row that
+    is constant leaves the split, and its value is read from the cells.
+    order holds cell positions (int32 halves the memory)."""
+    m = 2 ** w.depth
+    block = w.values
     order = np.argsort(block, kind="stable").astype(np.int32).reshape(1, m)
     dense = None
-    for width_log, mask in enumerate(same[j.level:]):
+    for width_log, const in enumerate(same):
         width = 2 ** width_log
-        if mask is None:
+        if const is None:
             const = np.zeros(width, dtype=bool)
         else:
-            const = mask[j.index * width:(j.index + 1) * width]
             keep = ~const if dense is None else ~const[dense]
             if not keep.all():
                 order = order[keep]
@@ -392,11 +376,11 @@ def _tree(w: DyadicWeight, psi: PsiFunction) -> _Slot:
             return slot
         levels, live = slot.levels, slot.live
     else:
-        levels = tuple(_sorted_levels(w, ROOT, _constant_rows(w)))
+        levels = tuple(_sorted_levels(w, _constant_rows(w)))
         live = np.concatenate([rows.live for rows in levels])
         levels = tuple(rows._replace(live=live[2 ** lev - 1:2 ** (lev + 1) - 1])
                        for lev, rows in enumerate(levels))
-    phi = psi.phi(_top_grid(w, ROOT))
+    phi = psi.phi(_top_grid(w))
     n_psi = np.concatenate([rows.integral(phi[::rows.live.size]) for rows in levels])
     _slot = _Slot(w, levels, live, psi, phi, n_psi, {})
     return _slot
@@ -409,12 +393,14 @@ def _slot_of(w: DyadicWeight, psi: PsiFunction) -> _Slot | None:
     return _tree(w, psi)
 
 
-def _shared(slot: _Slot, name: str, key, make, keep: int = 1):
+def _shared(slot: _Slot | None, name: str, key, make, keep: int = 1):
     """make(), computed once while slot holds its (w, psi) and kept in its
     store under name for the identity of key (None for work of (w, psi)
     alone), beside the entries of at most keep - 1 other keys; the oldest
     is dropped.  An entry holds its key, so the key's id cannot be reused
-    while it is kept."""
+    while it is kept.  Without a slot, make() is not kept."""
+    if slot is None:
+        return make()
     entries = slot.store.setdefault(name, {})
     entry = entries.get(id(key))
     if entry is None:
@@ -424,49 +410,56 @@ def _shared(slot: _Slot, name: str, key, make, keep: int = 1):
     return entry[1]
 
 
-def _levels(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval):
-    """The levels of the subtree under j, from j's own down to the finest:
-    row ranges of the slot's whole-tree levels, or for a tree too large for
-    the slot, each split from the one above when it is reached."""
-    grid = _top_grid(w, j)
+def _levels(w: DyadicWeight, psi: PsiFunction):
+    """Every level of the tree, root first: the slot's, or for a tree too
+    large for it, each split from the one above when it is reached."""
+    grid = _top_grid(w)
     slot = _slot_of(w, psi)
     if slot is None:
-        phi = psi.phi(grid)
-        for below, rows in enumerate(_sorted_levels(w, j, _constant_rows(w))):
-            yield _Level(grid[::2 ** below], phi[::2 ** below], rows, None)
-        return
-    for lev in range(j.level, w.depth + 1):
-        width = 2 ** (lev - j.level)
-        a, b = j.index * width, (j.index + 1) * width
-        yield _Level(grid[::width], slot.phi[::2 ** lev], slot.levels[lev].part(a, b),
-                     slot.n_psi[2 ** lev - 1 + a:2 ** lev - 1 + b])
+        phi, levels = psi.phi(grid), _sorted_levels(w, _constant_rows(w))
+    else:
+        phi, levels = slot.phi, slot.levels
+    for lev, rows in enumerate(levels):
+        yield _Level(grid[::2 ** lev], phi[::2 ** lev], rows)
 
 
 def _node_arrays(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval, at,
-                 finest=None, **per_level) -> dict:
-    """live and n_psi of every node of the subtree under j, fn(level) of
-    every level of it for each fn of per_level, each written level by level
-    into one array over its nodes in heap order, and fn(level) of the
-    finest level alone for each fn of the dict finest.  at indexes the
-    subtree's nodes in the whole tree's heap order (_subtree_at).  On the
-    slot, live and n_psi are read from it and j's levels are walked for the
-    fns alone; off it, one walk computes them all from the row integrals."""
+                 finest=None, kept=None, **per_level) -> dict:
+    """live and n_psi of every node of the subtree under j, fn(level) for
+    each fn of per_level and fn(finest level) for each fn of the dict
+    finest.  One walk of the whole tree writes each per-level array level by
+    level into one array over its nodes in heap order; j then selects its
+    nodes, at (_subtree_at), and its cells of the finest level.  On the
+    slot, live and n_psi are read from it, and so is each array named in
+    the dict kept, whose value is the key of its store entry: the walk
+    computes an entry that the store lacks, and keeps it."""
     slot = _slot_of(w, psi)
+    finest, kept = finest or {}, kept or {}
     if slot is None:
-        out = {}
+        whole = {}
         per_level = {"live": lambda lv: lv.rows.live, "n_psi": _Level.n_psi, **per_level}
     else:
-        out = {"live": slot.live[at], "n_psi": slot.n_psi[at]}
-    if per_level or finest:
-        size = 2 ** (w.depth - j.level + 1) - 1
-        for lv in _levels(w, psi, j):
-            for name, fn in per_level.items():
+        whole = {"live": slot.live, "n_psi": slot.n_psi}
+        for name, key in kept.items():
+            entry = slot.store.get(name, {}).get(id(key))
+            if entry is not None:
+                whole[name] = entry[1]
+    walk = {name: fn for name, fn in per_level.items() if name not in whole}
+    last = {name: fn for name, fn in finest.items() if name not in whole}
+    if walk or last:
+        size = 2 ** (w.depth + 1) - 1
+        for lv in _levels(w, psi):
+            for name, fn in walk.items():
                 part = fn(lv)
-                if name not in out:
-                    out[name] = np.empty(size, dtype=part.dtype)
-                lv.of(out[name])[:] = part
-        out.update((name, fn(lv)) for name, fn in (finest or {}).items())
-    return out
+                if name not in whole:
+                    whole[name] = np.empty(size, dtype=part.dtype)
+                lv.of(whole[name])[:] = part
+        whole.update((name, fn(lv)) for name, fn in last.items())
+        for name, key in kept.items():
+            _shared(slot, name, key, lambda: whole[name])
+    width = 2 ** (w.depth - j.level)
+    cells = slice(j.index * width, (j.index + 1) * width)
+    return {name: a[cells if name in finest else at] for name, a in whole.items()}
 
 
 def _slack(tol: Tolerances, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -500,11 +493,12 @@ def _T(kernel: BellmanKernel, lv: _Level, divisor: np.ndarray):
 def _normalized(seq: CarlesonSequence, slot: _Slot | None) -> tuple[CarlesonSequence, float]:
     """seq scaled to Carleson norm 1 if its norm exceeds 1, and the factor;
     kept in slot's store for the most recent _SEQ_ENTRIES sequences."""
-    if slot is not None:
-        return _shared(slot, "normalized", seq, lambda: _normalized(seq, None), _SEQ_ENTRIES)
-    if carleson_norm(seq) > 1.0 + 1e-12:
-        return seq.normalized()
-    return seq, 1.0
+    def make():
+        if carleson_norm(seq) > 1.0 + 1e-12:
+            return seq.normalized()
+        return seq, 1.0
+
+    return _shared(slot, "normalized", seq, make, _SEQ_ENTRIES)
 
 
 # The kernel of the most recent psi: C, is_normalized and the kernel's own
@@ -658,7 +652,7 @@ def _pde_checks(w: DyadicWeight, kernel: BellmanKernel, j: DyadicInterval,
     level: one pass over its node arrays in heap order, after the row
     integrals of script-B and of stage1."""
     at = _subtree_at(w.depth, j)
-    b_top = kernel.B(_top_grid(w, j))
+    b_top = kernel.B(_top_grid(w))
     nodes = _node_arrays(
         w, kernel.psi, j, at,
         pot=lambda lv: lv.integral(b_top[::b_top.size // lv.grid.size]),
@@ -687,25 +681,20 @@ def _embed_checks(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
     """check_embed_step at every node of the subtree under j, the finest
     level through a phantom generation: one pass over its node arrays in
     heap order, after the row integrals of script-T and int N^2/phi."""
-    psi = kernel.psi
     at = _subtree_at(w.depth, j)
-    m = np.concatenate(seq.accumulators)[at]
-    alpha = np.concatenate(seq.levels)[at]
+    m_all, alpha_all = np.concatenate(seq.accumulators), np.concatenate(seq.levels)
     script_T = lambda lv, divisor: lv.integral(*_T(kernel, lv, divisor))
-    n2_phi = lambda lv: lv.integral(lv.grid * lv.grid / lv.phi)
-    # int N^2/phi depends on (w, psi) alone: the slot's store keeps it for
-    # the whole tree, and a subtree root reads its nodes there
-    slot = _slot_of(w, psi)
     nodes = _node_arrays(
-        w, psi, j, at,
+        w, kernel.psi, j, at,
         # phantom generation below the finest level: identical children
         # carrying the remaining accumulator mass (zero)
-        finest={"phantom": lambda lv: script_T(lv, (lv.of(m) - lv.of(alpha)) + 1.0)},
-        pot=lambda lv: script_T(lv, lv.of(m) + 1.0),
-        **({} if slot is not None else {"n2_phi": n2_phi}))
-    if slot is not None:
-        nodes["n2_phi"] = _shared(slot, "n2_phi", None, lambda: _node_arrays(
-            w, psi, ROOT, slice(None), n2_phi=n2_phi)["n2_phi"])[at]
+        finest={"phantom": lambda lv: script_T(lv, (lv.of(m_all) - lv.of(alpha_all)) + 1.0)},
+        # int N^2/phi depends on (w, psi) alone: the slot's store keeps it
+        kept={"n2_phi": None},
+        pot=lambda lv: script_T(lv, lv.of(m_all) + 1.0),
+        n2_phi=lambda lv: lv.integral(lv.grid * lv.grid / lv.phi))
+    m, alpha = m_all[at], alpha_all[at]
+    del m_all, alpha_all
     live = nodes["live"]
     over = live & (m > 1.0 + 1e-9)
     if over.any():
@@ -727,7 +716,6 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     """check_paraproduct_step at every node of the subtree under j, the
     finest level through a phantom generation: one pass over its node
     arrays in heap order, after the row integrals of u."""
-    psi = kernel.psi
     at = _subtree_at(w.depth, j)
     m_all, a_all = np.concatenate(seq.accumulators), np.concatenate(seq.levels)
     m, a = m_all[at], a_all[at]
@@ -749,32 +737,20 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(u_i > 0, fv * fv / u_i, 0.0)
 
-    def u_nodes(root, where, **per_level):
-        """_node_arrays of the subtree under root (its nodes at where) with u
-        at each node's own budget M and the finest level's phantom M - a."""
-        mj, aj = m_all[where], a_all[where]
-        return _node_arrays(w, psi, root, where,
-                            {"phantom": lambda lv: u(lv, lv.of(mj) - lv.of(aj))},
-                            u=lambda lv: u(lv, lv.of(mj)), **per_level)
-
     per_level = {}
     if spot_check_derivative:
-        inside = (1e-4 < m) & (m < 1.0 - 1e-4)
-        mid = np.where(inside, m, 0.5)
+        inside = (1e-4 < m_all) & (m_all < 1.0 - 1e-4)
+        mid = np.where(inside, m_all, 0.5)
         h = 1e-5
         per_level.update(up=lambda lv: u(lv, lv.of(mid) + h),
                          down=lambda lv: u(lv, lv.of(mid) - h))
-    # u depends on (w, seq, psi) alone: the slot's store keeps it for the
-    # whole tree, and every f of the sequence reads it there under any root
-    slot = _slot_of(w, psi)
-    if slot is None:
-        nodes = u_nodes(j, at, **per_level)
-    else:
-        nodes = _node_arrays(w, psi, j, at, **per_level)
-        u_all, phantom = _shared(slot, "u", seq, lambda: itemgetter("u", "phantom")(
-            u_nodes(ROOT, slice(None))))
-        width = 2 ** (w.depth - j.level)
-        nodes["u"], nodes["phantom"] = u_all[at], phantom[j.index * width:(j.index + 1) * width]
+    # u at each node's own budget M and the finest level's phantom M - a; it
+    # depends on (w, seq, psi) alone: the slot's store keeps it, and every f
+    # of the sequence reads it there
+    nodes = _node_arrays(w, kernel.psi, j, at,
+                         {"phantom": lambda lv: u(lv, lv.of(m_all) - lv.of(a_all))},
+                         {"u": seq, "phantom": seq}, u=lambda lv: u(lv, lv.of(m_all)),
+                         **per_level)
 
     pot = bellman(nodes["u"], f_i)
     # phantom generation: the finest-level sequence mass enters as a pure
@@ -798,7 +774,7 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
         slope = -(bellman(nodes["up"], f_i) - bellman(nodes["down"], f_i)) / (2 * h)
         with np.errstate(divide="ignore", invalid="ignore"):
             target = PARAPRODUCT_CONSTANT * f_i * f_i / n_val
-        passed &= ~(inside & (slope < target * (1 - 1e-6) - 1e-12))
+        passed &= ~(inside[at] & (slope < target * (1 - 1e-6) - 1e-12))
     return _live_checks(j, live, term, lhs, (rhs,), passed)
 
 
@@ -883,12 +859,11 @@ class _HaarWeight(NamedTuple):
     n_psi: np.ndarray
 
 
-def _haar_weight(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval) -> _HaarWeight:
-    nodes = _node_arrays(w, psi, j, _subtree_at(w.depth, j))
+def _haar_weight(w: DyadicWeight, psi: PsiFunction) -> _HaarWeight:
+    nodes = _node_arrays(w, psi, ROOT, slice(None))
     live = nodes["live"]
-    keep = np.flatnonzero(live[:live.size // 2])     # the live nodes above the finest level
-    level, index = _labels(keep, j)
-    heap = np.left_shift(1, level, dtype=np.int64) - 1 + index
+    heap = np.flatnonzero(live[:live.size // 2])     # the live nodes above the finest level
+    level = _labels(heap, ROOT)[0]
     avgs = w.heap_averages()
     q, p, avg = avgs[2 * heap + 1], avgs[2 * heap + 2], avgs[heap]
     length = np.ldexp(1.0, -level)
@@ -898,7 +873,7 @@ def _haar_weight(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval) -> _HaarW
         kappa = np.sqrt(mass_p * mass_q / (mass_p + mass_q))
         alpha = np.where(two_sided, np.sqrt(2.0 * p * q / (p + q)), 0.0)
     return _HaarWeight(level, heap, p, q, avg, two_sided, kappa, alpha, np.sqrt(avg),
-                       nodes["n_psi"][keep])
+                       nodes["n_psi"][heap])
 
 
 def _haar_split(w: DyadicWeight, fw: StepFunction, psi: PsiFunction, j: DyadicInterval):
@@ -907,13 +882,13 @@ def _haar_split(w: DyadicWeight, fw: StepFunction, psi: PsiFunction, j: DyadicIn
     haar, drift, inner) with hw the w-part (_HaarWeight), full = Delta_I(fw)
     = haar + drift up to rounding, haar the w-Haar part and inner = (f,
     h_I^w)_{L2(w)}, both 0 where a child carries no w-mass, and drift =
-    (<fw>_I / <w>_I) Delta_I w.  The w-part of a whole tree is kept in the
-    slot's store."""
-    slot = _slot_of(w, psi) if j == ROOT else None
-    if slot is None:
-        hw = _haar_weight(w, psi, j)
-    else:
-        hw = _shared(slot, "haar", None, lambda: _haar_weight(w, psi, ROOT))
+    (<fw>_I / <w>_I) Delta_I w.  The w-part of the whole tree is kept in the
+    slot's store, and j selects its nodes from it."""
+    hw = _shared(_slot_of(w, psi), "haar", None, lambda: _haar_weight(w, psi))
+    if j != ROOT:   # the root selects every node, and copies none
+        level, index = _labels(hw.heap, ROOT)
+        under = (level >= j.level) & (index >> np.maximum(level - j.level, 0) == j.index)
+        hw = _HaarWeight(*(a[under] for a in hw))
     avgs = fw.heap_averages()
     y, x = avgs[2 * hw.heap + 1], avgs[2 * hw.heap + 2]
     drift = avgs[hw.heap] / hw.avg * 0.5 * (hw.p - hw.q)

@@ -49,15 +49,6 @@ class StepFunction:
             sums.append(cur)
         return tuple(reversed(sums))
 
-    @cached_property
-    def _level_absmax(self) -> tuple[np.ndarray, ...]:
-        tabs = [np.abs(self.values)]
-        cur = tabs[0]
-        for _ in range(self.depth):
-            cur = np.maximum(cur[0::2], cur[1::2])
-            tabs.append(cur)
-        return tuple(reversed(tabs))
-
     # -- interval queries --------------------------------------------------
 
     def _check(self, i: DyadicInterval, strict: bool = False) -> None:
@@ -84,8 +75,9 @@ class StepFunction:
         return self.average(i.plus) - self.average(i.minus)
 
     def is_zero_on(self, i: DyadicInterval) -> bool:
+        """Every cell of i is 0.0 or -0.0."""
         self._check(i)
-        return float(self._level_absmax[i.level][i.index]) == 0.0
+        return not self.cells(i).any()
 
     def level_averages(self, level: int) -> np.ndarray:
         """Averages of all intervals at a level, as one array."""

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadembed import ROOT, cli, verifiers
+from dyadembed import cli, verifiers
 from dyadembed.cli import FUNCTION_KINDS, SEQUENCE_KINDS, RunConfig, main
 from dyadembed.corpus import (CorpusSpec, gen_carleson_sequence, gen_test_function,
                               load_corpus, write_corpus)
@@ -182,14 +182,14 @@ def test_run_task_sorts_the_weight_once(small_corpus, monkeypatch):
     sorts = []
     sorted_levels = verifiers._sorted_levels
 
-    def counting(w, j, same):
-        sorts.append(j)
-        return sorted_levels(w, j, same)
+    def counting(w, same):
+        sorts.append(w)
+        return sorted_levels(w, same)
 
     monkeypatch.setattr(verifiers, "_sorted_levels", counting)
     rows = cli._run_task(task)
     assert len(rows) == len(FUNCTION_KINDS)
-    assert sorts == [ROOT]
+    assert len(sorts) == 1 and sorts[0] is task[3]
 
 
 class _PoolRecorder:

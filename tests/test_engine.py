@@ -25,11 +25,13 @@
   constant row expanded back to its dense form, equals a stable sort of
   that level on its own, bit for bit; a constant row's one-value sum equals
   the sum of its dense form, and the level sums equal their row-wise forms.
+* A root only selects nodes: the ledger and the failed nodes of `d-embed`
+  and `embed` under a root J are the ROOT certificate's entries of the
+  nodes under J, bit for bit, on the slot and past it.
 * Row sums add left to right: `_row_integral` on every shape up to 2^15
-  cells, and on the row slices of `_Rows.part`, equals a Python-float
-  loop bit for bit, on data where a pairwise sum differs.  The int32 half
-  difference equals its row form, past the slot too, and stays exact at
-  m = 2^24.
+  cells equals a Python-float loop bit for bit, on data where a pairwise
+  sum differs.  The int32 half difference equals its row form, past the
+  slot too, and stays exact at m = 2^24.
 """
 
 import functools
@@ -578,7 +580,7 @@ def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
         verify_embed2(w, f, seq, PSI)
         verify_fd_embed(w, f, PSI)
         verify_embed2(w, f, seq, PSI, DyadicInterval(1, 1))
-    assert sorted(made) == ["haar", "normalized", "u"]
+    assert sorted(made) == ["haar", "normalized", "phantom", "u"]
     assert verifiers._kernel(PSI) is verifiers._kernel(PSI)
 
 
@@ -744,11 +746,11 @@ def test_slot_bytes_stay_within_the_dense_form(make):
 # the top-down sort against a stable sort of every level
 # ---------------------------------------------------------------------------
 
-def _sorted_level(w, lev, first, width):
-    """The oracle: (pieces, plus, live) of the width nodes of level lev from
-    first on, each node's block stable-sorted on its own."""
+def _sorted_level(w, lev):
+    """The oracle: (pieces, plus, live) of the nodes of level lev, each
+    node's block stable-sorted on its own."""
     m = 2 ** (w.depth - lev)
-    blocks = w.values[first * m:(first + width) * m].reshape(width, m)
+    blocks = w.values.reshape(2 ** lev, m)
     order = np.argsort(blocks, axis=1, kind="stable")
     cells = np.take_along_axis(blocks, order, axis=1)
     return np.diff(cells, axis=1, prepend=0.0), order >= m // 2, cells[:, -1] > 0
@@ -769,29 +771,28 @@ def _bits(a):
     return a.view(np.int64) if a.dtype == np.float64 else a
 
 
-def _assert_levels_match_oracle(w, j):
-    levels = list(verifiers._sorted_levels(w, j, verifiers._constant_rows(w)))
-    assert len(levels) == w.depth - j.level + 1
-    for lev, rows in enumerate(levels, j.level):
-        width, m = 2 ** (lev - j.level), 2 ** (w.depth - lev)
+def _assert_levels_match_oracle(w):
+    levels = list(verifiers._sorted_levels(w, verifiers._constant_rows(w)))
+    assert len(levels) == w.depth + 1
+    for lev, rows in enumerate(levels):
+        width, m = 2 ** lev, 2 ** (w.depth - lev)
         # constant rows: those whose cells are equal bit for bit
-        blocks = w.values[j.index * width * m:(j.index + 1) * width * m].reshape(width, m)
+        blocks = w.values.reshape(width, m)
         same = np.all(_bits(blocks) == _bits(blocks[:, :1]), axis=1)
-        assert np.array_equal(rows.const, same), (lev, j)
+        assert np.array_equal(rows.const, same), lev
         if rows.dense is None:
-            assert not same.any() and rows.pieces.shape == (width, m), (lev, j)
+            assert not same.any() and rows.pieces.shape == (width, m), lev
         else:
-            assert np.array_equal(rows.dense, np.flatnonzero(~same)), (lev, j)
-        for a, b in zip(_dense_form(rows, m), _sorted_level(w, lev, j.index * width, width)):
-            assert a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b)), (lev, j)
+            assert np.array_equal(rows.dense, np.flatnonzero(~same)), lev
+        for a, b in zip(_dense_form(rows, m), _sorted_level(w, lev)):
+            assert a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b)), lev
 
 
 @st.composite
 def sort_cases(draw):
     """A weight of depth 0..10 with zeros of both signs, ties and a 1e-100
     .. 1e100 dynamic range, built from tiled constant blocks of 2^k cells
-    and all-zero subtrees of 1 .. 2^depth cells, and a root on one of its
-    levels 0..2."""
+    and all-zero subtrees of 1 .. 2^depth cells."""
     depth = draw(st.integers(0, 10))
     value = st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]).flatmap(
         lambda m: st.sampled_from([m * 1e-100, m, m * 1e100]))
@@ -803,22 +804,19 @@ def sort_cases(draw):
         size = 2 ** draw(st.integers(0, depth))
         start = size * draw(st.integers(0, 2 ** depth // size - 1))
         cells[start:start + size] = draw(st.sampled_from([0.0, -0.0]))
-    w = DyadicWeight(depth, cells, allow_zero=True)
-    level = draw(st.integers(0, min(depth, 2)))
-    return w, DyadicInterval(level, draw(st.integers(0, 2 ** level - 1)))
+    return DyadicWeight(depth, cells, allow_zero=True)
 
 
 @settings(max_examples=80, deadline=None)
 @given(sort_cases())
-def test_sorted_levels_match_a_sort_of_every_level(case):
-    _assert_levels_match_oracle(*case)
+def test_sorted_levels_match_a_sort_of_every_level(w):
+    _assert_levels_match_oracle(w)
 
 
 def test_sorted_levels_match_the_oracle_below_the_slot():
     w = gen_weight(CorpusSpec("random-martingale", 16, (0.6,), 3))
     assert (w.depth + 1) * 2 ** w.depth * 9 > verifiers._SLOT_BYTES
-    _assert_levels_match_oracle(w, ROOT)
-    _assert_levels_match_oracle(w, DyadicInterval(1, 1))
+    _assert_levels_match_oracle(w)
 
 
 def test_mixed_signed_zeros_stay_dense():
@@ -827,14 +825,55 @@ def test_mixed_signed_zeros_stay_dense():
     # and its piece lengths keep the -0.0 of the cell
     w = DyadicWeight(3, np.array([0.0, -0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0]),
                      allow_zero=True)
-    levels = list(verifiers._sorted_levels(w, ROOT, verifiers._constant_rows(w)))
+    levels = list(verifiers._sorted_levels(w, verifiers._constant_rows(w)))
     assert not levels[1].const.any() and levels[1].dense is None
     assert levels[2].const.tolist() == [False, True, True, True]
     assert levels[2].dense.tolist() == [0]
     assert np.signbit(levels[2].pieces).tolist() == [[False, True]]
     assert np.signbit(levels[3].value).tolist() == [False, True] + [False] * 6
-    _assert_levels_match_oracle(w, ROOT)
-    _assert_levels_match_oracle(w, DyadicInterval(1, 0))
+    _assert_levels_match_oracle(w)
+
+
+# ---------------------------------------------------------------------------
+# a root J only selects nodes of the whole tree's walk
+# ---------------------------------------------------------------------------
+
+@st.composite
+def rooted_weights(draw):
+    """A weight of sort_cases of depth >= 1 and a root J below the tree's
+    root, down to the finest level."""
+    w = draw(sort_cases())
+    assume(w.depth >= 1)
+    level = draw(st.integers(1, w.depth))
+    return w, DyadicInterval(level, draw(st.integers(0, 2 ** level - 1)))
+
+
+def _under(j, entries):
+    """The entries (level, index, ...) of the nodes of the subtree under j."""
+    return tuple(e for e in entries if e[0] >= j.level and e[1] >> (e[0] - j.level) == j.index)
+
+
+@pytest.mark.parametrize("slot_bytes", [verifiers._SLOT_BYTES, 0], ids=["slot", "unslotted"])
+@settings(max_examples=30, deadline=None)
+@given(case=rooted_weights(), seed=st.integers(0, 1000))
+def test_a_root_only_selects_nodes(slot_bytes, case, seed):
+    # d-embed and embed under J: every ledger entry and every failed node
+    # is the ROOT certificate's entry of that node, bit for bit
+    w, j = case
+    seq = gen_carleson_sequence("random", w.depth, seed)
+    kept = verifiers._SLOT_BYTES
+    verifiers._SLOT_BYTES = slot_bytes
+    _clear_slot()
+    try:
+        for tol in (DEFAULT_TOL, STRICT):
+            for run in (lambda j: verify_d_embed(w, PSI, j, keep_ledger=True, tol=tol),
+                        lambda j: verify_embed(w, seq, PSI, j, keep_ledger=True, tol=tol)):
+                whole, part = run(ROOT), run(j)
+                assert repr(part.per_node) == repr(_under(j, whole.per_node))
+                assert repr(part.failures) == repr(_under(j, whole.failures))
+        assert (verifiers._slot is None) == (slot_bytes == 0)
+    finally:
+        verifiers._SLOT_BYTES = kept
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 64])
@@ -874,9 +913,9 @@ def _left_to_right(rows):
 
 def test_row_sums_run_left_to_right():
     # every shape 2^a x 2^b up to 2^15 cells, g on the grid and one g per
-    # row, and the row slices that _Rows.part hands out, against the
-    # left-to-right oracle bit for bit.  Mixed magnitudes from 1e-300 to
-    # 1e300 make a pairwise sum differ; a row of -0.0 products sums to -0.0
+    # row, against the left-to-right oracle bit for bit.  Mixed magnitudes
+    # from 1e-300 to 1e300 make a pairwise sum differ; a row of -0.0
+    # products sums to -0.0
     rng = np.random.default_rng(18)
     scale = lambda shape: 10.0 ** rng.choice([-300, -150, -16, 0, 16, 150], shape)
     pairwise_differs = 0
@@ -894,14 +933,6 @@ def test_row_sums_run_left_to_right():
                 assert np.array_equal(_bits(got), _bits(want)), (width, m, g.ndim)
                 pairwise_differs += not np.array_equal(_bits(np.sum(pieces * g, axis=1)),
                                                        _bits(want))
-            rows = verifiers._Rows(pieces, np.zeros((width, m), dtype=bool), None,
-                                   np.zeros(width, dtype=bool), np.empty(0),
-                                   np.ones(width, dtype=bool))
-            for lo, hi in ((0, (width + 1) // 2), (width // 4, width)):
-                for g in (on_grid, per_row[lo:hi]):
-                    got = rows.part(lo, hi).integral(g)
-                    want = _left_to_right(pieces[lo:hi] * g)
-                    assert np.array_equal(_bits(got), _bits(want)), (width, m, lo, hi)
     assert pairwise_differs > 50
 
 
@@ -912,7 +943,7 @@ HALF_DIFFERENCE_WEIGHTS = ORACLE_WEIGHTS + [CorpusSpec("random-martingale", 14, 
 def test_half_difference_matches_its_row_form(spec):
     w = gen_weight(spec)
     assert (verifiers._slot_of(w, PSI) is None) == (w.depth == 14)
-    for lev, lv in enumerate(verifiers._levels(w, PSI, ROOT)):
+    for lev, lv in enumerate(verifiers._levels(w, PSI)):
         if lev == w.depth:
             break
         m = lv.grid.size
@@ -934,7 +965,7 @@ def test_half_difference_is_exact_up_to_the_deepest_demo(right_first):
         plus = ~plus
     rows = verifiers._Rows(np.empty((1, m)), plus, None, np.zeros(1, dtype=bool),
                            np.empty(0), np.ones(1, dtype=bool))
-    got = verifiers._Level(np.broadcast_to(0.0, (m,)), None, rows, None).half_difference()[0]
+    got = verifiers._Level(np.broadcast_to(0.0, (m,)), None, rows).half_difference()[0]
     k = np.arange(0, m, 4093)
     want = np.minimum(k, m - k) / m
     assert np.array_equal(got[k], -want if right_first else want)

@@ -80,12 +80,16 @@ def test_level_averages_consistency():
 
 
 def test_is_zero_on():
-    vals = np.zeros(8)
-    vals[5] = 1.0
-    w = DyadicWeight(3, vals)
-    assert w.is_zero_on(DyadicInterval(1, 0))
-    assert not w.is_zero_on(DyadicInterval(1, 1))
-    assert not w.is_zero_on(ROOT)
+    # a cell of -0.0 counts as zero, beside 0.0 or alone
+    for zero in (0.0, -0.0):
+        vals = np.full(8, zero)
+        vals[2] = -0.0
+        vals[5] = 1.0
+        w = DyadicWeight(3, vals)
+        assert w.is_zero_on(DyadicInterval(1, 0))
+        assert w.is_zero_on(DyadicInterval(3, 2))
+        assert not w.is_zero_on(DyadicInterval(1, 1))
+        assert not w.is_zero_on(ROOT)
 
 
 def test_nonnegativity_enforced():
