@@ -15,7 +15,9 @@ continued fraction).  Other families fall back to a Gauss-Legendre panel
 grid in x = log(1/s), with panel edges pinned to the clamp knot so each
 panel integrand is smooth, and its node terms summed in one fixed order, so
 every kernel value is a function of its point alone, whatever array holds
-it.  Nothing in the package loads scipy.  The normalization multiplier k of
+it.  G, H and B evaluate any input in blocks of 2^14 points, so their
+temporaries do not grow with the input (see _KERNEL_BLOCK).  Nothing in
+the package loads scipy.  The normalization multiplier k of
 Psi is folded in: G, H, B all scale by 1/k, so m(s) (the profile with
 int_0^1 1/phi <= 1) is simply B of a normalized Psi.
 
@@ -214,11 +216,27 @@ class _PanelGrid:
 # kernel: G, H, B for one Psi
 # ---------------------------------------------------------------------------
 
-# points below the clamp knot whose raw H is evaluated at once, to bound
-# memory: the integral there holds several arrays of their number (a table
-# row of 8 coefficients per point, or 12 quadrature nodes).  Each value is a
-# function of its point, so the chunking does not change a bit.
-_H_CHUNK = 2 ** 13
+# G, H and B evaluate any input in blocks of this many points, sized for the
+# cache: a raw closed form holds a few arrays of a block's size, and H below
+# the clamp knot several more (a table row of 8 coefficients per point, or
+# 12 quadrature nodes).  Each value is a function of its point, so the
+# blocks do not change a bit.
+_KERNEL_BLOCK = 2 ** 14
+
+
+def _in_blocks(fn, s) -> np.ndarray | float:
+    """fn, an elementwise function of an array, over s: at once up to
+    _KERNEL_BLOCK points, else in blocks of that many points of s raveled;
+    a float for a scalar s."""
+    arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
+    if arr.size <= _KERNEL_BLOCK:
+        out = fn(arr)
+    else:
+        flat, out = arr.ravel(), np.empty(arr.size)
+        for a in range(0, flat.size, _KERNEL_BLOCK):
+            out[a:a + _KERNEL_BLOCK] = fn(flat[a:a + _KERNEL_BLOCK])
+        out = out.reshape(arr.shape)
+    return out if np.ndim(s) else float(out[0])
 
 
 class BellmanKernel:
@@ -237,7 +255,8 @@ class BellmanKernel:
     def _G_raw(self, s: np.ndarray) -> np.ndarray:
         """Raw G for s > 0.  Each closed form is built from chains of
         operations on unnamed arrays, whose buffers numpy reuses when they
-        are large, so that at most three arrays of s's size are held."""
+        are large, so that at most three arrays of s's size (a block) are
+        held."""
         psi = self.psi
         a, x0 = psi.alpha, self._x0
         if psi.mode in ("clamped-log", "clamped-loglog"):
@@ -262,10 +281,9 @@ class BellmanKernel:
         """Raw H for s > 0: linear from _h0 on [s0, inf), the integral below."""
         psi = self.psi
         out = self._h0 + (np.maximum(s, psi.s0) - psi.s0) / psi.clamp_value
-        below = np.nonzero(s < psi.s0)
-        for a in range(0, below[0].size, _H_CHUNK):
-            at = tuple(i[a:a + _H_CHUNK] for i in below)
-            out[at] = self._H_below(np.maximum(np.log(1.0 / s[at]), self._x0))
+        below = s < psi.s0
+        if below.any():
+            out[below] = self._H_below(np.maximum(np.log(1.0 / s[below]), self._x0))
         return out
 
     def _H_below(self, x: np.ndarray) -> np.ndarray:
@@ -300,25 +318,29 @@ class BellmanKernel:
 
     def G(self, s) -> np.ndarray | float:
         """B'(s) = int_0^s d sigma / phi(sigma)."""
-        arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        out = np.where(arr > 0, self._G_raw(np.maximum(arr, 1e-300)) / self.psi.k, 0.0)
-        return out if np.ndim(s) else float(out[0])
+        return _in_blocks(self._G_block, s)
 
     def H(self, s) -> np.ndarray | float:
-        arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        out = np.where(arr > 0, self._H_raw(np.maximum(arr, 1e-300)) / self.psi.k, 0.0)
-        return out if np.ndim(s) else float(out[0])
+        return _in_blocks(self._H_block, s)
 
     def B(self, s) -> np.ndarray | float:
-        """Convex potential with B(0) = B'(0) = 0 and B'' = 1/phi:
-        s G_raw(s) / k - H_raw(s) / k, one chain of operations on unnamed
+        """Convex potential with B(0) = B'(0) = 0 and B'' = 1/phi."""
+        return _in_blocks(self._B_block, s)
+
+    def _G_block(self, s: np.ndarray) -> np.ndarray:
+        return np.where(s > 0, self._G_raw(np.maximum(s, 1e-300)) / self.psi.k, 0.0)
+
+    def _H_block(self, s: np.ndarray) -> np.ndarray:
+        return np.where(s > 0, self._H_raw(np.maximum(s, 1e-300)) / self.psi.k, 0.0)
+
+    def _B_block(self, s: np.ndarray) -> np.ndarray:
+        """s G_raw(s) / k - H_raw(s) / k, one chain of operations on unnamed
         arrays (see _G_raw), zeroed in place where s <= 0, so that at most
-        four arrays of s's size are held."""
-        arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        pos = np.maximum(arr, 1e-300)
+        four block-sized arrays are held."""
+        pos = np.maximum(s, 1e-300)
         out = pos * self._G_raw(pos) / self.psi.k - self._H_raw(pos) / self.psi.k
-        np.copyto(out, 0.0, where=~(arr > 0))
-        return out if np.ndim(s) else float(out[0])
+        np.copyto(out, 0.0, where=~(s > 0))
+        return out
 
     def U(self, s) -> np.ndarray | float:
         return 1.0 / self.psi.phi(s)
@@ -329,9 +351,14 @@ class BellmanKernel:
         return float(self.G(1.0))
 
     @cached_property
+    def min_psi(self) -> float:
+        """Psi(1), the minimum of Psi on (0, 1]."""
+        return self.psi.min_psi
+
+    @cached_property
     def is_normalized(self) -> bool:
         """m-profile requirements: C <= 1 and phi(s) >= s."""
-        return self.C <= 1.0 + 1e-12 and self.psi.min_psi >= 1.0 - 1e-12
+        return self.C <= 1.0 + 1e-12 and self.min_psi >= 1.0 - 1e-12
 
     # the two-variable auxiliary function -----------------------------------
 

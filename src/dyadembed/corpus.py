@@ -28,6 +28,7 @@ import numpy as np
 
 from .carleson import CarlesonSequence
 from .intervals import ROOT, DyadicInterval
+from .verifiers import _subtree_at
 from .weights import DyadicWeight, StepFunction
 
 
@@ -159,18 +160,13 @@ def estimate_ainfty(w: DyadicWeight) -> float:
 
 
 def check_rhi(w: DyadicWeight, j: DyadicInterval = ROOT) -> float:
-    """Reverse-Holder constant sup_{I in J} <w>_I / <sqrt(w)>_I^2 (>= 1)."""
-    sq = DyadicWeight(w.depth, np.sqrt(w.values), allow_zero=True)
-    worst = 1.0
-    for lev in range(j.level, w.depth + 1):
-        width = 2 ** (lev - j.level)
-        a, b = j.index * width, (j.index + 1) * width
-        avg = w.level_averages(lev)[a:b]
-        ravg = sq.level_averages(lev)[a:b]
-        pos = ravg > 0
-        if np.any(pos):
-            worst = max(worst, float(np.max(avg[pos] / ravg[pos] ** 2)))
-    return worst
+    """Reverse-Holder constant sup_{I in J} <w>_I / <sqrt(w)>_I^2 (>= 1),
+    one pass over the heap averages of the nodes under J."""
+    at = _subtree_at(w.depth, j)
+    avg = w.heap_averages()[at]
+    ravg = DyadicWeight(w.depth, np.sqrt(w.values), allow_zero=True).heap_averages()[at]
+    pos = ravg > 0
+    return float(np.max(avg[pos] / ravg[pos] ** 2, initial=1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -179,11 +179,13 @@ class PsiFunction:
             xs = np.maximum(x, 1.0 + 1e-12)
             val = xs * np.log(xs) ** self.alpha
             return np.where(s <= self.s0, val, self.clamp_value)
-        # parametric
+        # parametric: the map t(s) is solved below the clamp knot only
         src = self.phi_source
+        out = np.full(s.shape, self.clamp_value)
+        below = s < self.s0
         with np.errstate(divide="ignore"):
-            t = src.phi_dphi_inverse(1.0 / s)
-        return np.where(s < self.s0, src.dphi(t), self.clamp_value)
+            out[below] = src.dphi(src.phi_dphi_inverse(1.0 / s[below]))
+        return out
 
     def psi(self, s):
         return self.k * self.psi_raw(s)

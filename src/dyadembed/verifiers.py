@@ -53,9 +53,14 @@ needs the sorted rows (n_psi, the potentials script-B and script-T, the
 stage-1 integral of the half difference, int N^2/phi, u) is integrated
 level by level, or read from the slot, into arrays over the nodes in heap
 order, level-major with the index ascending, so the node at k has its
-children at 2k + 1 and 2k + 2.  Each of these depends on its node and the
-cells below it alone, so J only selects its subtree's nodes, in the
-subtree's own heap order, and its cells of the finest level (_node_arrays).
+children at 2k + 1 and 2k + 2.  The walk holds the slot's levels at once
+and a streamed tree's one at a time, and every T(A+1, N) = N G(N/(A+1))
+of the levels it holds (embed's script-T, embed2's u, each at every node
+and at the finest level's phantom) is one kernel call (_T): one call per
+certificate on the slot, one per level past it.  Each of these arrays
+depends on its node and the cells below it alone, so J only selects its
+subtree's nodes, in the subtree's own heap order, and its cells of the
+finest level (_node_arrays).
 A certificate under J != ROOT thus pays for the whole tree's walk.  Every
 step after that is elementwise and runs once over J's nodes: the gains,
 the stage bounds, the weighted Haar split with its identity and
@@ -424,17 +429,24 @@ def _levels(w: DyadicWeight, psi: PsiFunction):
 
 
 def _node_arrays(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval, at,
-                 finest=None, kept=None, **per_level) -> dict:
-    """live and n_psi of every node of the subtree under j, fn(level) for
-    each fn of per_level and fn(finest level) for each fn of the dict
-    finest.  One walk of the whole tree writes each per-level array level by
-    level into one array over its nodes in heap order; j then selects its
-    nodes, at (_subtree_at), and its cells of the finest level.  On the
-    slot, live and n_psi are read from it, and so is each array named in
-    the dict kept, whose value is the key of its store entry: the walk
-    computes an entry that the store lacks, and keeps it."""
+                 kept=None, script=None, **per_level) -> dict:
+    """live and n_psi of every node of the subtree under j and fn(level) for
+    each fn of per_level.  With script = (kernel, form, budgets, phantoms),
+    also form(level, *T) for each name of the dict budgets on every level,
+    and of the dict phantoms on the finest level, with T the _T of A + 1
+    for the level's entries A of the name's array (one a node in heap
+    order, or one a node of the finest level).  One walk of the whole tree
+    writes each per-level array level by level into one array over its
+    nodes in heap order; j then selects its nodes, at (_subtree_at), and its
+    cells of the finest level.  The walk holds the slot's levels at once, or
+    a streamed tree's one at a time, and evaluates the T of every level it
+    holds in one kernel call.  On the slot, live and n_psi are read from it,
+    and so is each array named in the dict kept, whose value is the key of
+    its store entry: the walk computes an entry that the store lacks, and
+    keeps it."""
     slot = _slot_of(w, psi)
-    finest, kept = finest or {}, kept or {}
+    kept = kept or {}
+    kernel, form, budgets, phantoms = script or (None, None, {}, {})
     if slot is None:
         whole = {}
         per_level = {"live": lambda lv: lv.rows.live, "n_psi": _Level.n_psi, **per_level}
@@ -445,21 +457,34 @@ def _node_arrays(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval, at,
             if entry is not None:
                 whole[name] = entry[1]
     walk = {name: fn for name, fn in per_level.items() if name not in whole}
-    last = {name: fn for name, fn in finest.items() if name not in whole}
-    if walk or last:
+    scripted = {name: a for name, a in {**budgets, **phantoms}.items() if name not in whole}
+    if walk or scripted:
         size = 2 ** (w.depth + 1) - 1
-        for lv in _levels(w, psi):
-            for name, fn in walk.items():
-                part = fn(lv)
-                if name not in whole:
-                    whole[name] = np.empty(size, dtype=part.dtype)
-                lv.of(whole[name])[:] = part
-        whole.update((name, fn(lv)) for name, fn in last.items())
+
+        def put(name, lv, part):
+            if name in phantoms:
+                whole[name] = part
+                return
+            if name not in whole:
+                whole[name] = np.empty(size, dtype=part.dtype)
+            lv.of(whole[name])[:] = part
+
+        levels = _levels(w, psi)
+        for held in [tuple(levels)] if slot is not None else ((lv,) for lv in levels):
+            for lv in held:
+                for name, fn in walk.items():
+                    put(name, lv, fn(lv))
+            parts = [(name, lv, (a if name in phantoms else lv.of(a)) + 1.0) for lv in held
+                     for name, a in scripted.items() if name not in phantoms or lv.grid.size == 1]
+            if parts:
+                for (name, lv, _), t in zip(parts, _T(kernel, [p[1:] for p in parts])):
+                    put(name, lv, form(lv, *t))
+                del parts, t    # freed before a streamed walk splits the next level
         for name, key in kept.items():
             _shared(slot, name, key, lambda: whole[name])
     width = 2 ** (w.depth - j.level)
     cells = slice(j.index * width, (j.index + 1) * width)
-    return {name: a[cells if name in finest else at] for name, a in whole.items()}
+    return {name: a[cells if name in phantoms else at] for name, a in whole.items()}
 
 
 def _slack(tol: Tolerances, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -474,20 +499,30 @@ def _bump_term(alpha: np.ndarray, avg: np.ndarray, n_psi: np.ndarray) -> np.ndar
         return alpha * avg * avg / n_psi
 
 
-_NO_VALUES = np.empty(0)
-
-
-def _T(kernel: BellmanKernel, lv: _Level, divisor: np.ndarray):
-    """T(divisor, N) = N G(N / divisor) on the grid, one row per dense row,
-    and at N = 1 on the constant rows (the two arguments of lv.integral),
-    from a single kernel evaluation."""
-    rows = lv.rows
-    if rows.dense is None:
-        x = lv.grid / divisor[:, None]
-        return lv.grid * kernel.G(x.ravel()).reshape(x.shape), _NO_VALUES
-    x = lv.grid / divisor[rows.dense][:, None]
-    g = kernel.G(np.concatenate((x.ravel(), 1.0 / divisor[rows.const])))
-    return lv.grid * g[:x.size].reshape(x.shape), g[x.size:]
+def _T(kernel: BellmanKernel, parts: list) -> list:
+    """T(divisor, N) = N G(N / divisor) for each (level, divisor) pair of
+    parts, the divisor over the level's rows: on the grid, one row per dense
+    row, and at N = 1 on the constant rows (the two arguments of
+    _Level.integral).  The points of every pair are written into one array
+    for one kernel evaluation, whose values are sliced back to their pairs."""
+    x = np.empty(sum(lv.rows.pieces.size + lv.rows.value.size for lv, _ in parts))
+    at = 0
+    for lv, divisor in parts:
+        rows, dense = lv.rows, lv.rows.pieces.size
+        np.divide(lv.grid, (divisor if rows.dense is None else divisor[rows.dense])[:, None],
+                  out=x[at:at + dense].reshape(rows.pieces.shape))
+        at += dense
+        np.divide(1.0, divisor[rows.const], out=x[at:at + rows.value.size])
+        at += rows.value.size
+    g = kernel.G(x)
+    del x
+    out, at = [], 0
+    for lv, _ in parts:
+        dense, ones = lv.rows.pieces.size, lv.rows.value.size
+        out.append((lv.grid * g[at:at + dense].reshape(lv.rows.pieces.shape),
+                    g[at + dense:at + dense + ones]))
+        at += dense + ones
+    return out
 
 
 def _normalized(seq: CarlesonSequence, slot: _Slot | None) -> tuple[CarlesonSequence, float]:
@@ -544,8 +579,11 @@ def _chain(j: DyadicInterval, live, term, gain, stage1, stage2,
 
 
 def _walk_total(terms: np.ndarray) -> float:
-    """The sum of terms added one at a time, in order, from 0.0."""
-    return float(np.cumsum(np.concatenate((np.zeros(1), terms)))[-1])
+    """The sum of terms added one at a time, in order, from 0.0: their
+    running sum, since 0.0 + t is t for every t but -0.0, plus 0.0, which
+    turns the -0.0 of an all-(-0.0) sum into the +0.0 a start from 0.0
+    gives."""
+    return float(np.cumsum(terms)[-1]) + 0.0 if terms.size else 0.0
 
 
 def bellman_induction(checks: LevelChecks, j: DyadicInterval,
@@ -683,15 +721,16 @@ def _embed_checks(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
     heap order, after the row integrals of script-T and int N^2/phi."""
     at = _subtree_at(w.depth, j)
     m_all, alpha_all = np.concatenate(seq.accumulators), np.concatenate(seq.levels)
-    script_T = lambda lv, divisor: lv.integral(*_T(kernel, lv, divisor))
+    cells = slice(2 ** w.depth - 1, None)     # the finest level's nodes
     nodes = _node_arrays(
         w, kernel.psi, j, at,
-        # phantom generation below the finest level: identical children
-        # carrying the remaining accumulator mass (zero)
-        finest={"phantom": lambda lv: script_T(lv, (lv.of(m_all) - lv.of(alpha_all)) + 1.0)},
         # int N^2/phi depends on (w, psi) alone: the slot's store keeps it
         kept={"n2_phi": None},
-        pot=lambda lv: script_T(lv, lv.of(m_all) + 1.0),
+        # script-T at every node, and through a phantom generation below the
+        # finest level: identical children carrying the remaining
+        # accumulator mass (zero)
+        script=(kernel, _Level.integral, {"pot": m_all},
+                {"phantom": m_all[cells] - alpha_all[cells]}),
         n2_phi=lambda lv: lv.integral(lv.grid * lv.grid / lv.phi))
     m, alpha = m_all[at], alpha_all[at]
     del m_all, alpha_all
@@ -722,14 +761,6 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     f_i = f.product(w).heap_averages()[at]
     above = f_i.size // 2     # the nodes above the finest level
 
-    def u(lv, m_budget):
-        """u(N_I, M) = int (2N - T(M+1, N)) dt of every row."""
-        out = (m_budget < -1e-9) | (m_budget > 1.0 + 1e-9)
-        if out.any():
-            raise ValueError(f"M = {m_budget[out][0]} outside [0, 1]")
-        t, t_at_one = _T(kernel, lv, m_budget + 1.0)
-        return lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one)
-
     def bellman(u_i, fv):
         """B~(f, N_I, M) = f^2 / u(N_I, M)."""
         if np.any((u_i <= 0) & (fv != 0)):
@@ -737,20 +768,26 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(u_i > 0, fv * fv / u_i, 0.0)
 
-    per_level = {}
+    # u(N_I, M) = int (2N - T(M+1, N)) dt at each node's own budget M and
+    # the finest level's phantom M - a; it depends on (w, seq, psi) alone:
+    # the slot's store keeps it, and every f of the sequence reads it there
+    budgets = {"u": m_all}
     if spot_check_derivative:
         inside = (1e-4 < m_all) & (m_all < 1.0 - 1e-4)
         mid = np.where(inside, m_all, 0.5)
         h = 1e-5
-        per_level.update(up=lambda lv: u(lv, lv.of(mid) + h),
-                         down=lambda lv: u(lv, lv.of(mid) - h))
-    # u at each node's own budget M and the finest level's phantom M - a; it
-    # depends on (w, seq, psi) alone: the slot's store keeps it, and every f
-    # of the sequence reads it there
-    nodes = _node_arrays(w, kernel.psi, j, at,
-                         {"phantom": lambda lv: u(lv, lv.of(m_all) - lv.of(a_all))},
-                         {"u": seq, "phantom": seq}, u=lambda lv: u(lv, lv.of(m_all)),
-                         **per_level)
+        budgets.update(up=mid + h, down=mid - h)
+    cells = slice(2 ** w.depth - 1, None)     # the finest level's nodes
+    phantom = m_all[cells] - a_all[cells]
+    # the first budget outside [0, 1] in level order (up and down never are)
+    for m_budget in (*budgets.values(), phantom):
+        out = (m_budget < -1e-9) | (m_budget > 1.0 + 1e-9)
+        if out.any():
+            raise ValueError(f"M = {m_budget[out][0]} outside [0, 1]")
+    nodes = _node_arrays(
+        w, kernel.psi, j, at, {"u": seq, "phantom": seq},
+        (kernel, lambda lv, t, t_at_one: lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one),
+         budgets, {"phantom": phantom}))
 
     pot = bellman(nodes["u"], f_i)
     # phantom generation: the finest-level sequence mass enters as a pure
@@ -915,7 +952,7 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
     itemizes all three plus the budgets actually attained.
     """
     kernel = _kernel(psi)
-    psi_min = psi.min_psi
+    psi_min = kernel.min_psi
     fw = f.product(w)
     f2w = f.squared().product(w)
     # upfront: the drift sequence beta_I = (Delta_I w)^2 / n_psi must be

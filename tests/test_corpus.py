@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dyadembed import (
     ROOT,
     CorpusSpec,
     DyadicInterval,
+    DyadicWeight,
     check_rhi,
     corpus_weights,
     default_corpus_specs,
@@ -171,6 +173,56 @@ def test_rhi_martingale_bounded_in_depth():
             w = gen_weight(CorpusSpec("random-martingale", depth, (0.1,), seed))
             worst = max(worst, check_rhi(w))
     assert worst < 1.1
+
+
+def _rhi_by_level(w, j):
+    """check_rhi as a loop over the levels of the subtree under j."""
+    sq = DyadicWeight(w.depth, np.sqrt(w.values), allow_zero=True)
+    worst = 1.0
+    for lev in range(j.level, w.depth + 1):
+        width = 2 ** (lev - j.level)
+        a, b = j.index * width, (j.index + 1) * width
+        avg = w.level_averages(lev)[a:b]
+        ravg = sq.level_averages(lev)[a:b]
+        pos = ravg > 0
+        if np.any(pos):
+            worst = max(worst, float(np.max(avg[pos] / ravg[pos] ** 2)))
+    return worst
+
+
+def _roots(depth):
+    """ROOT, and a node of every level below it down to the finest."""
+    return [ROOT] + [DyadicInterval(lev, (2 ** lev - 1) * (lev % 2))
+                     for lev in range(1, depth + 1)]
+
+
+def test_rhi_one_pass_matches_the_level_loop_on_the_corpus():
+    for spec in default_corpus_specs():
+        w = gen_weight(spec)
+        for j in _roots(w.depth):
+            assert check_rhi(w, j).hex() == _rhi_by_level(w, j).hex(), (spec.label, j)
+
+
+@st.composite
+def _weights_with_zeros(draw):
+    """Weights with zeros, ties and a 1e-100 .. 1e100 dynamic range, and a
+    root anywhere in the tree."""
+    depth = draw(st.integers(0, 6))
+    mantissa = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+    scale = st.sampled_from([1e-100, 1.0, 1e100])
+    cells = draw(st.lists(st.tuples(mantissa, scale), min_size=2 ** depth,
+                          max_size=2 ** depth))
+    values = np.array([m * s for m, s in cells])
+    assume(values.max() > 0)
+    level = draw(st.integers(0, depth))
+    return DyadicWeight(depth, values), DyadicInterval(level, draw(st.integers(0, 2 ** level - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_weights_with_zeros())
+def test_rhi_one_pass_matches_the_level_loop(case):
+    w, j = case
+    assert check_rhi(w, j).hex() == _rhi_by_level(w, j).hex()
 
 
 def test_lacunary_rhi_grows():

@@ -16,6 +16,10 @@
   bit-identical ratios and verdicts under w -> 2^k w.
 * Reflection x -> 1 - x: Haar differences flip sign exactly, verdicts are
   unchanged, and each lhs moves only by the reordering of its sum.
+* One kernel call per certificate: on the slot `embed` and the first
+  `embed2` of a sequence evaluate G once, later `embed2` of it never, and
+  a streamed tree once a level; `embed2` names the first budget M outside
+  [0, 1] in level order.
 * The one-weight level slot and its store: every way into them (other f,
   other or equal sequences, another weight in between, a subtree root)
   gives the certificates of a run that starts with an empty slot, and of
@@ -368,6 +372,11 @@ def test_node_sum_adds_in_walk_order():
     total = verifiers._walk_total(np.concatenate(levels))
     assert total == expected
     assert total != math.fsum(np.concatenate(levels))
+    # a walk starts from +0.0: no terms, or terms that are all -0.0, sum to +0.0
+    for terms in (np.empty(0), np.full(5, -0.0), np.array([-0.0, 0.0, -0.0])):
+        total = verifiers._walk_total(terms)
+        assert total == 0.0 and math.copysign(1.0, total) == 1.0
+    assert math.copysign(1.0, verifiers._walk_total(np.array([-0.0, -1e-300]))) == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +591,62 @@ def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
         verify_embed2(w, f, seq, PSI, DyadicInterval(1, 1))
     assert sorted(made) == ["haar", "normalized", "phantom", "u"]
     assert verifiers._kernel(PSI) is verifiers._kernel(PSI)
+
+
+def _count_kernel_calls(monkeypatch):
+    """Counters of BellmanKernel.G calls and of the raw G blocks they
+    evaluate (_G_raw), from now on."""
+    calls = {"G": 0, "_G_raw": 0}
+    for name in calls:
+        fn = getattr(BellmanKernel, name)
+
+        def counted(self, s, fn=fn, name=name):
+            calls[name] += 1
+            return fn(self, s)
+
+        monkeypatch.setattr(BellmanKernel, name, counted)
+    return calls
+
+
+def test_one_kernel_call_per_certificate(monkeypatch):
+    # on the slot, embed evaluates script-T at every level and its phantom
+    # in one kernel call, and embed2 its u and phantom u in one; later
+    # embed2 of the sequence read u from the store.  A streamed tree makes
+    # one call per level: a depth-14 martingale has 2^14 dense points a
+    # level, one raw block, and its finest level the 2^14 points of pot and
+    # of the phantom, two blocks
+    kernel = verifiers._kernel(PSI)
+    assert kernel.C > 0 and kernel.is_normalized      # the kernel's own G(1)
+    w = gen_weight(CorpusSpec("random-martingale", 8, (0.3,), 1))
+    seq = _one_seq(w)[0]
+    _clear_slot()
+    calls = _count_kernel_calls(monkeypatch)
+    verify_embed(w, seq, PSI)
+    assert calls == {"G": 1, "_G_raw": 1}
+    for count, f in zip((1, 0, 0, 0, 0), _five_f(w)):
+        calls.update(G=0, _G_raw=0)
+        verify_embed2(w, f, seq, PSI)
+        assert calls == {"G": count, "_G_raw": count}
+    deep = gen_weight(CorpusSpec("random-martingale", 14, (0.3,), 1))
+    calls.update(G=0, _G_raw=0)
+    verify_embed(deep, _one_seq(deep)[0], PSI)
+    assert verifiers._slot_of(deep, PSI) is None
+    assert calls == {"G": 15, "_G_raw": 16}
+
+
+@pytest.mark.parametrize("slot_bytes", [verifiers._SLOT_BYTES, 0], ids=["slot", "unslotted"])
+def test_u_budget_error_names_the_first_node_in_level_order(slot_bytes, monkeypatch):
+    # budgets M above 1 on levels 2 and 3 (1.5 at (2, 0), 2.0 at (3, 5)):
+    # embed2's checks reject the sequence with the first such M in level
+    # order, on the slot and off it
+    w = gen_weight(CorpusSpec("random-martingale", 6, (0.6,), 3))
+    seq = CarlesonSequence.from_entries(6, [(2, 0, 1.5), (3, 5, 2.0)])
+    m_all = np.concatenate(seq.accumulators)
+    assert m_all[m_all > 1.0 + 1e-9].tolist() == [1.5, 2.0]
+    monkeypatch.setattr(verifiers, "_SLOT_BYTES", slot_bytes)
+    _clear_slot()
+    with pytest.raises(ValueError, match=r"^M = 1\.5 outside \[0, 1\]$"):
+        _paraproduct_checks(w, _one_f(w)[0], seq, KERNEL, ROOT, True, DEFAULT_TOL)
 
 
 def test_store_under_a_subtree_root_with_a_panel_kernel(monkeypatch):
