@@ -93,6 +93,14 @@ class CarlesonSequence:
             raise ValueError("cannot normalize the zero sequence")
         return self.scaled(1.0 / norm), norm
 
+    @cached_property
+    def norm_capped(self) -> tuple["CarlesonSequence", float]:
+        """(sequence, factor) that a certificate reads: normalized() if the
+        Carleson norm exceeds 1, else (self, 1.0)."""
+        if carleson_norm(self) > 1.0 + 1e-12:
+            return self.normalized()
+        return self, 1.0
+
     def to_json(self) -> str:
         entries = [
             [lev, int(i), float(v)]

@@ -115,8 +115,8 @@ def _run_task(task) -> list[dict]:
 
     A task is (theorem, config, corpus entry, weight), the weight loaded and
     hash-checked by the parent.  One task per weight lets all of its
-    certificates share one sort of the weight (the level slot), in any
-    worker."""
+    certificates share one tree of the weight and Psi (its sort and the
+    arrays that every test function reads), in any worker."""
     theorem, cfg, entry, w = task
     psi, tol, label = cfg.psi(), cfg.tolerances(), entry.spec.label
     sequences = ((k, gen_carleson_sequence(k, w.depth, cfg.seed)) for k in SEQUENCE_KINDS)

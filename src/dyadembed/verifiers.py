@@ -25,42 +25,42 @@ a cell being read.  Dense array work runs only on the other rows, so a
 spike or a lacunary weight costs O(2^depth) in all, not per level.  Every
 tree is sorted once, top down: the root's block is stable-sorted and each
 level below is a linear split of the non-constant rows of the one above.
-The sorted blocks depend on w alone and n_psi on (w, Psi), so a tree whose
-dense sorted levels would fit in 1 MiB (every tree of depth <= 13) is
-sorted once into a one-weight slot that every certificate of that weight
-reads.  A deeper tree is split one level at a time, and only two adjacent
-levels are held at once.
+A certificate reads the tree of its (w, Psi), a _Tree: the kernel of Psi,
+phi on the finest grid and, when their dense form would fit in 1 MiB
+(every tree of depth <= 13), the sorted levels.  A deeper tree is split one
+level at a time, and only two adjacent levels are held at once.  Beside
+the sort the tree holds the node arrays that do not depend on the test
+function f, each one array over the whole tree: every node's live flag and
+n_psi, embed's int N^2/phi, fd-embed's weighted-Haar w-part above the
+finest level, and embed2's u(N, M) at every node's own budget and at the
+finest level's phantom budget, for the most recent sequence.  The first
+certificate that lacks one computes it in its own walk, as one more array,
+and the tree keeps it, so each certificate of the weight computes only its
+f-dependent part.  Every kernel value is a function of its point alone
+(see `bellman`), so a later certificate reads the bits it would have
+computed.  The kept arrays take at most about 53 bytes a node.
 
-Beside the sort the slot holds every node's live flag and n_psi in heap
-order, and a store of the work that does not depend on the test function
-f, so each certificate of the weight computes only its f-dependent part:
-embed's int N^2/phi at every node, keyed by (w, Psi); embed2's u(N, M) at
-every node's own budget and at the finest level's phantom budget, keyed by
-(w, Psi) and the sequence; fd-embed's weighted-Haar w-part at every node
-above the finest level; and the normalized copies of the most recent four
-sequences.  Every entry is (key, value), and the value of a node-array
-entry is one array over the whole tree: the first certificate that lacks
-it computes it in its own walk, as one more array, and keeps it.  Every
-kernel value is a function of its point alone (see `bellman`), so a later
-certificate reads the bits it would have computed.  Keys are matched by
-identity and held, so no id is reused; the store goes with the slot when
-the weight or Psi changes, and holds at most about 150 bytes a node.  The
-BellmanKernel of the most recent Psi is kept as well, so its C is
-evaluated once.
+Lifetimes: the tree of the most recent weight within 1 MiB is the current
+one, matched by the identity of w and Psi, which it holds (_tree).  A tree
+of another (w, Psi) within the bound replaces it whole; a deeper tree
+serves its one certificate and is dropped.  The kernel lives while its Psi
+stays current: a new tree of the current tree's Psi takes it over, so its
+C is evaluated once per Psi.  A sequence's normalized copy lives on the
+sequence (CarlesonSequence.norm_capped).
 
 Every bounded certificate walks the whole tree, whatever its root J.  What
 needs the sorted rows (n_psi, the potentials script-B and script-T, the
 stage-1 integral of the half difference, int N^2/phi, u) is integrated
-level by level, or read from the slot, into arrays over the nodes in heap
+level by level, or read from the tree, into arrays over the nodes in heap
 order, level-major with the index ascending, so the node at k has its
-children at 2k + 1 and 2k + 2.  The walk holds the slot's levels at once
-and a streamed tree's one at a time, and every T(A+1, N) = N G(N/(A+1))
-of the levels it holds (embed's script-T, embed2's u, each at every node
-and at the finest level's phantom) is one kernel call (_T): one call per
-certificate on the slot, one per level past it.  Each of these arrays
-depends on its node and the cells below it alone, so J only selects its
-subtree's nodes, in the subtree's own heap order, and its cells of the
-finest level (_node_arrays).
+children at 2k + 1 and 2k + 2.  The walk holds a kept tree's levels at
+once and a streamed tree's one at a time, and every T(A+1, N) =
+N G(N/(A+1)) of the levels it holds (embed's script-T, embed2's u, each at
+every node and at the finest level's phantom) is one kernel call (_T): one
+call per certificate on a kept tree, one per level on a streamed one.
+Each of these arrays depends on its node and the cells below it alone, so
+J only selects its subtree's nodes, in the subtree's own heap order, and
+its cells of the finest level (_node_arrays).
 A certificate under J != ROOT thus pays for the whole tree's walk.  Every
 step after that is elementwise and runs once over J's nodes: the gains,
 the stage bounds, the weighted Haar split with its identity and
@@ -96,6 +96,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -108,7 +109,7 @@ from .bellman import (
     PDE_STAGE1_FACTOR,
     _require_normalized,
 )
-from .carleson import CarlesonSequence, carleson_norm
+from .carleson import CarlesonSequence
 from .config import DEFAULT_TOL, Tolerances
 from .intervals import ROOT, DyadicInterval
 from .orlicz import PsiFunction
@@ -311,7 +312,7 @@ def _sorted_levels(w: DyadicWeight, same: list):
             if not keep.all():
                 order = order[keep]
                 dense = np.flatnonzero(keep) if dense is None else dense[keep]
-        cells = block[order.ravel()]
+        cells = block.take(order.ravel())
         pieces = np.empty_like(cells)
         np.subtract(cells[1:], cells[:-1], out=pieces[1:])
         pieces[::m] = cells[::m]
@@ -339,127 +340,101 @@ def _sorted_levels(w: DyadicWeight, same: list):
 
 # The dense form of a tree's sorted levels is (d + 1) 2^d cells of 9 bytes
 # (a float64 piece length and a bool child label).  A tree whose dense form
-# fits in this many bytes (depth <= 13) is sorted once and kept in the
-# slot.  Its collapsed levels hold no more cells than the dense form; each
-# row adds at most 18 bytes (its live and constant flags, its value or
-# dense row number, and its n_psi) and phi 8 bytes a finest cell.
+# fits in this many bytes (depth <= 13) keeps its sorted levels.  Its
+# collapsed levels hold no more cells than the dense form; each row adds at
+# most 18 bytes (its live and constant flags, its value or dense row
+# number, and its n_psi) and phi 8 bytes a finest cell.
 _SLOT_BYTES = 2 ** 20
 
-# The slot's store keeps the normalized copies of this many sequences, the
-# most recent ones (the CLI draws four sequence kinds per weight).
-_SEQ_ENTRIES = 4
+# the node arrays a kept tree keeps once a walk has computed them: those of
+# (w, psi) alone, and u of the tree's sequence (_SEQ_ARRAYS)
+_SEQ_ARRAYS = ("u", "u_phantom")
+_KEPT = ("live", "n_psi", "n2_phi") + _SEQ_ARRAYS
 
 
-class _Slot(NamedTuple):
-    """The most recently used weight: levels[l] is the _Rows of every node of
-    level l, live and n_psi hold every node's flag and n_psi in heap order
-    (each level's live flags are a view of live), and phi is psi.phi on the
-    finest grid.  The sort depends on w alone and the rest on (w, psi), so
-    every bounded certificate of a weight reads one sort.  store holds what
-    the certificates of (w, psi) share beyond it (_shared)."""
+class _Tree:
+    """The dyadic tree of (w, psi) and the work its certificates share:
+    kernel is psi's BellmanKernel, phi is psi.phi on the finest grid, and
+    sorted is the _Rows of every level, root first, or None for a tree
+    whose dense form does not fit _SLOT_BYTES.  nodes holds the arrays of
+    _KEPT over every node in heap order that a walk on a kept tree has
+    computed, those of _SEQ_ARRAYS for the sequence seq; each level's live
+    flags are a view of nodes["live"]."""
 
-    w: DyadicWeight
-    levels: tuple
-    live: np.ndarray
-    psi: PsiFunction
-    phi: np.ndarray
-    n_psi: np.ndarray
-    store: dict
+    def __init__(self, w: DyadicWeight, psi: PsiFunction, kernel: BellmanKernel) -> None:
+        self.w, self.psi, self.kernel = w, psi, kernel
+        self.phi = psi.phi(_top_grid(w))
+        self.sorted, self.nodes, self.seq = None, {}, None
+        if (w.depth + 1) * 2 ** w.depth * 9 <= _SLOT_BYTES:
+            levels = tuple(_sorted_levels(w, _constant_rows(w)))
+            live = self.nodes["live"] = np.concatenate([rows.live for rows in levels])
+            self.sorted = tuple(rows._replace(live=live[2 ** lev - 1:2 ** (lev + 1) - 1])
+                                for lev, rows in enumerate(levels))
+
+    def levels(self):
+        """Every level of the tree, root first: the kept ones, or each split
+        from the one above when it is reached."""
+        grid = _top_grid(self.w)
+        rows = self.sorted
+        if rows is None:
+            rows = _sorted_levels(self.w, _constant_rows(self.w))
+        for lev, r in enumerate(rows):
+            yield _Level(grid[::2 ** lev], self.phi[::2 ** lev], r)
+
+    def use_seq(self, seq: CarlesonSequence) -> None:
+        """Make seq the sequence whose arrays the tree keeps."""
+        if self.seq is not seq:
+            self.seq = seq
+            for name in _SEQ_ARRAYS:
+                self.nodes.pop(name, None)
+
+    @cached_property
+    def haar(self) -> _HaarWeight:
+        return _haar_weight(self)
 
 
-# The slot is replaced whole, matched by the identity of w and psi, and
-# holds both, so their ids cannot be reused while it does.
-_slot = None
+# The tree of the most recent weight within _SLOT_BYTES.
+_current = None
 
 
-def _tree(w: DyadicWeight, psi: PsiFunction) -> _Slot:
-    """The slot for (w, psi), refilled on a miss; a new psi keeps the sort."""
-    global _slot
-    slot = _slot
-    if slot is not None and slot.w is w:
-        if slot.psi is psi:
-            return slot
-        levels, live = slot.levels, slot.live
+def _tree(w: DyadicWeight, psi: PsiFunction) -> _Tree:
+    """The tree of (w, psi): the current one if it holds w and psi, or else
+    a new one, which becomes current if it keeps its levels.  A new tree of
+    the current psi takes over its kernel."""
+    global _current
+    if _current is not None and _current.psi is psi:
+        if _current.w is w:
+            return _current
+        kernel = _current.kernel
     else:
-        levels = tuple(_sorted_levels(w, _constant_rows(w)))
-        live = np.concatenate([rows.live for rows in levels])
-        levels = tuple(rows._replace(live=live[2 ** lev - 1:2 ** (lev + 1) - 1])
-                       for lev, rows in enumerate(levels))
-    phi = psi.phi(_top_grid(w))
-    n_psi = np.concatenate([rows.integral(phi[::rows.live.size]) for rows in levels])
-    _slot = _Slot(w, levels, live, psi, phi, n_psi, {})
-    return _slot
+        kernel = BellmanKernel(psi)
+    tree = _Tree(w, psi, kernel)
+    if tree.sorted is not None:
+        _current = tree
+    return tree
 
 
-def _slot_of(w: DyadicWeight, psi: PsiFunction) -> _Slot | None:
-    """The slot filled for (w, psi), or None for a tree too large for it."""
-    if (w.depth + 1) * 2 ** w.depth * 9 > _SLOT_BYTES:
-        return None
-    return _tree(w, psi)
-
-
-def _shared(slot: _Slot | None, name: str, key, make, keep: int = 1):
-    """make(), computed once while slot holds its (w, psi) and kept in its
-    store under name for the identity of key (None for work of (w, psi)
-    alone), beside the entries of at most keep - 1 other keys; the oldest
-    is dropped.  An entry holds its key, so the key's id cannot be reused
-    while it is kept.  Without a slot, make() is not kept."""
-    if slot is None:
-        return make()
-    entries = slot.store.setdefault(name, {})
-    entry = entries.get(id(key))
-    if entry is None:
-        if len(entries) == keep:
-            del entries[next(iter(entries))]
-        entry = entries[id(key)] = (key, make())
-    return entry[1]
-
-
-def _levels(w: DyadicWeight, psi: PsiFunction):
-    """Every level of the tree, root first: the slot's, or for a tree too
-    large for it, each split from the one above when it is reached."""
-    grid = _top_grid(w)
-    slot = _slot_of(w, psi)
-    if slot is None:
-        phi, levels = psi.phi(grid), _sorted_levels(w, _constant_rows(w))
-    else:
-        phi, levels = slot.phi, slot.levels
-    for lev, rows in enumerate(levels):
-        yield _Level(grid[::2 ** lev], phi[::2 ** lev], rows)
-
-
-def _node_arrays(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval, at,
-                 kept=None, script=None, **per_level) -> dict:
+def _node_arrays(tree: _Tree, j: DyadicInterval, at, script=None, **per_level) -> dict:
     """live and n_psi of every node of the subtree under j and fn(level) for
-    each fn of per_level.  With script = (kernel, form, budgets, phantoms),
-    also form(level, *T) for each name of the dict budgets on every level,
-    and of the dict phantoms on the finest level, with T the _T of A + 1
-    for the level's entries A of the name's array (one a node in heap
-    order, or one a node of the finest level).  One walk of the whole tree
-    writes each per-level array level by level into one array over its
-    nodes in heap order; j then selects its nodes, at (_subtree_at), and its
-    cells of the finest level.  The walk holds the slot's levels at once, or
-    a streamed tree's one at a time, and evaluates the T of every level it
-    holds in one kernel call.  On the slot, live and n_psi are read from it,
-    and so is each array named in the dict kept, whose value is the key of
-    its store entry: the walk computes an entry that the store lacks, and
-    keeps it."""
-    slot = _slot_of(w, psi)
-    kept = kept or {}
-    kernel, form, budgets, phantoms = script or (None, None, {}, {})
-    if slot is None:
-        whole = {}
-        per_level = {"live": lambda lv: lv.rows.live, "n_psi": _Level.n_psi, **per_level}
-    else:
-        whole = {"live": slot.live, "n_psi": slot.n_psi}
-        for name, key in kept.items():
-            entry = slot.store.get(name, {}).get(id(key))
-            if entry is not None:
-                whole[name] = entry[1]
+    each fn of per_level.  With script = (form, budgets, phantoms), also
+    form(level, *T) for each name of the dict budgets on every level, and of
+    the dict phantoms on the finest level, with T the _T of A + 1 for the
+    level's entries A of the name's array (one a node in heap order, or one
+    a node of the finest level).  One walk of the whole tree writes each
+    per-level array level by level into one array over its nodes in heap
+    order; j then selects its nodes, at (_subtree_at), and its cells of the
+    finest level.  The walk holds a kept tree's levels at once, or a
+    streamed tree's one at a time, and evaluates the T of every level it
+    holds in one kernel call.  An array of _KEPT is read from tree.nodes:
+    the walk computes one that the tree lacks, and a kept tree keeps it."""
+    form, budgets, phantoms = script or (None, {}, {})
+    per_level = {"live": lambda lv: lv.rows.live, "n_psi": _Level.n_psi, **per_level}
+    whole = {name: tree.nodes[name] for name in (*per_level, *budgets, *phantoms)
+             if name in tree.nodes}
     walk = {name: fn for name, fn in per_level.items() if name not in whole}
     scripted = {name: a for name, a in {**budgets, **phantoms}.items() if name not in whole}
     if walk or scripted:
-        size = 2 ** (w.depth + 1) - 1
+        size = 2 ** (tree.w.depth + 1) - 1
 
         def put(name, lv, part):
             if name in phantoms:
@@ -469,20 +444,20 @@ def _node_arrays(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval, at,
                 whole[name] = np.empty(size, dtype=part.dtype)
             lv.of(whole[name])[:] = part
 
-        levels = _levels(w, psi)
-        for held in [tuple(levels)] if slot is not None else ((lv,) for lv in levels):
+        levels = tree.levels()
+        for held in [tuple(levels)] if tree.sorted is not None else ((lv,) for lv in levels):
             for lv in held:
                 for name, fn in walk.items():
                     put(name, lv, fn(lv))
             parts = [(name, lv, (a if name in phantoms else lv.of(a)) + 1.0) for lv in held
                      for name, a in scripted.items() if name not in phantoms or lv.grid.size == 1]
             if parts:
-                for (name, lv, _), t in zip(parts, _T(kernel, [p[1:] for p in parts])):
+                for (name, lv, _), t in zip(parts, _T(tree.kernel, [p[1:] for p in parts])):
                     put(name, lv, form(lv, *t))
                 del parts, t    # freed before a streamed walk splits the next level
-        for name, key in kept.items():
-            _shared(slot, name, key, lambda: whole[name])
-    width = 2 ** (w.depth - j.level)
+        if tree.sorted is not None:     # a streamed tree serves one certificate
+            tree.nodes.update((name, whole[name]) for name in _KEPT if name in whole)
+    width = 2 ** (tree.w.depth - j.level)
     cells = slice(j.index * width, (j.index + 1) * width)
     return {name: a[cells if name in phantoms else at] for name, a in whole.items()}
 
@@ -523,30 +498,6 @@ def _T(kernel: BellmanKernel, parts: list) -> list:
                     g[at + dense:at + dense + ones]))
         at += dense + ones
     return out
-
-
-def _normalized(seq: CarlesonSequence, slot: _Slot | None) -> tuple[CarlesonSequence, float]:
-    """seq scaled to Carleson norm 1 if its norm exceeds 1, and the factor;
-    kept in slot's store for the most recent _SEQ_ENTRIES sequences."""
-    def make():
-        if carleson_norm(seq) > 1.0 + 1e-12:
-            return seq.normalized()
-        return seq, 1.0
-
-    return _shared(slot, "normalized", seq, make, _SEQ_ENTRIES)
-
-
-# The kernel of the most recent psi: C, is_normalized and the kernel's own
-# tables are evaluated once per psi, not once per certificate.  The kernel
-# holds psi, so its id cannot be reused while it is kept.
-_kernel_memo = None
-
-
-def _kernel(psi: PsiFunction) -> BellmanKernel:
-    global _kernel_memo
-    if _kernel_memo is None or _kernel_memo.psi is not psi:
-        _kernel_memo = BellmanKernel(psi)
-    return _kernel_memo
 
 
 class LevelChecks(NamedTuple):
@@ -657,7 +608,7 @@ def verify_folk(w: DyadicWeight, seq: CarlesonSequence,
     """
     from .corpus import check_rhi  # local import, corpus builds on this module
 
-    seqn, norm = _normalized(seq, _slot if _slot is not None and _slot.w is w else None)
+    seqn, norm = seq.norm_capped
     lhs = 0.0
     count = 0
     for lev in range(j.level, w.depth + 1):
@@ -684,15 +635,15 @@ def verify_folk(w: DyadicWeight, seq: CarlesonSequence,
 # the bounded certificates
 # ---------------------------------------------------------------------------
 
-def _pde_checks(w: DyadicWeight, kernel: BellmanKernel, j: DyadicInterval,
-                tol: Tolerances) -> LevelChecks:
+def _pde_checks(tree: _Tree, j: DyadicInterval, tol: Tolerances) -> LevelChecks:
     """check_pde_step at every node of the subtree under j above the finest
     level: one pass over its node arrays in heap order, after the row
     integrals of script-B and of stage1."""
+    w = tree.w
     at = _subtree_at(w.depth, j)
-    b_top = kernel.B(_top_grid(w))
+    b_top = tree.kernel.B(_top_grid(w))
     nodes = _node_arrays(
-        w, kernel.psi, j, at,
+        tree, j, at,
         pot=lambda lv: lv.integral(b_top[::b_top.size // lv.grid.size]),
         # h = 0 at N = 1 on a constant row: its two children are equal.
         # Every row of the finest level is one, so its unread entries are
@@ -714,23 +665,22 @@ def _pde_checks(w: DyadicWeight, kernel: BellmanKernel, j: DyadicInterval,
                   tol)
 
 
-def _embed_checks(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
-                  j: DyadicInterval, tol: Tolerances) -> LevelChecks:
+def _embed_checks(tree: _Tree, seq: CarlesonSequence, j: DyadicInterval,
+                  tol: Tolerances) -> LevelChecks:
     """check_embed_step at every node of the subtree under j, the finest
     level through a phantom generation: one pass over its node arrays in
     heap order, after the row integrals of script-T and int N^2/phi."""
+    w = tree.w
     at = _subtree_at(w.depth, j)
     m_all, alpha_all = np.concatenate(seq.accumulators), np.concatenate(seq.levels)
     cells = slice(2 ** w.depth - 1, None)     # the finest level's nodes
     nodes = _node_arrays(
-        w, kernel.psi, j, at,
-        # int N^2/phi depends on (w, psi) alone: the slot's store keeps it
-        kept={"n2_phi": None},
+        tree, j, at,
         # script-T at every node, and through a phantom generation below the
         # finest level: identical children carrying the remaining
         # accumulator mass (zero)
-        script=(kernel, _Level.integral, {"pot": m_all},
-                {"phantom": m_all[cells] - alpha_all[cells]}),
+        script=(_Level.integral, {"pot": m_all}, {"phantom": m_all[cells] - alpha_all[cells]}),
+        # int N^2/phi depends on (w, psi) alone: the tree keeps it
         n2_phi=lambda lv: lv.integral(lv.grid * lv.grid / lv.phi))
     m, alpha = m_all[at], alpha_all[at]
     del m_all, alpha_all
@@ -749,12 +699,13 @@ def _embed_checks(w: DyadicWeight, seq: CarlesonSequence, kernel: BellmanKernel,
     return _chain(j, live, term, gain, stage1, EMBED_STEP_FACTOR * term, tol)
 
 
-def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
-                        kernel: BellmanKernel, j: DyadicInterval,
-                        spot_check_derivative: bool, tol: Tolerances) -> LevelChecks:
+def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
+                        j: DyadicInterval, spot_check_derivative: bool,
+                        tol: Tolerances) -> LevelChecks:
     """check_paraproduct_step at every node of the subtree under j, the
     finest level through a phantom generation: one pass over its node
     arrays in heap order, after the row integrals of u."""
+    w = tree.w
     at = _subtree_at(w.depth, j)
     m_all, a_all = np.concatenate(seq.accumulators), np.concatenate(seq.levels)
     m, a = m_all[at], a_all[at]
@@ -770,7 +721,7 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
 
     # u(N_I, M) = int (2N - T(M+1, N)) dt at each node's own budget M and
     # the finest level's phantom M - a; it depends on (w, seq, psi) alone:
-    # the slot's store keeps it, and every f of the sequence reads it there
+    # the tree keeps it, and every f of the sequence reads it there
     budgets = {"u": m_all}
     if spot_check_derivative:
         inside = (1e-4 < m_all) & (m_all < 1.0 - 1e-4)
@@ -784,16 +735,17 @@ def _paraproduct_checks(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
         out = (m_budget < -1e-9) | (m_budget > 1.0 + 1e-9)
         if out.any():
             raise ValueError(f"M = {m_budget[out][0]} outside [0, 1]")
+    tree.use_seq(seq)
     nodes = _node_arrays(
-        w, kernel.psi, j, at, {"u": seq, "phantom": seq},
-        (kernel, lambda lv, t, t_at_one: lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one),
-         budgets, {"phantom": phantom}))
+        tree, j, at,
+        (lambda lv, t, t_at_one: lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one),
+         budgets, {"u_phantom": phantom}))
 
     pot = bellman(nodes["u"], f_i)
     # phantom generation: the finest-level sequence mass enters as a pure
     # shift of the accumulator variable
     lhs = np.concatenate((-pot[:above] + 0.5 * pot[1::2] + 0.5 * pot[2::2],
-                          -pot[above:] + bellman(nodes["phantom"], f_i[above:])))
+                          -pot[above:] + bellman(nodes["u_phantom"], f_i[above:])))
     f_sum = np.concatenate((0.5 * f_i[1::2] + 0.5 * f_i[2::2], f_i[above:]))
     m_sum = a + np.concatenate((0.5 * m[1::2] + 0.5 * m[2::2], m[above:] - a[above:]))
     live = nodes["live"]
@@ -823,8 +775,9 @@ def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
     Per node the full two-stage chain of check_pde_step is asserted; the
     telescoped potential is bounded by B(1) <= B'(1) at the leaves.
     """
-    kernel = _kernel(psi)
-    return bellman_induction(_pde_checks(w, kernel, j, tol), j,
+    tree = _tree(w, psi)
+    kernel = tree.kernel
+    return bellman_induction(_pde_checks(tree, j, tol), j,
                              constant=16.0 * kernel.C, rhs_base=w.mass(j),
                              theorem="d-embed", breakdown={"leaf_bound": kernel.C},
                              keep_ledger=keep_ledger, tol=tol)
@@ -842,9 +795,10 @@ def verify_embed(w: DyadicWeight, seq: CarlesonSequence, psi: PsiFunction,
     accumulator variable), so the constant is unchanged.  The sequence is
     normalized to Carleson norm 1 if needed (recorded).
     """
-    kernel = _kernel(psi)
-    seq, normalization = _normalized(seq, _slot_of(w, psi))
-    return bellman_induction(_embed_checks(w, seq, kernel, j, tol), j,
+    tree = _tree(w, psi)
+    kernel = tree.kernel
+    seq, normalization = seq.norm_capped
+    return bellman_induction(_embed_checks(tree, seq, j, tol), j,
                              constant=4.0 * kernel.C, rhs_base=w.mass(j),
                              theorem="embed",
                              breakdown={"normalization": normalization,
@@ -867,10 +821,10 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     step's right side over the constant, so f == 1 reproduces verify_embed's
     lhs bit for bit.
     """
-    kernel = _kernel(psi)
-    _require_normalized(kernel)
-    seq, normalization = _normalized(seq, _slot_of(w, psi))
-    checks = _paraproduct_checks(w, f, seq, kernel, j, spot_check_derivative, tol)
+    tree = _tree(w, psi)
+    _require_normalized(tree.kernel)
+    seq, normalization = seq.norm_capped
+    checks = _paraproduct_checks(tree, f, seq, j, spot_check_derivative, tol)
     return bellman_induction(checks, j, constant=1.0 / PARAPRODUCT_CONSTANT,
                              rhs_base=f.squared().product(w).integral(j),
                              theorem="embed2",
@@ -896,8 +850,9 @@ class _HaarWeight(NamedTuple):
     n_psi: np.ndarray
 
 
-def _haar_weight(w: DyadicWeight, psi: PsiFunction) -> _HaarWeight:
-    nodes = _node_arrays(w, psi, ROOT, slice(None))
+def _haar_weight(tree: _Tree) -> _HaarWeight:
+    w = tree.w
+    nodes = _node_arrays(tree, ROOT, slice(None))
     live = nodes["live"]
     heap = np.flatnonzero(live[:live.size // 2])     # the live nodes above the finest level
     level = _labels(heap, ROOT)[0]
@@ -913,15 +868,15 @@ def _haar_weight(w: DyadicWeight, psi: PsiFunction) -> _HaarWeight:
                        nodes["n_psi"][heap])
 
 
-def _haar_split(w: DyadicWeight, fw: StepFunction, psi: PsiFunction, j: DyadicInterval):
+def _haar_split(tree: _Tree, fw: StepFunction, j: DyadicInterval):
     """weighted_haar_decompose of fw at the live nodes of the subtree under
     j above the finest level, in full (not half) differences: (hw, full,
     haar, drift, inner) with hw the w-part (_HaarWeight), full = Delta_I(fw)
     = haar + drift up to rounding, haar the w-Haar part and inner = (f,
     h_I^w)_{L2(w)}, both 0 where a child carries no w-mass, and drift =
-    (<fw>_I / <w>_I) Delta_I w.  The w-part of the whole tree is kept in the
-    slot's store, and j selects its nodes from it."""
-    hw = _shared(_slot_of(w, psi), "haar", None, lambda: _haar_weight(w, psi))
+    (<fw>_I / <w>_I) Delta_I w.  The w-part of the whole tree is kept on the
+    tree, and j selects its nodes from it."""
+    hw = tree.haar
     if j != ROOT:   # the root selects every node, and copies none
         level, index = _labels(hw.heap, ROOT)
         under = (level >= j.level) & (index >> np.maximum(level - j.level, 0) == j.index)
@@ -951,8 +906,6 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
     4 * 16 B'(1)), and their cross sum (Cauchy-Schwarz).  The report
     itemizes all three plus the budgets actually attained.
     """
-    kernel = _kernel(psi)
-    psi_min = kernel.min_psi
     fw = f.product(w)
     f2w = f.squared().product(w)
     # upfront: the drift sequence beta_I = (Delta_I w)^2 / n_psi must be
@@ -965,7 +918,10 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
                            float("nan"), float("nan"), False, float("nan"),
                            breakdown={"reason": "differential embedding failed"})
 
-    hw, full, haar, drift, inner = _haar_split(w, fw, psi, j)
+    tree = _tree(w, psi)
+    kernel = tree.kernel
+    psi_min = kernel.min_psi
+    hw, full, haar, drift, inner = _haar_split(tree, fw, j)
     err = np.abs(full - (haar + drift))
     identity = err > tol.identity * np.maximum(1.0, np.abs(full)) * 10
     bound = hw.alpha > hw.root_avg * (1 + 1e-12)

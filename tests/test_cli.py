@@ -192,6 +192,30 @@ def test_run_task_sorts_the_weight_once(small_corpus, monkeypatch):
     assert len(sorts) == 1 and sorts[0] is task[3]
 
 
+def test_library_calls_sort_the_weight_once(small_corpus, monkeypatch):
+    # direct calls on one weight in a shuffled order, as a library sweep
+    # makes them: d-embed, embed and folk for each sequence, fd-embed and
+    # embed2 for each test function; every certificate reads one sort
+    entry, w = load_corpus(small_corpus)[2]
+    psi = RunConfig(command="verify").psi()
+    seqs = {k: gen_carleson_sequence(k, w.depth, 0) for k in SEQUENCE_KINDS}
+    funcs = [gen_test_function(k, w.depth, s, weight=w) for k, s in FUNCTION_KINDS]
+    calls = [lambda: verify_d_embed(w, psi)]
+    for seq in seqs.values():
+        calls += [lambda seq=seq: verify_embed(w, seq, psi), lambda seq=seq: verify_folk(w, seq)]
+    for f in funcs:
+        calls += [lambda f=f: verify_fd_embed(w, f, psi),
+                  lambda f=f: verify_embed2(w, f, seqs["random"], psi)]
+    sorts = []
+    sorted_levels = verifiers._sorted_levels
+    monkeypatch.setattr(verifiers, "_sorted_levels",
+                        lambda w, same: sorts.append(w) or sorted_levels(w, same))
+    verifiers._current = None
+    for k in np.random.default_rng(5).permutation(len(calls)):
+        assert calls[k]().passed
+    assert len(sorts) == 1 and sorts[0] is w
+
+
 class _PoolRecorder:
     """Stands in for the process pool: records its size, runs in-process."""
 

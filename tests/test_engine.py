@@ -5,7 +5,7 @@
   and `_haar_split`, each one pass over a subtree's node arrays) must match
   the per-node checks of `bellman` and `carleson`, evaluated on
   `w.distribution(node)`, on whole trees of depth <= 8, under subtree
-  roots, and on a depth-14 tree past the level slot.
+  roots, and on a depth-14 tree too deep to be kept.
   The per-node t-integrals run over the distinct values of a node, the
   engine's over its sorted cell block with zero-length pieces for ties and
   zero cells, so the two agree up to the order of at most 2^8 positive
@@ -16,26 +16,28 @@
   bit-identical ratios and verdicts under w -> 2^k w.
 * Reflection x -> 1 - x: Haar differences flip sign exactly, verdicts are
   unchanged, and each lhs moves only by the reordering of its sum.
-* One kernel call per certificate: on the slot `embed` and the first
+* One kernel call per certificate: on a kept tree `embed` and the first
   `embed2` of a sequence evaluate G once, later `embed2` of it never, and
   a streamed tree once a level; `embed2` names the first budget M outside
-  [0, 1] in level order.
-* The one-weight level slot and its store: every way into them (other f,
+  [0, 1] in level order.  One kernel is built per Psi, whatever the
+  weights and their depths.
+* The current tree and the arrays it keeps: every way into them (other f,
   other or equal sequences, another weight in between, a subtree root)
-  gives the certificates of a run that starts with an empty slot, and of
-  one that never uses it, bit for bit; the store keeps nothing of an
-  earlier weight and a bounded number of bytes a node.
+  gives the certificates of a run that drops the tree before every
+  certificate, and of one whose trees keep nothing, bit for bit; the
+  current tree keeps nothing of an earlier weight and a bounded number of
+  bytes a node.
 * The top-down sort: every level split from the one above, with each
   constant row expanded back to its dense form, equals a stable sort of
   that level on its own, bit for bit; a constant row's one-value sum equals
   the sum of its dense form, and the level sums equal their row-wise forms.
 * A root only selects nodes: the ledger and the failed nodes of `d-embed`
   and `embed` under a root J are the ROOT certificate's entries of the
-  nodes under J, bit for bit, on the slot and past it.
+  nodes under J, bit for bit, on a kept tree and on a streamed one.
 * Row sums add left to right: `_row_integral` on every shape up to 2^15
   cells equals a Python-float loop bit for bit, on data where a pairwise
-  sum differs.  The int32 half difference equals its row form, past the
-  slot too, and stays exact at m = 2^24.
+  sum differs.  The int32 half difference equals its row form, on a
+  streamed tree too, and stays exact at m = 2^24.
 """
 
 import functools
@@ -161,7 +163,7 @@ def _pde_oracle(w, tol):
 
 
 def _compare_pde(w, j, tol, sample=None):
-    checks = _pde_checks(w, KERNEL, j, tol)
+    checks = _pde_checks(verifiers._tree(w, PSI), j, tol)
     count = _compare_checks(w, checks, _pde_oracle(w, tol), w.depth - 1, j, sample)
     cert = verify_d_embed(w, PSI, j, tol=tol)
     assert cert.node_count == count
@@ -200,7 +202,7 @@ def _embed_oracle(w, seq, tol):
 
 def _compare_embed(w, j, tol, sample=None):
     seq, _ = gen_carleson_sequence("random", w.depth, 4).normalized()
-    checks = _embed_checks(w, seq, KERNEL, j, tol)
+    checks = _embed_checks(verifiers._tree(w, PSI), seq, j, tol)
     count = _compare_checks(w, checks, _embed_oracle(w, seq, tol), w.depth, j, sample)
     cert = verify_embed(w, seq, PSI, j, tol=tol)
     assert cert.node_count == count
@@ -242,7 +244,7 @@ def _paraproduct_oracle(w, f, seq, tol):
 def _compare_paraproduct(w, j, tol, sample=None):
     f = gen_test_function("random-bounded", w.depth, 7)
     seq, _ = gen_carleson_sequence("random", w.depth, 5).normalized()
-    checks = _paraproduct_checks(w, f, seq, KERNEL, j, True, tol)
+    checks = _paraproduct_checks(verifiers._tree(w, PSI), f, seq, j, True, tol)
     count = _compare_checks(w, checks, _paraproduct_oracle(w, f, seq, tol), w.depth, j, sample)
     cert = verify_embed2(w, f, seq, PSI, j, spot_check_derivative=True, tol=tol)
     assert cert.node_count == count
@@ -262,7 +264,7 @@ def _compare_haar(w, j, sample=None):
     fd-embed certificate's node count."""
     f = gen_test_function("random-bounded", w.depth, 8)
     fw = f.product(w)
-    hw, full, haar, drift, inner = _haar_split(w, fw, PSI, j)
+    hw, full, haar, drift, inner = _haar_split(verifiers._tree(w, PSI), fw, j)
     index = hw.heap + 1 - 2 ** hw.level.astype(np.int64)
     nodes = list(zip(hw.level.tolist(), index.tolist()))
     assert nodes == _live_nodes(w, w.depth - 1, j)
@@ -319,13 +321,13 @@ def _sampled(node):
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
 @pytest.mark.parametrize("j", [ROOT] + SUBTREE_ROOTS, ids=_root_id)
 def test_node_pass_past_the_slot_matches_per_node(j, tol):
-    # a depth-14 tree is above the slot's bound: its levels are sorted and
-    # integrated one at a time, then checked in one pass
+    # a depth-14 tree is above the kept trees' bound: its levels are sorted
+    # and integrated one at a time, then checked in one pass
     w = gen_weight(CorpusSpec("random-martingale", 14, (0.6,), 3))
-    _clear_slot()
+    _clear_tree()
     for compare in (_compare_pde, _compare_embed, _compare_paraproduct):
         cert = compare(w, j, tol, _sampled)
-        assert verifiers._slot is None
+        assert verifiers._current is None
         if tol is STRICT:
             assert cert.failures, cert.theorem
     if tol is DEFAULT_TOL:
@@ -352,7 +354,7 @@ def test_equal_children_have_zero_gain():
     # would exceed the slack and fail the certificate
     block = np.random.default_rng(1).uniform(1.0, 2.0, 64)
     w = DyadicWeight(9, np.tile(block, 8) * 1e100)
-    checks = _pde_checks(w, KERNEL, ROOT, DEFAULT_TOL)
+    checks = _pde_checks(verifiers._tree(w, PSI), ROOT, DEFAULT_TOL)
     assert checks.level[:7].tolist() == [0, 1, 1, 2, 2, 2, 2]    # heap positions 0..6
     assert np.all(checks.gain[:7] == 0.0) and np.all(checks.bounds[0][:7] == 0.0)
     assert verify_d_embed(w, PSI).passed
@@ -455,7 +457,7 @@ def test_reflection(w, seed):
 
 
 # ---------------------------------------------------------------------------
-# the one-weight level slot
+# the tree of (w, psi): the current one and the arrays it keeps
 # ---------------------------------------------------------------------------
 
 LOGLOG = psi_closed_form(2.0, "loglog-bump")
@@ -463,8 +465,8 @@ SLOT_WEIGHTS = [CorpusSpec("spike", 7), CorpusSpec("lacunary", 8, (0.25,)),
                 CorpusSpec("random-martingale", 8, (0.6,), 3)]
 
 
-def _clear_slot():
-    verifiers._slot = None
+def _clear_tree():
+    verifiers._current = None
 
 
 def _one_f(w):
@@ -524,8 +526,8 @@ def _seqs_a_b_a(w):
 
 
 SLOT_CASES = {
-    # name: (run kwargs, the weights to run from w); the slot is first
-    # filled by d-embed of w under PSI
+    # name: (run kwargs, the weights to run from w); the current tree is
+    # first the one of w under PSI, made by d-embed
     "same-w-same-psi": ({"psi": PSI}, lambda w: [w]),
     "same-w-other-psi": ({"psi": LOGLOG}, lambda w: [w]),
     "subtree-left": ({"psi": PSI, "j": DyadicInterval(2, 0)}, lambda w: [w]),
@@ -533,7 +535,7 @@ SLOT_CASES = {
                       lambda w: [w]),
     "keep-ledger": ({"psi": PSI, "keep_ledger": True}, lambda w: [w]),
     "equal-values-new-object": ({"psi": PSI}, lambda w: [DyadicWeight(w.depth, w.values.copy())]),
-    # the store's work of one (w, seq) read by every f
+    # the arrays the tree keeps of one (w, seq), read by every f
     "five-f-one-seq": ({"psi": PSI, "fs": _five_f}, lambda w: [w]),
     # a sequence object with the values of the one before it
     "equal-seq-new-object": ({"psi": PSI, "seqs": lambda w: (_one_seq(w)[0],
@@ -551,21 +553,24 @@ SLOT_CASES = {
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
 @pytest.mark.parametrize("case", SLOT_CASES)
 def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
+    # warm runs on the current tree, cold runs that drop it before every
+    # certificate, and streamed runs on trees that keep nothing agree bit
+    # for bit
     kwargs, weights = SLOT_CASES[case]
     w = gen_weight(spec)
-    _clear_slot()
+    _clear_tree()
     verify_d_embed(w, PSI)
-    assert verifiers._slot.w is w and verifiers._slot.psi is PSI
+    assert verifiers._current.w is w and verifiers._current.psi is PSI
     targets = weights(w)
     warm = _bounded_runs(targets, tol=tol, **kwargs)
-    assert verifiers._slot.w is targets[-1] and verifiers._slot.psi is kwargs["psi"]
-    cold = _bounded_runs(targets, tol=tol, before=_clear_slot, **kwargs)
+    assert verifiers._current.w is targets[-1] and verifiers._current.psi is kwargs["psi"]
+    cold = _bounded_runs(targets, tol=tol, before=_clear_tree, **kwargs)
     monkeypatch.setattr(verifiers, "_SLOT_BYTES", 0)   # sort level by level
-    _clear_slot()
-    unslotted = _bounded_runs(targets, tol=tol, **kwargs)
-    assert verifiers._slot is None
+    _clear_tree()
+    streamed = _bounded_runs(targets, tol=tol, **kwargs)
+    assert verifiers._current is None
     assert warm == cold
-    assert warm == unslotted
+    assert warm == streamed
     if kwargs["psi"] is not PSI:
         # the check can tell the two Psi apart
         assert warm != _bounded_runs(targets, PSI, tol=tol)
@@ -573,24 +578,56 @@ def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
 
 def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
     # five embed2 and five fd-embed certificates of one (w, seq), and five
-    # embed2 under a subtree root: one whole-tree pass fills each entry of
-    # the store, every other certificate reads it
+    # embed2 under a subtree root: one whole-tree walk computes each array
+    # the tree keeps, the Haar w-part is computed once and the sequence
+    # normalized once, and every other certificate reads them
     w = gen_weight(CorpusSpec("random-martingale", 8, (0.6,), 3))
     seq = _one_seq(w)[0].scaled(3.0)
-    _clear_slot()
+    _clear_tree()
     made = []
-    shared = verifiers._shared
+    node_arrays, haar_weight = verifiers._node_arrays, verifiers._haar_weight
+    normalized = CarlesonSequence.normalized
 
-    def counting(slot, name, key, make, keep=1):
-        return shared(slot, name, key, lambda: made.append(name) or make(), keep)
+    def counting(tree, *args, **kwargs):
+        before = set(tree.nodes)
+        out = node_arrays(tree, *args, **kwargs)
+        made.extend(set(tree.nodes) - before)
+        return out
 
-    monkeypatch.setattr(verifiers, "_shared", counting)
+    monkeypatch.setattr(verifiers, "_node_arrays", counting)
+    monkeypatch.setattr(verifiers, "_haar_weight",
+                        lambda tree: made.append("haar") or haar_weight(tree))
+    monkeypatch.setattr(CarlesonSequence, "normalized",
+                        lambda seq: made.append("normalized") or normalized(seq))
     for f in _five_f(w):
         verify_embed2(w, f, seq, PSI)
         verify_fd_embed(w, f, PSI)
         verify_embed2(w, f, seq, PSI, DyadicInterval(1, 1))
-    assert sorted(made) == ["haar", "normalized", "phantom", "u"]
-    assert verifiers._kernel(PSI) is verifiers._kernel(PSI)
+    assert sorted(made) == ["haar", "n_psi", "normalized", "u", "u_phantom"]
+
+
+def test_kernel_is_built_once_per_psi(monkeypatch):
+    # the bounded certificates on three corpus weights and on a streamed
+    # depth-14 tree under one psi: every new tree of the current psi takes
+    # over its kernel, so C and the kernel's tables are evaluated once
+    psi = normalized_psi(psi_from_phi(young_function("log-bump", 2.0)))
+    built = []
+    init = BellmanKernel.__init__
+
+    def counting(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(BellmanKernel, "__init__", counting)
+    _clear_tree()
+    for spec in SLOT_WEIGHTS + [CorpusSpec("random-martingale", 14, (0.3,), 1)]:
+        w = gen_weight(spec)
+        seq, f = _one_seq(w)[0], _one_f(w)[0]
+        for cert in (verify_d_embed(w, psi), verify_embed(w, seq, psi),
+                     verify_embed2(w, f, seq, psi), verify_fd_embed(w, f, psi)):
+            assert cert.passed, (spec.label, cert.theorem)
+    assert verifiers._current.w is not w
+    assert [p is psi for p in built] == [True]
 
 
 def _count_kernel_calls(monkeypatch):
@@ -609,17 +646,17 @@ def _count_kernel_calls(monkeypatch):
 
 
 def test_one_kernel_call_per_certificate(monkeypatch):
-    # on the slot, embed evaluates script-T at every level and its phantom
-    # in one kernel call, and embed2 its u and phantom u in one; later
-    # embed2 of the sequence read u from the store.  A streamed tree makes
-    # one call per level: a depth-14 martingale has 2^14 dense points a
-    # level, one raw block, and its finest level the 2^14 points of pot and
-    # of the phantom, two blocks
-    kernel = verifiers._kernel(PSI)
-    assert kernel.C > 0 and kernel.is_normalized      # the kernel's own G(1)
+    # on a kept tree, embed evaluates script-T at every level and its
+    # phantom in one kernel call, and embed2 its u and phantom u in one;
+    # later embed2 of the sequence read u from the tree.  A streamed tree
+    # makes one call per level: a depth-14 martingale has 2^14 dense points
+    # a level, one raw block, and its finest level the 2^14 points of pot
+    # and of the phantom, two blocks
     w = gen_weight(CorpusSpec("random-martingale", 8, (0.3,), 1))
     seq = _one_seq(w)[0]
-    _clear_slot()
+    _clear_tree()
+    kernel = verifiers._tree(w, PSI).kernel
+    assert kernel.C > 0 and kernel.is_normalized      # the kernel's own G(1)
     calls = _count_kernel_calls(monkeypatch)
     verify_embed(w, seq, PSI)
     assert calls == {"G": 1, "_G_raw": 1}
@@ -630,7 +667,7 @@ def test_one_kernel_call_per_certificate(monkeypatch):
     deep = gen_weight(CorpusSpec("random-martingale", 14, (0.3,), 1))
     calls.update(G=0, _G_raw=0)
     verify_embed(deep, _one_seq(deep)[0], PSI)
-    assert verifiers._slot_of(deep, PSI) is None
+    assert verifiers._current.w is w
     assert calls == {"G": 15, "_G_raw": 16}
 
 
@@ -638,21 +675,23 @@ def test_one_kernel_call_per_certificate(monkeypatch):
 def test_u_budget_error_names_the_first_node_in_level_order(slot_bytes, monkeypatch):
     # budgets M above 1 on levels 2 and 3 (1.5 at (2, 0), 2.0 at (3, 5)):
     # embed2's checks reject the sequence with the first such M in level
-    # order, on the slot and off it
+    # order, on a kept tree and on a streamed one
     w = gen_weight(CorpusSpec("random-martingale", 6, (0.6,), 3))
     seq = CarlesonSequence.from_entries(6, [(2, 0, 1.5), (3, 5, 2.0)])
     m_all = np.concatenate(seq.accumulators)
     assert m_all[m_all > 1.0 + 1e-9].tolist() == [1.5, 2.0]
     monkeypatch.setattr(verifiers, "_SLOT_BYTES", slot_bytes)
-    _clear_slot()
+    _clear_tree()
+    tree = verifiers._tree(w, PSI)
+    assert (tree.sorted is None) == (slot_bytes == 0)
     with pytest.raises(ValueError, match=r"^M = 1\.5 outside \[0, 1\]$"):
-        _paraproduct_checks(w, _one_f(w)[0], seq, KERNEL, ROOT, True, DEFAULT_TOL)
+        _paraproduct_checks(tree, _one_f(w)[0], seq, ROOT, True, DEFAULT_TOL)
 
 
 def test_store_under_a_subtree_root_with_a_panel_kernel(monkeypatch):
     # the parametric G is a panel sum: embed2 under (1, 1) reads the u that
-    # the store keeps for the whole tree, and gets the bits of the u it
-    # computes itself off the slot
+    # the tree keeps for the whole tree, and gets the bits of the u that a
+    # streamed tree computes itself
     psi = normalized_psi(psi_from_phi(young_function("log-bump", 2.0)))
     w = gen_weight(CorpusSpec("random-martingale", 7, (0.6,), 3))
     seq = _one_seq(w)[0]
@@ -667,55 +706,34 @@ def test_store_under_a_subtree_root_with_a_panel_kernel(monkeypatch):
                 certs.append(repr((c.root, c.lhs, c.ratio, c.breakdown, c.failures)))
         return certs
 
-    _clear_slot()
+    _clear_tree()
     warm = runs()
-    cold = runs(before=_clear_slot)
+    cold = runs(before=_clear_tree)
     monkeypatch.setattr(verifiers, "_SLOT_BYTES", 0)
-    _clear_slot()
-    unslotted = runs()
-    assert verifiers._slot is None
-    assert warm == cold == unslotted
+    _clear_tree()
+    streamed = runs()
+    assert verifiers._current is None
+    assert warm == cold == streamed
 
 
-def _slot_bytes(slot):
-    """(cells, total): the bytes of the slot's dense cells (piece lengths
+def _tree_bytes(tree):
+    """(cells, total): the bytes of the tree's dense cells (piece lengths
     and child labels), and of every array of the sort, phi and n_psi."""
-    cells = sum(rows.pieces.nbytes + rows.plus.nbytes for rows in slot.levels)
+    cells = sum(rows.pieces.nbytes + rows.plus.nbytes for rows in tree.sorted)
     per_row = sum(rows.const.nbytes + rows.live.nbytes + rows.value.nbytes
-                  + (0 if rows.dense is None else rows.dense.nbytes) for rows in slot.levels)
-    return cells, cells + per_row + slot.phi.nbytes + slot.n_psi.nbytes
+                  + (0 if rows.dense is None else rows.dense.nbytes) for rows in tree.sorted)
+    return cells, cells + per_row + tree.phi.nbytes + tree.nodes["n_psi"].nbytes
 
 
-def _store_bytes(slot):
-    """The bytes of every array the slot's store holds: its per-level
-    arrays, and each normalized sequence that is not the caller's own, with
-    the prefix sums and accumulators cached on it."""
-    seen, total = set(), 0
-
-    def count(x):
-        nonlocal total
-        if isinstance(x, np.ndarray):
-            if id(x) not in seen:
-                seen.add(id(x))
-                total += x.nbytes
-        elif isinstance(x, CarlesonSequence):
-            for name in ("levels", "prefix_sums", "accumulators"):
-                count(vars(x).get(name, ()))
-        elif isinstance(x, (tuple, list)):
-            for v in x:
-                count(v)
-
-    for name, entries in slot.store.items():
-        for key, value in entries.values():
-            if name == "normalized":
-                # a sequence of norm <= 1 is its own normalized copy
-                value = () if value[0] is key else value[0]
-            count(value)
-    return total
+def _store_bytes(tree):
+    """The bytes of every array the tree keeps beside its sort, live and
+    n_psi: int N^2/phi, u, the phantom u and the Haar w-part."""
+    arrays = [a for name, a in tree.nodes.items() if name not in ("live", "n_psi")]
+    return sum(a.nbytes for a in arrays + list(vars(tree).get("haar", ())))
 
 
 def test_slot_holds_one_weight_within_its_bound():
-    _clear_slot()
+    _clear_tree()
     first = spike_weight(6)
     verify_d_embed(first, PSI)
     gone = weakref.ref(first)
@@ -724,31 +742,35 @@ def test_slot_holds_one_weight_within_its_bound():
     del first
     gc.collect()
     assert gone() is None                   # replaced whole: one weight at a time
-    slot = verifiers._slot
-    assert slot.w is w13 and len(slot.levels) == 14
+    tree = verifiers._current
+    assert tree.w is w13 and len(tree.sorted) == 14
     # the spike's levels 0..12 hold one dense row each, of 2^(13 - l)
     # cells; every other row is constant
-    assert _slot_bytes(slot)[0] == 9 * (2 ** 14 - 2)
+    assert _tree_bytes(tree)[0] == 9 * (2 ** 14 - 2)
     # a depth-14 tree is above the bound: it is sorted level by level and
-    # leaves the slot as it was
+    # leaves the current tree as it was
+    nodes = dict(tree.nodes)
     cert = verify_d_embed(spike_weight(14), PSI)
     assert cert.passed and cert.node_count == 14
-    assert verifiers._slot is slot
+    assert verifiers._current is tree
+    assert tree.nodes.keys() == nodes.keys()
+    assert all(tree.nodes[name] is a for name, a in nodes.items())
 
 
 def test_store_keeps_nothing_of_the_previous_weight():
     # after a certificate of another weight under another Psi, no weight,
-    # sequence, test function or Psi of the first one is reachable
+    # sequence, test function, Psi or kernel of the first one is reachable
     psi = psi_closed_form(2.0)
     w = gen_weight(CorpusSpec("random-martingale", 8, (0.6,), 3))
     f = _one_f(w)[0]
     seq = _one_seq(w)[0].scaled(3.0)
-    _clear_slot()
+    _clear_tree()
     certs = _bounded_runs([w], psi, fs=lambda w: (f,), seqs=lambda w: (seq,))
-    (_, (normalized, _)), = verifiers._slot.store["normalized"].values()
-    assert normalized is not seq and len(certs) == 5
-    refs = [weakref.ref(x) for x in (w, f, seq, normalized, psi)]
-    del w, f, seq, normalized, psi
+    normalized, _ = seq.norm_capped
+    kernel = verifiers._current.kernel
+    assert normalized is not seq and verifiers._current.seq is normalized and len(certs) == 5
+    refs = [weakref.ref(x) for x in (w, f, seq, normalized, psi, kernel)]
+    del w, f, seq, normalized, psi, kernel
     other = gen_weight(CorpusSpec("lacunary", 8, (0.25,)))
     assert verify_fd_embed(other, _one_f(other)[0], LOGLOG).passed
     gc.collect()
@@ -759,27 +781,25 @@ def test_store_keeps_nothing_of_the_previous_weight():
     spike_weight, lambda d: gen_weight(CorpusSpec("random-martingale", d, (0.6,), 3)),
 ], ids=["spike", "random-martingale"])
 def test_store_bytes_per_row(make):
-    # the deepest tree the slot admits, with every entry of the store filled
-    # and more sequences than it keeps.  Per node row: int N^2/phi and u 8
-    # bytes each, the phantom u 8 bytes a finest node, the Haar w-part 66
-    # bytes a node above the finest (an int64 heap position, an int8 level,
-    # 7 float64 arrays and a bool mask), and each kept sequence's normalized
-    # copy 24 bytes (its values, prefix sums and accumulators)
+    # the deepest tree that is kept, with every array it keeps filled and
+    # more sequences than it keeps.  Per node row: int N^2/phi and u 8
+    # bytes each, the phantom u 8 bytes a finest node, and the Haar w-part
+    # 66 bytes a node above the finest (an int64 heap position, an int8
+    # level, 7 float64 arrays and a bool mask)
     depth = 13
     w = make(depth)
-    _clear_slot()
+    _clear_tree()
     seqs = [gen_carleson_sequence("random", depth, s).scaled(3.0) for s in range(6)]
     for seq in seqs:
         verify_embed(w, seq, PSI)
-    verify_embed2(w, _one_f(w)[0], seqs[-1], PSI)
+        verify_embed2(w, _one_f(w)[0], seq, PSI)
     verify_fd_embed(w, _one_f(w)[0], PSI)
-    slot = verifiers._slot
-    assert slot.w is w and len(slot.store["normalized"]) == verifiers._SEQ_ENTRIES
+    tree = verifiers._current
+    assert tree.w is w and tree.seq is seqs[-1].norm_capped[0]
     rows = 2 ** (depth + 1) - 1
-    bound = (16 * rows + 8 * 2 ** depth + 66 * (2 ** depth - 1)
-             + 24 * verifiers._SEQ_ENTRIES * rows)
-    assert 0 < _store_bytes(slot) <= bound
-    assert bound <= 150 * rows
+    bound = 16 * rows + 8 * 2 ** depth + 66 * (2 ** depth - 1)
+    assert 0 < _store_bytes(tree) <= bound
+    assert bound <= 53 * rows
 
 
 def _half_constant(depth):
@@ -796,13 +816,13 @@ def _half_constant(depth):
     lambda d: gen_weight(CorpusSpec("random-martingale", d, (0.6,), 3)),
 ], ids=["spike", "half-constant", "random-martingale"])
 def test_slot_bytes_stay_within_the_dense_form(make):
-    # the deepest tree the slot admits: its dense cells fit in _SLOT_BYTES,
+    # the deepest tree that is kept: its dense cells fit in _SLOT_BYTES,
     # and every other array adds at most 18 bytes a row and 8 a finest cell
     depth = 13
     assert (depth + 1) * 2 ** depth * 9 <= verifiers._SLOT_BYTES
-    _clear_slot()
+    _clear_tree()
     verify_d_embed(make(depth), PSI)
-    cells, total = _slot_bytes(verifiers._slot)
+    cells, total = _tree_bytes(verifiers._current)
     assert cells <= (depth + 1) * 2 ** depth * 9
     assert total <= (depth + 1) * 2 ** depth * 9 + 18 * (2 ** (depth + 1) - 1) + 8 * 2 ** depth
 
@@ -928,7 +948,7 @@ def test_a_root_only_selects_nodes(slot_bytes, case, seed):
     seq = gen_carleson_sequence("random", w.depth, seed)
     kept = verifiers._SLOT_BYTES
     verifiers._SLOT_BYTES = slot_bytes
-    _clear_slot()
+    _clear_tree()
     try:
         for tol in (DEFAULT_TOL, STRICT):
             for run in (lambda j: verify_d_embed(w, PSI, j, keep_ledger=True, tol=tol),
@@ -936,7 +956,7 @@ def test_a_root_only_selects_nodes(slot_bytes, case, seed):
                 whole, part = run(ROOT), run(j)
                 assert repr(part.per_node) == repr(_under(j, whole.per_node))
                 assert repr(part.failures) == repr(_under(j, whole.failures))
-        assert (verifiers._slot is None) == (slot_bytes == 0)
+        assert (verifiers._current is None) == (slot_bytes == 0)
     finally:
         verifiers._SLOT_BYTES = kept
 
@@ -1007,8 +1027,9 @@ HALF_DIFFERENCE_WEIGHTS = ORACLE_WEIGHTS + [CorpusSpec("random-martingale", 14, 
 @pytest.mark.parametrize("spec", HALF_DIFFERENCE_WEIGHTS, ids=lambda s: s.label)
 def test_half_difference_matches_its_row_form(spec):
     w = gen_weight(spec)
-    assert (verifiers._slot_of(w, PSI) is None) == (w.depth == 14)
-    for lev, lv in enumerate(verifiers._levels(w, PSI)):
+    tree = verifiers._tree(w, PSI)
+    assert (tree.sorted is None) == (w.depth == 14)
+    for lev, lv in enumerate(tree.levels()):
         if lev == w.depth:
             break
         m = lv.grid.size
