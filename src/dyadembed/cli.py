@@ -115,8 +115,9 @@ def _run_task(task) -> list[dict]:
 
     A task is (theorem, config, corpus entry, weight), the weight loaded and
     hash-checked by the parent.  One task per weight lets all of its
-    certificates share one tree of the weight and Psi (its sort and the
-    arrays that every test function reads), in any worker."""
+    certificates share one tree of the weight and Psi (the arrays that
+    every test function reads, and its sort when the tree keeps its
+    levels), in any worker and at any depth."""
     theorem, cfg, entry, w = task
     psi, tol, label = cfg.psi(), cfg.tolerances(), entry.spec.label
     sequences = ((k, gen_carleson_sequence(k, w.depth, cfg.seed)) for k in SEQUENCE_KINDS)
@@ -281,8 +282,6 @@ def cmd_verify(args) -> int:
 
 def _pointwise_sweep(psi, kernel, cfg: RunConfig, trials: int = 400) -> dict:
     """Random-node sweep of the pair / n-point / paraproduct inequalities."""
-    import numpy as np
-
     from .bellman import (check_main_ineq_npoint, check_main_ineq_pair,
                           check_paraproduct_step, check_pde_step)
     from .corpus import CorpusSpec, gen_test_function, gen_weight

@@ -27,26 +27,29 @@ tree is sorted once, top down: the root's block is stable-sorted and each
 level below is a linear split of the non-constant rows of the one above.
 A certificate reads the tree of its (w, Psi), a _Tree: the kernel of Psi,
 phi on the finest grid and, when their dense form would fit in 1 MiB
-(every tree of depth <= 13), the sorted levels.  A deeper tree is split one
-level at a time, and only two adjacent levels are held at once.  Beside
-the sort the tree holds the node arrays that do not depend on the test
-function f, each one array over the whole tree: every node's live flag and
-n_psi, embed's int N^2/phi, fd-embed's weighted-Haar w-part above the
-finest level, and embed2's u(N, M) at every node's own budget and at the
-finest level's phantom budget, for the most recent sequence.  The first
+(every tree of depth <= 13), the sorted levels.  A deeper tree is split
+again, one level at a time, by each walk that reads its levels, and only
+two adjacent levels are held at once.  Beside the sort the tree holds the
+node arrays that do not depend on the test function f, each one array over
+the whole tree, whatever its depth: every node's live flag and n_psi,
+embed's int N^2/phi, fd-embed's weighted-Haar w-part above the finest
+level, and embed2's u(N, M) at every node's own budget and at the finest
+level's phantom budget, for the most recent sequence.  The first
 certificate that lacks one computes it in its own walk, as one more array,
 and the tree keeps it, so each certificate of the weight computes only its
 f-dependent part.  Every kernel value is a function of its point alone
 (see `bellman`), so a later certificate reads the bits it would have
 computed.  The kept arrays take at most about 53 bytes a node.
 
-Lifetimes: the tree of the most recent weight within 1 MiB is the current
-one, matched by the identity of w and Psi, which it holds (_tree).  A tree
-of another (w, Psi) within the bound replaces it whole; a deeper tree
-serves its one certificate and is dropped.  The kernel lives while its Psi
-stays current: a new tree of the current tree's Psi takes it over, so its
-C is evaluated once per Psi.  A sequence's normalized copy lives on the
-sequence (CarlesonSequence.norm_capped).
+Lifetimes, one rule for every depth: the tree of the most recent (w, Psi)
+is the current one, matched by the identity of w and Psi, which it holds
+(_tree).  A tree of another (w, Psi) replaces it whole, and the old tree is
+dropped before the new one is built, so one tree is held at a time.  Depth
+decides only whether the sorted levels are kept or split again by each
+walk.  The kernel lives while its Psi stays current: a new tree of the
+current tree's Psi takes it over, so its C is evaluated once per Psi.  A
+sequence's normalized copy lives on the sequence
+(CarlesonSequence.norm_capped).
 
 Every bounded certificate walks the whole tree, whatever its root J.  What
 needs the sorted rows (n_psi, the potentials script-B and script-T, the
@@ -165,12 +168,14 @@ def _strict_json(x):
 # the level engine
 # ---------------------------------------------------------------------------
 
-class _Rows(NamedTuple):
-    """The sorted cell blocks of one level's rows.  A row on which w is
-    constant, bit for bit, is held as its one value v; its sorted block is
-    [v, ..., v] and its piece lengths [v, 0, ..., 0].  Every other row is
-    held dense."""
+class _Level(NamedTuple):
+    """One level of the tree: the shared grid, phi on it and the sorted cell
+    blocks of its rows.  A row on which w is constant, bit for bit, is held
+    as its one value v; its sorted block is [v, ..., v] and its piece
+    lengths [v, 0, ..., 0].  Every other row is held dense."""
 
+    grid: np.ndarray            # (m,) survival values (m - k)/m
+    phi: np.ndarray             # (m,) phi on the grid
     pieces: np.ndarray          # (D, m) piece lengths s_k - s_{k-1} of the dense rows
     plus: np.ndarray            # (D, m) the sorted cell lies in the right child
     dense: np.ndarray | None    # (D,) the row of each dense row; None: no row is constant
@@ -197,24 +202,13 @@ class _Rows(NamedTuple):
         out[self.const] = ones
         return out
 
-
-class _Level(NamedTuple):
-    """One level of the tree: its rows and the shared grid."""
-
-    grid: np.ndarray        # (m,) survival values (m - k)/m
-    phi: np.ndarray         # (m,) phi on the grid
-    rows: _Rows
-
-    def integral(self, g: np.ndarray, at_one=None) -> np.ndarray:
-        return self.rows.integral(g, at_one)
-
     def n_psi(self) -> np.ndarray:
         return self.integral(self.phi)
 
     def of(self, nodes: np.ndarray) -> np.ndarray:
         """The rows' entries of an array over the nodes of the tree in heap
         order, where a level of width W starts at W - 1."""
-        width = self.rows.live.size
+        width = self.live.size
         return nodes[width - 1:2 * width - 1]
 
     def half_difference(self) -> np.ndarray:
@@ -225,10 +219,9 @@ class _Level(NamedTuple):
         before the position, and one int32 prefix sum over the whole level
         (|it| <= m/2) restarts at each row boundary.  On a constant row it
         is 0 at N = 1."""
-        plus = self.rows.plus
-        signs = plus.ravel().view(np.int8) * 2 - 1
+        signs = self.plus.ravel().view(np.int8) * 2 - 1
         above = signs - np.cumsum(signs, dtype=np.int32)
-        return (above / self.grid.size).reshape(plus.shape)
+        return (above / self.grid.size).reshape(self.plus.shape)
 
 
 def _subtree_at(depth: int, j: DyadicInterval):
@@ -291,19 +284,19 @@ def _constant_rows(w: DyadicWeight) -> list:
     return [None] * (w.depth + 1 - len(same)) + same[::-1]
 
 
-def _sorted_levels(w: DyadicWeight, same: list):
-    """The _Rows of every level of the tree, root first; same is
-    _constant_rows(w).  The root's block is stable-sorted once; a row's
+def _sorted_levels(w: DyadicWeight, phi: np.ndarray):
+    """The _Level of every level of the tree, root first, for phi on the
+    finest grid.  The root's block is stable-sorted once; a row's
     sorted cells split, in order, into the sorted cells of its two children,
     so each level below is a linear split of the one above and ties stay in
     cell order, as a stable sort of the level would leave them.  A row that
     is constant leaves the split, and its value is read from the cells.
     order holds cell positions (int32 halves the memory)."""
     m = 2 ** w.depth
-    block = w.values
+    grid, block = _top_grid(w), w.values
     order = np.argsort(block, kind="stable").astype(np.int32).reshape(1, m)
     dense = None
-    for width_log, const in enumerate(same):
+    for width_log, const in enumerate(_constant_rows(w)):
         width = 2 ** width_log
         if const is None:
             const = np.zeros(width, dtype=bool)
@@ -325,7 +318,8 @@ def _sorted_levels(w: DyadicWeight, same: list):
             live[const] = value > 0
         del cells
         plus = (order & (m - 1)) >= m // 2
-        yield _Rows(pieces.reshape(order.shape), plus, dense, const, value, live)
+        yield _Level(grid[::width], phi[::width], pieces.reshape(order.shape), plus, dense,
+                     const, value, live)
         if m == 1:
             return
         count, m = order.shape[0], m // 2
@@ -346,7 +340,7 @@ def _sorted_levels(w: DyadicWeight, same: list):
 # number, and its n_psi) and phi 8 bytes a finest cell.
 _SLOT_BYTES = 2 ** 20
 
-# the node arrays a kept tree keeps once a walk has computed them: those of
+# the node arrays a tree keeps once a walk has computed them: those of
 # (w, psi) alone, and u of the tree's sequence (_SEQ_ARRAYS)
 _SEQ_ARRAYS = ("u", "u_phantom")
 _KEPT = ("live", "n_psi", "n2_phi") + _SEQ_ARRAYS
@@ -355,31 +349,27 @@ _KEPT = ("live", "n_psi", "n2_phi") + _SEQ_ARRAYS
 class _Tree:
     """The dyadic tree of (w, psi) and the work its certificates share:
     kernel is psi's BellmanKernel, phi is psi.phi on the finest grid, and
-    sorted is the _Rows of every level, root first, or None for a tree
-    whose dense form does not fit _SLOT_BYTES.  nodes holds the arrays of
-    _KEPT over every node in heap order that a walk on a kept tree has
-    computed, those of _SEQ_ARRAYS for the sequence seq; each level's live
-    flags are a view of nodes["live"]."""
+    sorted is the _Level of every level, root first, or None for a tree
+    whose dense form does not fit _SLOT_BYTES, whose walks split its levels
+    again one at a time.  nodes holds the arrays of _KEPT over every node
+    in heap order that a walk on the tree has computed, whatever its depth,
+    those of _SEQ_ARRAYS for the sequence seq; each kept level's live flags
+    are a view of nodes["live"]."""
 
     def __init__(self, w: DyadicWeight, psi: PsiFunction, kernel: BellmanKernel) -> None:
         self.w, self.psi, self.kernel = w, psi, kernel
         self.phi = psi.phi(_top_grid(w))
         self.sorted, self.nodes, self.seq = None, {}, None
         if (w.depth + 1) * 2 ** w.depth * 9 <= _SLOT_BYTES:
-            levels = tuple(_sorted_levels(w, _constant_rows(w)))
-            live = self.nodes["live"] = np.concatenate([rows.live for rows in levels])
-            self.sorted = tuple(rows._replace(live=live[2 ** lev - 1:2 ** (lev + 1) - 1])
-                                for lev, rows in enumerate(levels))
+            levels = tuple(_sorted_levels(w, self.phi))
+            live = self.nodes["live"] = np.concatenate([lv.live for lv in levels])
+            self.sorted = tuple(lv._replace(live=live[2 ** lev - 1:2 ** (lev + 1) - 1])
+                                for lev, lv in enumerate(levels))
 
     def levels(self):
         """Every level of the tree, root first: the kept ones, or each split
         from the one above when it is reached."""
-        grid = _top_grid(self.w)
-        rows = self.sorted
-        if rows is None:
-            rows = _sorted_levels(self.w, _constant_rows(self.w))
-        for lev, r in enumerate(rows):
-            yield _Level(grid[::2 ** lev], self.phi[::2 ** lev], r)
+        return self.sorted or _sorted_levels(self.w, self.phi)
 
     def use_seq(self, seq: CarlesonSequence) -> None:
         """Make seq the sequence whose arrays the tree keeps."""
@@ -393,14 +383,15 @@ class _Tree:
         return _haar_weight(self)
 
 
-# The tree of the most recent weight within _SLOT_BYTES.
+# The tree of the most recent (w, psi).
 _current = None
 
 
 def _tree(w: DyadicWeight, psi: PsiFunction) -> _Tree:
     """The tree of (w, psi): the current one if it holds w and psi, or else
-    a new one, which becomes current if it keeps its levels.  A new tree of
-    the current psi takes over its kernel."""
+    a new one, which becomes current whatever its depth.  A new tree of the
+    current psi takes over its kernel; the old tree is dropped before the
+    new one is built."""
     global _current
     if _current is not None and _current.psi is psi:
         if _current.w is w:
@@ -408,10 +399,9 @@ def _tree(w: DyadicWeight, psi: PsiFunction) -> _Tree:
         kernel = _current.kernel
     else:
         kernel = BellmanKernel(psi)
-    tree = _Tree(w, psi, kernel)
-    if tree.sorted is not None:
-        _current = tree
-    return tree
+    _current = None
+    _current = _Tree(w, psi, kernel)
+    return _current
 
 
 def _node_arrays(tree: _Tree, j: DyadicInterval, at, script=None, **per_level) -> dict:
@@ -426,9 +416,9 @@ def _node_arrays(tree: _Tree, j: DyadicInterval, at, script=None, **per_level) -
     finest level.  The walk holds a kept tree's levels at once, or a
     streamed tree's one at a time, and evaluates the T of every level it
     holds in one kernel call.  An array of _KEPT is read from tree.nodes:
-    the walk computes one that the tree lacks, and a kept tree keeps it."""
+    the walk computes one that the tree lacks, and the tree keeps it."""
     form, budgets, phantoms = script or (None, {}, {})
-    per_level = {"live": lambda lv: lv.rows.live, "n_psi": _Level.n_psi, **per_level}
+    per_level = {"live": lambda lv: lv.live, "n_psi": _Level.n_psi, **per_level}
     whole = {name: tree.nodes[name] for name in (*per_level, *budgets, *phantoms)
              if name in tree.nodes}
     walk = {name: fn for name, fn in per_level.items() if name not in whole}
@@ -445,7 +435,7 @@ def _node_arrays(tree: _Tree, j: DyadicInterval, at, script=None, **per_level) -
             lv.of(whole[name])[:] = part
 
         levels = tree.levels()
-        for held in [tuple(levels)] if tree.sorted is not None else ((lv,) for lv in levels):
+        for held in [levels] if tree.sorted is not None else ((lv,) for lv in levels):
             for lv in held:
                 for name, fn in walk.items():
                     put(name, lv, fn(lv))
@@ -455,8 +445,7 @@ def _node_arrays(tree: _Tree, j: DyadicInterval, at, script=None, **per_level) -
                 for (name, lv, _), t in zip(parts, _T(tree.kernel, [p[1:] for p in parts])):
                     put(name, lv, form(lv, *t))
                 del parts, t    # freed before a streamed walk splits the next level
-        if tree.sorted is not None:     # a streamed tree serves one certificate
-            tree.nodes.update((name, whole[name]) for name in _KEPT if name in whole)
+        tree.nodes.update((name, whole[name]) for name in _KEPT if name in whole)
     width = 2 ** (tree.w.depth - j.level)
     cells = slice(j.index * width, (j.index + 1) * width)
     return {name: a[cells if name in phantoms else at] for name, a in whole.items()}
@@ -480,21 +469,21 @@ def _T(kernel: BellmanKernel, parts: list) -> list:
     row, and at N = 1 on the constant rows (the two arguments of
     _Level.integral).  The points of every pair are written into one array
     for one kernel evaluation, whose values are sliced back to their pairs."""
-    x = np.empty(sum(lv.rows.pieces.size + lv.rows.value.size for lv, _ in parts))
+    x = np.empty(sum(lv.pieces.size + lv.value.size for lv, _ in parts))
     at = 0
     for lv, divisor in parts:
-        rows, dense = lv.rows, lv.rows.pieces.size
-        np.divide(lv.grid, (divisor if rows.dense is None else divisor[rows.dense])[:, None],
-                  out=x[at:at + dense].reshape(rows.pieces.shape))
+        dense = lv.pieces.size
+        np.divide(lv.grid, (divisor if lv.dense is None else divisor[lv.dense])[:, None],
+                  out=x[at:at + dense].reshape(lv.pieces.shape))
         at += dense
-        np.divide(1.0, divisor[rows.const], out=x[at:at + rows.value.size])
-        at += rows.value.size
+        np.divide(1.0, divisor[lv.const], out=x[at:at + lv.value.size])
+        at += lv.value.size
     g = kernel.G(x)
     del x
     out, at = [], 0
     for lv, _ in parts:
-        dense, ones = lv.rows.pieces.size, lv.rows.value.size
-        out.append((lv.grid * g[at:at + dense].reshape(lv.rows.pieces.shape),
+        dense, ones = lv.pieces.size, lv.value.size
+        out.append((lv.grid * g[at:at + dense].reshape(lv.pieces.shape),
                     g[at + dense:at + dense + ones]))
         at += dense + ones
     return out

@@ -182,9 +182,9 @@ def test_run_task_sorts_the_weight_once(small_corpus, monkeypatch):
     sorts = []
     sorted_levels = verifiers._sorted_levels
 
-    def counting(w, same):
+    def counting(w, phi):
         sorts.append(w)
-        return sorted_levels(w, same)
+        return sorted_levels(w, phi)
 
     monkeypatch.setattr(verifiers, "_sorted_levels", counting)
     rows = cli._run_task(task)
@@ -209,7 +209,7 @@ def test_library_calls_sort_the_weight_once(small_corpus, monkeypatch):
     sorts = []
     sorted_levels = verifiers._sorted_levels
     monkeypatch.setattr(verifiers, "_sorted_levels",
-                        lambda w, same: sorts.append(w) or sorted_levels(w, same))
+                        lambda w, phi: sorts.append(w) or sorted_levels(w, phi))
     verifiers._current = None
     for k in np.random.default_rng(5).permutation(len(calls)):
         assert calls[k]().passed

@@ -5,7 +5,7 @@
   and `_haar_split`, each one pass over a subtree's node arrays) must match
   the per-node checks of `bellman` and `carleson`, evaluated on
   `w.distribution(node)`, on whole trees of depth <= 8, under subtree
-  roots, and on a depth-14 tree too deep to be kept.
+  roots, and on a depth-14 tree too deep to keep its sorted levels.
   The per-node t-integrals run over the distinct values of a node, the
   engine's over its sorted cell block with zero-length pieces for ties and
   zero cells, so the two agree up to the order of at most 2^8 positive
@@ -24,9 +24,10 @@
 * The current tree and the arrays it keeps: every way into them (other f,
   other or equal sequences, another weight in between, a subtree root)
   gives the certificates of a run that drops the tree before every
-  certificate, and of one whose trees keep nothing, bit for bit; the
-  current tree keeps nothing of an earlier weight and a bounded number of
-  bytes a node.
+  certificate, and of runs on trees that split their levels again at every
+  walk, warm and cold, bit for bit; the tree of the most recent (w, Psi) is
+  current whatever its depth, and keeps nothing of an earlier weight and a
+  bounded number of bytes a node.
 * The top-down sort: every level split from the one above, with each
   constant row expanded back to its dense form, equals a stable sort of
   that level on its own, bit for bit; a constant row's one-value sum equals
@@ -321,13 +322,14 @@ def _sampled(node):
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
 @pytest.mark.parametrize("j", [ROOT] + SUBTREE_ROOTS, ids=_root_id)
 def test_node_pass_past_the_slot_matches_per_node(j, tol):
-    # a depth-14 tree is above the kept trees' bound: its levels are sorted
-    # and integrated one at a time, then checked in one pass
+    # a depth-14 tree is above the bound of kept levels: its levels are
+    # sorted and integrated one at a time, then checked in one pass; like
+    # any tree it is current
     w = gen_weight(CorpusSpec("random-martingale", 14, (0.6,), 3))
     _clear_tree()
     for compare in (_compare_pde, _compare_embed, _compare_paraproduct):
         cert = compare(w, j, tol, _sampled)
-        assert verifiers._current is None
+        assert verifiers._current.w is w and verifiers._current.sorted is None
         if tol is STRICT:
             assert cert.failures, cert.theorem
     if tol is DEFAULT_TOL:
@@ -554,8 +556,9 @@ SLOT_CASES = {
 @pytest.mark.parametrize("case", SLOT_CASES)
 def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
     # warm runs on the current tree, cold runs that drop it before every
-    # certificate, and streamed runs on trees that keep nothing agree bit
-    # for bit
+    # certificate, and the same two on trees that split their levels again
+    # at every walk agree bit for bit.  A warm streamed run reads the arrays
+    # its tree kept; a cold one computes every array itself
     kwargs, weights = SLOT_CASES[case]
     w = gen_weight(spec)
     _clear_tree()
@@ -568,9 +571,13 @@ def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
     monkeypatch.setattr(verifiers, "_SLOT_BYTES", 0)   # sort level by level
     _clear_tree()
     streamed = _bounded_runs(targets, tol=tol, **kwargs)
-    assert verifiers._current is None
+    tree = verifiers._current
+    assert tree.w is targets[-1] and tree.psi is kwargs["psi"] and tree.sorted is None
+    del tree
+    streamed_cold = _bounded_runs(targets, tol=tol, before=_clear_tree, **kwargs)
     assert warm == cold
     assert warm == streamed
+    assert warm == streamed_cold
     if kwargs["psi"] is not PSI:
         # the check can tell the two Psi apart
         assert warm != _bounded_runs(targets, PSI, tol=tol)
@@ -607,9 +614,10 @@ def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
 
 
 def test_kernel_is_built_once_per_psi(monkeypatch):
-    # the bounded certificates on three corpus weights and on a streamed
-    # depth-14 tree under one psi: every new tree of the current psi takes
-    # over its kernel, so C and the kernel's tables are evaluated once
+    # the bounded certificates on two streamed depth-14 trees, first after
+    # no tree at all, then on three corpus weights, under one psi: every new
+    # tree of the current psi takes over its kernel, whatever its depth, so
+    # C and the kernel's tables are evaluated once
     psi = normalized_psi(psi_from_phi(young_function("log-bump", 2.0)))
     built = []
     init = BellmanKernel.__init__
@@ -620,14 +628,30 @@ def test_kernel_is_built_once_per_psi(monkeypatch):
 
     monkeypatch.setattr(BellmanKernel, "__init__", counting)
     _clear_tree()
-    for spec in SLOT_WEIGHTS + [CorpusSpec("random-martingale", 14, (0.3,), 1)]:
+    deep = [CorpusSpec("random-martingale", 14, (0.3,), 1), CorpusSpec("lacunary", 14, (0.25,))]
+    for spec in deep + SLOT_WEIGHTS:
         w = gen_weight(spec)
         seq, f = _one_seq(w)[0], _one_f(w)[0]
         for cert in (verify_d_embed(w, psi), verify_embed(w, seq, psi),
                      verify_embed2(w, f, seq, psi), verify_fd_embed(w, f, psi)):
             assert cert.passed, (spec.label, cert.theorem)
-    assert verifiers._current.w is not w
+    assert verifiers._current.w is w
     assert [p is psi for p in built] == [True]
+
+
+def test_deep_fd_embed_sorts_the_weight_once(monkeypatch):
+    # fd-embed without d_cert on a tree too deep to keep its levels: its own
+    # d-embed and its Haar w-part read one tree, and the Haar w-part reads
+    # live and n_psi from it, so the weight is sorted once
+    w = gen_weight(CorpusSpec("random-martingale", 14, (0.3,), 1))
+    sorts = []
+    sorted_levels = verifiers._sorted_levels
+    monkeypatch.setattr(verifiers, "_sorted_levels",
+                        lambda w, phi: sorts.append(w) or sorted_levels(w, phi))
+    _clear_tree()
+    assert verify_fd_embed(w, _one_f(w)[0], PSI).passed
+    assert len(sorts) == 1 and sorts[0] is w
+    assert verifiers._current.w is w and verifiers._current.sorted is None
 
 
 def _count_kernel_calls(monkeypatch):
@@ -667,7 +691,7 @@ def test_one_kernel_call_per_certificate(monkeypatch):
     deep = gen_weight(CorpusSpec("random-martingale", 14, (0.3,), 1))
     calls.update(G=0, _G_raw=0)
     verify_embed(deep, _one_seq(deep)[0], PSI)
-    assert verifiers._current.w is w
+    assert verifiers._current.w is deep and verifiers._current.kernel is kernel
     assert calls == {"G": 15, "_G_raw": 16}
 
 
@@ -691,7 +715,8 @@ def test_u_budget_error_names_the_first_node_in_level_order(slot_bytes, monkeypa
 def test_store_under_a_subtree_root_with_a_panel_kernel(monkeypatch):
     # the parametric G is a panel sum: embed2 under (1, 1) reads the u that
     # the tree keeps for the whole tree, and gets the bits of the u that a
-    # streamed tree computes itself
+    # streamed tree keeps, and of the u that a streamed tree dropped before
+    # every certificate computes itself
     psi = normalized_psi(psi_from_phi(young_function("log-bump", 2.0)))
     w = gen_weight(CorpusSpec("random-martingale", 7, (0.6,), 3))
     seq = _one_seq(w)[0]
@@ -712,16 +737,17 @@ def test_store_under_a_subtree_root_with_a_panel_kernel(monkeypatch):
     monkeypatch.setattr(verifiers, "_SLOT_BYTES", 0)
     _clear_tree()
     streamed = runs()
-    assert verifiers._current is None
-    assert warm == cold == streamed
+    assert verifiers._current.w is w and verifiers._current.sorted is None
+    streamed_cold = runs(before=_clear_tree)
+    assert warm == cold == streamed == streamed_cold
 
 
 def _tree_bytes(tree):
     """(cells, total): the bytes of the tree's dense cells (piece lengths
     and child labels), and of every array of the sort, phi and n_psi."""
-    cells = sum(rows.pieces.nbytes + rows.plus.nbytes for rows in tree.sorted)
-    per_row = sum(rows.const.nbytes + rows.live.nbytes + rows.value.nbytes
-                  + (0 if rows.dense is None else rows.dense.nbytes) for rows in tree.sorted)
+    cells = sum(lv.pieces.nbytes + lv.plus.nbytes for lv in tree.sorted)
+    per_row = sum(lv.const.nbytes + lv.live.nbytes + lv.value.nbytes
+                  + (0 if lv.dense is None else lv.dense.nbytes) for lv in tree.sorted)
     return cells, cells + per_row + tree.phi.nbytes + tree.nodes["n_psi"].nbytes
 
 
@@ -732,7 +758,7 @@ def _store_bytes(tree):
     return sum(a.nbytes for a in arrays + list(vars(tree).get("haar", ())))
 
 
-def test_slot_holds_one_weight_within_its_bound():
+def test_slot_holds_one_weight_within_its_bound(monkeypatch):
     _clear_tree()
     first = spike_weight(6)
     verify_d_embed(first, PSI)
@@ -747,14 +773,28 @@ def test_slot_holds_one_weight_within_its_bound():
     # the spike's levels 0..12 hold one dense row each, of 2^(13 - l)
     # cells; every other row is constant
     assert _tree_bytes(tree)[0] == 9 * (2 ** 14 - 2)
-    # a depth-14 tree is above the bound: it is sorted level by level and
-    # leaves the current tree as it was
-    nodes = dict(tree.nodes)
-    cert = verify_d_embed(spike_weight(14), PSI)
+    # a depth-14 tree is above the bound: it is sorted level by level, and
+    # like any other tree it replaces the current one, which is dropped
+    # before the new tree is built
+    gone, old = weakref.ref(w13), weakref.ref(tree)
+    del w13, tree
+    dropped = []
+
+    class Tree(verifiers._Tree):
+        def __init__(self, *args):
+            dropped.append(old() is None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(verifiers, "_Tree", Tree)
+    deep = spike_weight(14)
+    cert = verify_d_embed(deep, PSI)
     assert cert.passed and cert.node_count == 14
-    assert verifiers._current is tree
-    assert tree.nodes.keys() == nodes.keys()
-    assert all(tree.nodes[name] is a for name, a in nodes.items())
+    assert dropped == [True]
+    gc.collect()
+    assert gone() is None
+    tree = verifiers._current
+    assert tree.w is deep and tree.sorted is None
+    assert sorted(tree.nodes) == ["live", "n_psi"]
 
 
 def test_store_keeps_nothing_of_the_previous_weight():
@@ -841,35 +881,45 @@ def _sorted_level(w, lev):
     return np.diff(cells, axis=1, prepend=0.0), order >= m // 2, cells[:, -1] > 0
 
 
-def _dense_form(rows, m):
-    """(pieces, plus, live) of every row, each constant row expanded back:
-    pieces [v, 0, ..., 0] and the stable order's labels, left half first."""
-    width = rows.live.size
-    dense = np.arange(width) if rows.dense is None else rows.dense
+def _dense_form(lv, m):
+    """(pieces, plus, live) of every row of the level, each constant row
+    expanded back: pieces [v, 0, ..., 0] and the stable order's labels, left
+    half first."""
+    width = lv.live.size
+    dense = np.arange(width) if lv.dense is None else lv.dense
     pieces, plus = np.zeros((width, m)), np.zeros((width, m), dtype=bool)
-    pieces[dense], plus[dense] = rows.pieces, rows.plus
-    pieces[rows.const, 0], plus[rows.const] = rows.value, np.arange(m) >= m // 2
-    return pieces, plus, rows.live
+    pieces[dense], plus[dense] = lv.pieces, lv.plus
+    pieces[lv.const, 0], plus[lv.const] = lv.value, np.arange(m) >= m // 2
+    return pieces, plus, lv.live
 
 
 def _bits(a):
     return a.view(np.int64) if a.dtype == np.float64 else a
 
 
+def _engine_levels(w):
+    """The tree's sorted levels under PSI, as _Tree sorts them."""
+    return list(verifiers._sorted_levels(w, PSI.phi(verifiers._top_grid(w))))
+
+
 def _assert_levels_match_oracle(w):
-    levels = list(verifiers._sorted_levels(w, verifiers._constant_rows(w)))
+    levels = _engine_levels(w)
     assert len(levels) == w.depth + 1
-    for lev, rows in enumerate(levels):
+    phi = PSI.phi(verifiers._top_grid(w))
+    for lev, lv in enumerate(levels):
         width, m = 2 ** lev, 2 ** (w.depth - lev)
+        # the level's survival grid (m - k)/m, and phi on it
+        assert np.array_equal(lv.grid, (m - np.arange(m)) / m), lev
+        assert np.array_equal(_bits(lv.phi), _bits(phi[::width])), lev
         # constant rows: those whose cells are equal bit for bit
         blocks = w.values.reshape(width, m)
         same = np.all(_bits(blocks) == _bits(blocks[:, :1]), axis=1)
-        assert np.array_equal(rows.const, same), lev
-        if rows.dense is None:
-            assert not same.any() and rows.pieces.shape == (width, m), lev
+        assert np.array_equal(lv.const, same), lev
+        if lv.dense is None:
+            assert not same.any() and lv.pieces.shape == (width, m), lev
         else:
-            assert np.array_equal(rows.dense, np.flatnonzero(~same)), lev
-        for a, b in zip(_dense_form(rows, m), _sorted_level(w, lev)):
+            assert np.array_equal(lv.dense, np.flatnonzero(~same)), lev
+        for a, b in zip(_dense_form(lv, m), _sorted_level(w, lev)):
             assert a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b)), lev
 
 
@@ -910,7 +960,7 @@ def test_mixed_signed_zeros_stay_dense():
     # and its piece lengths keep the -0.0 of the cell
     w = DyadicWeight(3, np.array([0.0, -0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0]),
                      allow_zero=True)
-    levels = list(verifiers._sorted_levels(w, verifiers._constant_rows(w)))
+    levels = _engine_levels(w)
     assert not levels[1].const.any() and levels[1].dense is None
     assert levels[2].const.tolist() == [False, True, True, True]
     assert levels[2].dense.tolist() == [0]
@@ -956,7 +1006,8 @@ def test_a_root_only_selects_nodes(slot_bytes, case, seed):
                 whole, part = run(ROOT), run(j)
                 assert repr(part.per_node) == repr(_under(j, whole.per_node))
                 assert repr(part.failures) == repr(_under(j, whole.failures))
-        assert (verifiers._current is None) == (slot_bytes == 0)
+        assert verifiers._current.w is w
+        assert (verifiers._current.sorted is None) == (slot_bytes == 0)
     finally:
         verifiers._SLOT_BYTES = kept
 
@@ -970,13 +1021,14 @@ def test_constant_row_sum_is_its_dense_sum(v, m):
     rng = np.random.default_rng(m)
     dense = np.zeros(m)
     dense[0] = v
-    rows = verifiers._Rows(np.empty((0, m)), np.empty((0, m), dtype=bool),
-                           np.empty(0, dtype=np.intp), np.array([True]), np.array([v]),
-                           np.array([v > 0]))
+    # integral reads neither the grid nor phi
+    rows = verifiers._Level(None, None, np.empty((0, m)), np.empty((0, m), dtype=bool),
+                            np.empty(0, dtype=np.intp), np.array([True]), np.array([v]),
+                            np.array([v > 0]))
     # the same constant row after a dense one, as on a level of both kinds
     pieces = rng.uniform(0.0, 1.0, (1, m))
-    mixed = verifiers._Rows(pieces, np.zeros((1, m), dtype=bool), np.array([0]),
-                            np.array([False, True]), np.array([v]), np.array([True, v > 0]))
+    mixed = verifiers._Level(None, None, pieces, np.zeros((1, m), dtype=bool), np.array([0]),
+                             np.array([False, True]), np.array([v]), np.array([True, v > 0]))
     for _ in range(20):
         g = rng.uniform(0.5, 2.0, m) * 10.0 ** rng.integers(-300, 301, m)
         with np.errstate(over="ignore"):
@@ -1033,7 +1085,7 @@ def test_half_difference_matches_its_row_form(spec):
         if lev == w.depth:
             break
         m = lv.grid.size
-        plus_above = np.cumsum(lv.rows.plus[:, ::-1], axis=1)[:, ::-1]
+        plus_above = np.cumsum(lv.plus[:, ::-1], axis=1)[:, ::-1]
         want = (2 * plus_above - (m - np.arange(m))) / m
         got = lv.half_difference()
         assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want)), lev
@@ -1049,9 +1101,9 @@ def test_half_difference_is_exact_up_to_the_deepest_demo(right_first):
     plus[0, m // 2:] = True
     if right_first:
         plus = ~plus
-    rows = verifiers._Rows(np.empty((1, m)), plus, None, np.zeros(1, dtype=bool),
-                           np.empty(0), np.ones(1, dtype=bool))
-    got = verifiers._Level(np.broadcast_to(0.0, (m,)), None, rows).half_difference()[0]
+    level = verifiers._Level(np.broadcast_to(0.0, (m,)), None, np.empty((1, m)), plus, None,
+                             np.zeros(1, dtype=bool), np.empty(0), np.ones(1, dtype=bool))
+    got = level.half_difference()[0]
     k = np.arange(0, m, 4093)
     want = np.minimum(k, m - k) / m
     assert np.array_equal(got[k], -want if right_first else want)
