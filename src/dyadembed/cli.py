@@ -1,8 +1,9 @@
 """Command-line driver: corpus generation, theorem verification, psi tables.
 
 Outputs are byte-stable: JSON is dumped with sorted keys and default float
-repr, CSV columns are fixed, and the worker pool merges results in task
-order, so runs with 1 and k workers produce identical files.
+repr, CSV columns are fixed, and the rows of the k - 1 forked workers and of
+the parent are merged in task order, so runs with 1 and k workers produce
+identical files.
 
 Exit codes: 0 all verdicts pass, 2 any certificate failure, 3 configuration
 error.
@@ -11,12 +12,16 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import math
 import os
+import pickle
+import select
+import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,8 +80,8 @@ class RunConfig:
 
     def psi(self):
         """The configured Psi, built once per process: a run has one
-        setting, so every task shares it and forked pool workers inherit
-        the parent's."""
+        setting, so every task shares it and forked workers inherit the
+        parent's."""
         return _psi(self.psi_family, self.alpha, self.clamp_s0, self.normalize)
 
 
@@ -91,33 +96,22 @@ def _psi(family: str, alpha: float, clamp_s0: float | None, normalize: bool):
     return psi_closed_form(alpha, family, clamp_s0=clamp_s0, normalize=normalize)
 
 
-def __getattr__(name: str):
-    """ProcessPoolExecutor, imported on first use: its modules
-    (concurrent.futures.process and multiprocessing, about 1 MB resident)
-    load only in a run with more than one worker."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
-
-
 def _default_out() -> str:
     return os.environ.get("DYADEMBED_OUT", "runs")
 
 
 # ---------------------------------------------------------------------------
-# worker entry point (top level so the process pool can import it)
+# tasks and the forked workers that run them
 # ---------------------------------------------------------------------------
 
 def _run_task(task) -> list[dict]:
     """Every certificate row of one weight, in output order.
 
     A task is (theorem, config, corpus entry, weight), the weight loaded and
-    hash-checked by the parent.  One task per weight lets all of its
-    certificates share one tree of the weight and Psi (the arrays that
-    every test function reads, and its sort when the tree keeps its
-    levels), in any worker and at any depth."""
+    hash-checked by the parent before it forks.  One task per weight lets
+    all of its certificates share one tree of the weight and Psi (the arrays
+    that every test function reads, and its sort when the tree keeps its
+    levels), in whichever process runs it and at any depth."""
     theorem, cfg, entry, w = task
     psi, tol, label = cfg.psi(), cfg.tolerances(), entry.spec.label
     sequences = ((k, gen_carleson_sequence(k, w.depth, cfg.seed)) for k in SEQUENCE_KINDS)
@@ -145,6 +139,97 @@ def _run_task(task) -> list[dict]:
         raise ValueError(f"unknown worker theorem {theorem}")
     return [{**cert.to_dict(), "weight": row_label, "depth": w.depth}
             for cert, row_label in certs]
+
+
+_INDEX = 4      # bytes of one task index on the queue pipe
+
+# The forked section of `_run_tasks` as a context that does nothing:
+# bench/tracing.py subclasses and replaces this name to time it as `cli.pool_s`.
+ProcessPoolExecutor = contextlib.nullcontext
+
+
+def _run_tasks(tasks: list, workers: int) -> list[list[dict]]:
+    """`_run_task` of every task, in task order, run by this process and
+    `workers - 1` children forked from it, which inherit `tasks` and the
+    cached Psi, so nothing is pickled to them.
+
+    The task indices go out largest depth first, ties in task order, on one
+    queue pipe that every process reads 4 bytes at a time.  This process
+    fills it after forking, in writes of PIPE_BUF bytes, which a pipe takes
+    whole or not at all, and runs the next task itself while the pipe is
+    full: it never blocks there, whatever the number of tasks.  Each child
+    sends its (index, rows) pairs, or the type and message of the error
+    that stopped it, as one pickle on a pipe of its own, and leaves by
+    os._exit.  Every child is reaped, and killed first unless all rows came
+    back."""
+    if workers == 1:
+        return [_run_task(t) for t in tasks]
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][3].depth)
+    queue_r, queue_w = (open(fd, mode, buffering=0)
+                        for fd, mode in zip(os.pipe(), ("rb", "wb")))
+    results = {}        # child pid -> read end of its result pipe
+    rows = None
+    try:
+        with ProcessPoolExecutor():
+            for _ in range(workers - 1):
+                result_r, result_w = os.pipe()
+                if (pid := os.fork()) == 0:
+                    _child(tasks, queue_r, queue_w, result_w)
+                os.close(result_w)
+                results[pid] = open(result_r, "rb")
+            os.set_blocking(queue_w.fileno(), False)
+            merged, sent = {}, 0
+            while sent < len(order):
+                batch = order[sent:sent + select.PIPE_BUF // _INDEX]
+                if queue_w.write(b"".join(i.to_bytes(_INDEX, "little") for i in batch)) is None:
+                    batch = batch[:1]
+                    merged[batch[0]] = _run_task(tasks[batch[0]])
+                sent += len(batch)
+            queue_w.close()
+            merged.update(_drain(tasks, queue_r))
+            for pid, fh in results.items():
+                data = fh.read()
+                if not data:
+                    raise RuntimeError(f"worker process {pid} ended without its rows")
+                done, error = pickle.loads(data)
+                if error:
+                    exc_type, message = error
+                    raise exc_type(message)
+                merged.update(done)
+            rows = [merged[i] for i in range(len(tasks))]
+    finally:
+        for fh in (queue_r, queue_w, *results.values()):
+            fh.close()
+        for pid in results:
+            if rows is None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return rows
+
+
+def _child(tasks, queue_r, queue_w, result_w: int) -> None:
+    """A forked child's whole life: run tasks from the queue, send back
+    their rows or the error that stopped it, exit without returning."""
+    try:
+        queue_w.close()
+        try:
+            result = (_drain(tasks, queue_r), None)
+        except BaseException as exc:
+            result = (None, (type(exc), str(exc)))
+        with open(result_w, "wb") as fh:
+            pickle.dump(result, fh)
+    finally:
+        os._exit(0)
+
+
+def _drain(tasks, queue_r) -> list:
+    """(index, rows) of every task whose index this process reads from the
+    queue, until the queue is empty and closed."""
+    done = []
+    while index := queue_r.read(_INDEX):
+        i = int.from_bytes(index, "little")
+        done.append((i, _run_task(tasks[i])))
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +261,10 @@ def cmd_verify(args) -> int:
         if value < least:
             print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
             return 3
+    if args.workers > 1 and not hasattr(os, "fork"):
+        print("--workers above 1 needs os.fork, which this platform lacks",
+              file=sys.stderr)
+        return 3
     if args.depth is not None and args.theorem not in DEPTH_THEOREMS:
         print(f"--depth applies to {' and '.join(DEPTH_THEOREMS)} only; {args.theorem} "
               f"runs on the corpus weights at their own depths", file=sys.stderr)
@@ -257,13 +346,7 @@ def cmd_verify(args) -> int:
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     tasks = [(args.theorem, cfg, entry, w) for entry, w in entries]
-    workers = min(cfg.workers, len(tasks))
-    if workers > 1:
-        # read as a module attribute, so a replaced pool class is the one used
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_task, tasks, chunksize=1))
-    else:
-        rows = [_run_task(t) for t in tasks]
+    rows = _run_tasks(tasks, min(cfg.workers, len(tasks)))
     results = [r for task_rows in rows for r in task_rows]
 
     cert_path = out_dir / f"certificates_{args.theorem}.json"

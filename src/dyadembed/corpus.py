@@ -2,7 +2,8 @@
 
 Every generator is a pure function of (kind, parameters, seed): regenerating
 a spec yields bit-identical values, and the corpus manifest records a
-content hash per weight so a saved corpus can be trusted byte for byte.
+content hash per weight and one over its entries, so a saved corpus can be
+trusted byte for byte.
 
 Weight kinds
     constant            w = c
@@ -237,12 +238,24 @@ def write_corpus(out_dir: str | Path,
             "file": name,
             "sha256": _hash_weight(w),
         })
-    manifest = {"entries": entries,
-                "manifest_sha256": hashlib.sha256(
-                    json.dumps(entries, sort_keys=True).encode()).hexdigest()}
+    manifest = {"entries": entries, "manifest_sha256": _entries_sha256(entries)}
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return path
+
+
+def _entries_sha256(entries) -> str:
+    return hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+
+
+def _manifest_entries(path: Path) -> list:
+    """The entries of a manifest, checked against its recorded hash: an
+    entry edited after writing (its kind, depth or parameters) is refused."""
+    manifest = json.loads(path.read_text())
+    entries = manifest["entries"]
+    if _entries_sha256(entries) != manifest["manifest_sha256"]:
+        raise ValueError(f"manifest hash mismatch for {path}")
+    return entries
 
 
 def _load_entry(base: Path, e: dict) -> tuple[CorpusEntry, DyadicWeight]:
@@ -250,22 +263,23 @@ def _load_entry(base: Path, e: dict) -> tuple[CorpusEntry, DyadicWeight]:
     h = _hash_weight(w)
     if h != e["sha256"]:
         raise ValueError(f"corpus hash mismatch for {e['file']}")
+    if e["depth"] != w.depth:
+        raise ValueError(f"manifest depth {e['depth']} of {e['file']} is not "
+                         f"its weight's depth {w.depth}")
     spec = CorpusSpec(e["kind"], e["depth"], tuple(e["params"]), e["seed"])
     return CorpusEntry(spec, e["file"], h), w
 
 
 def load_corpus(manifest_path: str | Path) -> list[tuple[CorpusEntry, DyadicWeight]]:
-    """Load a corpus, verifying every content hash."""
+    """Load a corpus, verifying the manifest hash and every content hash."""
     path = Path(manifest_path)
-    manifest = json.loads(path.read_text())
-    return [_load_entry(path.parent, e) for e in manifest["entries"]]
+    return [_load_entry(path.parent, e) for e in _manifest_entries(path)]
 
 
 def load_corpus_entry(manifest_path: str | Path, index: int):
     """Load a single corpus entry by manifest position (hash-checked)."""
     path = Path(manifest_path)
-    manifest = json.loads(path.read_text())
-    return _load_entry(path.parent, manifest["entries"][index])
+    return _load_entry(path.parent, _manifest_entries(path)[index])
 
 
 def corpus_weights(specs: list[CorpusSpec] | None = None):

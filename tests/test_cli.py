@@ -1,7 +1,10 @@
 import csv
+import hashlib
 import json
+import os
 import pickle
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -16,6 +19,7 @@ from dyadembed.corpus import (CorpusSpec, gen_carleson_sequence, gen_test_functi
                               load_corpus, write_corpus)
 from dyadembed.verifiers import (verify_buckley_classic, verify_d_embed, verify_embed,
                                  verify_embed2, verify_fd_embed, verify_folk)
+from dyadembed.weights import DyadicWeight
 
 
 @pytest.fixture(scope="module")
@@ -86,13 +90,14 @@ def test_verify_buc_classic_reports_without_assertion(small_corpus, tmp_path):
 
 
 def test_verify_workers_byte_identical(small_corpus, tmp_path):
-    out1, out8 = tmp_path / "w1", tmp_path / "w8"
-    assert main(["verify", "--theorem", "embed", "--corpus", str(small_corpus),
-                 "--out", str(out1), "--workers", "1"]) == 0
-    assert main(["verify", "--theorem", "embed", "--corpus", str(small_corpus),
-                 "--out", str(out8), "--workers", "8"]) == 0
-    for name in ("certificates_embed.json", "summary_embed.csv"):
-        assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
+    # 2, 3 and 8 workers are the parent and 1, 2 and 5 children
+    for workers in ("1", "2", "3", "8"):
+        assert main(["verify", "--theorem", "embed", "--corpus", str(small_corpus),
+                     "--out", str(tmp_path / f"w{workers}"), "--workers", workers]) == 0
+    for workers in ("2", "3", "8"):
+        for name in ("certificates_embed.json", "summary_embed.csv"):
+            assert ((tmp_path / "w1" / name).read_bytes()
+                    == (tmp_path / f"w{workers}" / name).read_bytes())
 
 
 def test_verify_failure_demo(tmp_path):
@@ -216,31 +221,30 @@ def test_library_calls_sort_the_weight_once(small_corpus, monkeypatch):
     assert len(sorts) == 1 and sorts[0] is w
 
 
-class _PoolRecorder:
-    """Stands in for the process pool: records its size, runs in-process."""
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked from this process while the test runs."""
+    pids = []
+    real_fork = os.fork
 
-    sizes = []
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
-def test_pool_is_capped_at_the_number_of_weights(small_corpus, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolRecorder)
-    monkeypatch.setattr(_PoolRecorder, "sizes", [])
+def test_pool_is_capped_at_the_number_of_weights(small_corpus, tmp_path, forks):
+    # the parent runs a share of the tasks, so k processes fork k - 1 children
+    counts = []
     for workers in ("64", "3"):
         assert main(["verify", "--theorem", "d-embed", "--corpus", str(small_corpus),
                      "--out", str(tmp_path), "--workers", workers]) == 0
-    assert _PoolRecorder.sizes == [6, 3]
+        counts.append(len(forks) - sum(counts))
+    assert counts == [5, 2]
 
 
 @pytest.mark.parametrize("theorem, flag, value", [
@@ -249,15 +253,78 @@ def test_pool_is_capped_at_the_number_of_weights(small_corpus, tmp_path, monkeyp
     ("d-embed", "--workers", "0"), ("d-embed", "--workers", "-3"),
 ])
 def test_bad_seed_or_workers_is_config_error(theorem, flag, value, small_corpus,
-                                             tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolRecorder)
-    monkeypatch.setattr(_PoolRecorder, "sizes", [])
+                                             tmp_path, capsys, forks):
     rc = main(["verify", "--theorem", theorem, "--corpus", str(small_corpus),
                flag, value, "--out", str(tmp_path)])
     assert rc == 3
     assert f"{flag} must be >= " in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-    assert _PoolRecorder.sizes == []
+    assert forks == []
+
+
+def test_workers_without_fork_is_config_error(small_corpus, tmp_path, capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    rc = main(["verify", "--theorem", "d-embed", "--corpus", str(small_corpus),
+               "--workers", "2", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "--workers above 1 needs os.fork" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("raiser", ["child", "parent"])
+def test_task_error_reaches_the_caller_and_no_child_is_left(raiser, small_corpus, tmp_path,
+                                                           monkeypatch):
+    # the parent starts on its tasks only once the child holds one, so each
+    # side runs a task: the child raises on its task while the parent works,
+    # or hangs on it while the parent raises, and must then be killed
+    parent, taken = os.getpid(), tmp_path / "taken"
+    run_task = cli._run_task
+
+    def task(t):
+        if os.getpid() != parent:
+            taken.touch()
+            if raiser == "child":
+                raise ValueError(f"no certificate for {t[2].spec.label}")
+            time.sleep(60)
+        deadline = time.monotonic() + 30
+        while not taken.exists():
+            assert time.monotonic() < deadline, "no child took a task"
+            time.sleep(0.01)
+        if raiser == "parent":
+            raise ValueError(f"no certificate for {t[2].spec.label}")
+        return run_task(t)
+
+    monkeypatch.setattr(cli, "_run_task", task)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="no certificate for "):
+        main(["verify", "--theorem", "d-embed", "--corpus", str(small_corpus),
+              "--workers", "2", "--out", str(tmp_path / "out")])
+    assert time.monotonic() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _deadlock_alarm(signum, frame):
+    raise TimeoutError("the runner is stuck")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_tasks_returns_rows_in_task_order(workers, monkeypatch):
+    # 20,000 indices (80 kB) do not fit in one pipe (64 kB), nor do the rows
+    # that each process sends back; the alarm turns a deadlock into a failure
+    weights = [DyadicWeight(d, np.ones(2 ** d)) for d in (1, 3, 2)]
+    tasks = [("buc-classic", None, k, weights[k % 3]) for k in range(20000)]
+    monkeypatch.setattr(cli, "_run_task", lambda t: [{"task": t[2], "depth": t[3].depth}])
+    previous = signal.signal(signal.SIGALRM, _deadlock_alarm)
+    signal.alarm(60)
+    try:
+        rows = cli._run_tasks(tasks, workers)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rows == [[{"task": k, "depth": weights[k % 3].depth}] for k in range(20000)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_bellman_checks(tmp_path):
@@ -427,7 +494,8 @@ def test_unnormalized_psi_is_config_error(theorem, family, alpha, small_corpus,
     assert not list(tmp_path.glob("*.json"))
 
 
-@pytest.mark.parametrize("case", ["not-json", "entries-not-a-list", "hash-mismatch"])
+@pytest.mark.parametrize("case", ["not-json", "entries-not-a-list", "hash-mismatch",
+                                  "entry-edited", "entry-depth-rehashed"])
 def test_malformed_manifest_is_config_error(case, small_corpus, tmp_path, capsys):
     corpus = tmp_path / "corpus"
     shutil.copytree(Path(small_corpus).parent, corpus)
@@ -436,6 +504,15 @@ def test_malformed_manifest_is_config_error(case, small_corpus, tmp_path, capsys
         manifest.write_text("{not json")
     elif case == "entries-not-a-list":
         manifest.write_text('{"entries": 3}')
+    elif case.startswith("entry-"):
+        # entry 0 is a depth-6 constant weight; a depth that disagrees with
+        # the weight file is refused even under a recomputed manifest hash
+        data = json.loads(manifest.read_text())
+        data["entries"][0].update(kind="spike", depth=3)
+        if case == "entry-depth-rehashed":
+            data["manifest_sha256"] = hashlib.sha256(
+                json.dumps(data["entries"], sort_keys=True).encode()).hexdigest()
+        manifest.write_text(json.dumps(data))
     else:  # a weight file edited after its hash was recorded
         weight = corpus / json.loads(manifest.read_text())["entries"][0]["file"]
         w = json.loads(weight.read_text())
