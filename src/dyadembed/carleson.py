@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .intervals import DyadicInterval
+from .intervals import ROOT, DyadicInterval
 from .weights import DyadicWeight, StepFunction
 
 
@@ -82,6 +82,15 @@ class CarlesonSequence:
     def accumulators(self) -> tuple[np.ndarray, ...]:
         """A_I = |I|^-1 sum_{I' subset I} alpha_{I'} |I'| per level."""
         return tuple(s * 2.0 ** lev for lev, s in enumerate(self.prefix_sums))
+
+    def restrict(self, j: DyadicInterval) -> "CarlesonSequence":
+        """alpha on the intervals inside j, rescaled to [0, 1): self at the
+        root.  Every accumulator keeps its bits."""
+        if j == ROOT:
+            return self
+        return CarlesonSequence(self.depth - j.level,
+                                [self.levels[lev][slice(*j.cell_range(lev))]
+                                 for lev in range(j.level, self.depth + 1)])
 
     def scaled(self, c: float) -> "CarlesonSequence":
         return CarlesonSequence(self.depth, [a * c for a in self.levels])
@@ -168,13 +177,6 @@ class CheckReport:
     detail: dict = field(default_factory=dict)
 
 
-def _subtree_slices(j: DyadicInterval, depth: int):
-    """Per-level index ranges of the subtree rooted at j."""
-    for lev in range(j.level, depth + 1):
-        width = 2 ** (lev - j.level)
-        yield lev, j.index * width, (j.index + 1) * width
-
-
 def carleson_embedding_check(
     seq: CarlesonSequence,
     f: StepFunction,
@@ -188,7 +190,8 @@ def carleson_embedding_check(
     if c0 is None:
         c0 = carleson_norm(seq)
     lhs = 0.0
-    for lev, a, b in _subtree_slices(j, seq.depth):
+    for lev in range(j.level, seq.depth + 1):
+        a, b = j.cell_range(lev)
         avg = f.level_averages(lev)[a:b]
         lhs += float(np.dot(avg * avg, seq.levels[lev][a:b])) * 2.0 ** (-lev)
     rhs = 4.0 * c0 * f.squared().integral(j)
@@ -222,7 +225,8 @@ def weighted_carleson_embedding_check(
                            detail={"measured_c0": measured, "claimed_c0": c0})
     fw = f.product(w)
     lhs = 0.0
-    for lev, a, b in _subtree_slices(j, w.depth):
+    for lev in range(j.level, w.depth + 1):
+        a, b = j.cell_range(lev)
         wa = w.level_averages(lev)[a:b]
         fa = fw.level_averages(lev)[a:b]
         bl = beta.levels[lev][a:b]

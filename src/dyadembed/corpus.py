@@ -29,7 +29,6 @@ import numpy as np
 
 from .carleson import CarlesonSequence
 from .intervals import ROOT, DyadicInterval
-from .verifiers import _subtree_at
 from .weights import DyadicWeight, StepFunction
 
 
@@ -163,9 +162,9 @@ def estimate_ainfty(w: DyadicWeight) -> float:
 def check_rhi(w: DyadicWeight, j: DyadicInterval = ROOT) -> float:
     """Reverse-Holder constant sup_{I in J} <w>_I / <sqrt(w)>_I^2 (>= 1),
     one pass over the heap averages of the nodes under J."""
-    at = _subtree_at(w.depth, j)
-    avg = w.heap_averages()[at]
-    ravg = DyadicWeight(w.depth, np.sqrt(w.values), allow_zero=True).heap_averages()[at]
+    w = w.restrict(j)
+    avg = w.heap_averages()
+    ravg = DyadicWeight(w.depth, np.sqrt(w.values), allow_zero=True).heap_averages()
     pos = ravg > 0
     return float(np.max(avg[pos] / ravg[pos] ** 2, initial=1.0))
 

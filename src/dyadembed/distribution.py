@@ -24,7 +24,6 @@ import numpy as np
 class DistributionFunction:
     thresholds: np.ndarray        # ascending positive piece endpoints p_1..p_M
     survival: np.ndarray          # N value on [p_{j-1}, p_j)
-    cell_count: int = 0           # number of finest cells behind the fractions
     strict: bool = True           # survival strictly decreasing (true for real weights)
 
     def __post_init__(self) -> None:
@@ -55,14 +54,14 @@ class DistributionFunction:
         n = vals.size
         pos = np.unique(vals[vals > 0])
         if pos.size == 0:
-            return cls(np.empty(0), np.empty(0), cell_count=n)
+            return cls.zero()
         svals = np.sort(vals)
         count_ge = n - np.searchsorted(svals, pos, side="left")
-        return cls(pos, count_ge / n, cell_count=n)
+        return cls(pos, count_ge / n)
 
     @classmethod
-    def zero(cls, cell_count: int = 0) -> "DistributionFunction":
-        return cls(np.empty(0), np.empty(0), cell_count=cell_count)
+    def zero(cls) -> "DistributionFunction":
+        return cls(np.empty(0), np.empty(0))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -104,8 +103,7 @@ class DistributionFunction:
             raise ValueError("scale must be positive")
         if self.is_zero:
             return self
-        return DistributionFunction(self.thresholds * c, self.survival,
-                                    cell_count=self.cell_count, strict=self.strict)
+        return DistributionFunction(self.thresholds * c, self.survival, strict=self.strict)
 
 
 def merged_pieces(d1: DistributionFunction, d2: DistributionFunction):

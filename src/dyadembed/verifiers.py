@@ -25,13 +25,13 @@ a cell being read.  Dense array work runs only on the other rows, so a
 spike or a lacunary weight costs O(2^depth) in all, not per level.  Every
 tree is sorted once, top down: the root's block is stable-sorted and each
 level below is a linear split of the non-constant rows of the one above.
-A certificate reads the tree of its (w, Psi), a _Tree: the kernel of Psi,
-phi on the finest grid and, when their dense form would fit in 1 MiB
+A certificate reads the tree of its (w, Psi, J), a _Tree: the kernel of
+Psi, phi on the finest grid and, when their dense form would fit in 1 MiB
 (every tree of depth <= 13), the sorted levels.  A deeper tree is split
 again, one level at a time, by each walk that reads its levels, and only
 two adjacent levels are held at once.  Beside the sort the tree holds the
-node arrays that do not depend on the test function f, each one array over
-the whole tree, whatever its depth: every node's live flag and n_psi,
+node arrays that do not depend on the test function f, each one array
+over every node, whatever the depth: every node's live flag and n_psi,
 embed's int N^2/phi, fd-embed's weighted-Haar w-part above the finest
 level, and embed2's u(N, M) at every node's own budget and at the finest
 level's phantom budget, for the most recent sequence.  The first
@@ -41,36 +41,38 @@ f-dependent part.  Every kernel value is a function of its point alone
 (see `bellman`), so a later certificate reads the bits it would have
 computed.  The kept arrays take at most about 53 bytes a node.
 
-Lifetimes, one rule for every depth: the tree of the most recent (w, Psi)
-is the current one, matched by the identity of w and Psi, which it holds
-(_tree).  A tree of another (w, Psi) replaces it whole, and the old tree is
-dropped before the new one is built, so one tree is held at a time.  Depth
-decides only whether the sorted levels are kept or split again by each
-walk.  The kernel lives while its Psi stays current: a new tree of the
-current tree's Psi takes it over, so its C is evaluated once per Psi.  A
+Lifetimes, one rule for every depth: the tree of the most recent (w, Psi,
+J) is the current one, matched by the identity of w and Psi, which it
+holds, and the equality of J (_tree).  A tree of another (w, Psi, J)
+replaces it whole, and the old tree is dropped before the new one is
+built, so one tree is held at a time.  The depth of w decides only whether
+the sorted levels are kept or split again by each walk, under every J.
+The kernel lives while its Psi stays current: a new tree of the current
+tree's Psi takes it over, so its C is evaluated once per Psi.  A
 sequence's normalized copy lives on the sequence
 (CarlesonSequence.norm_capped).
 
-Every bounded certificate walks the whole tree, whatever its root J.  What
+The Carleson-Buckley condition holds for every dyadic J, and a certificate
+under J is the root certificate of w on J: its tree works on
+w.restrict(J), the 2^(depth - J.level) cells of J, and the checks restrict
+f and the sequence to J.  A restriction keeps every average, accumulator
+and sorted block bit for bit; only labels and lengths are relative, so
+every label (_labels) and every |I| is taken back to the whole tree.  What
 needs the sorted rows (n_psi, the potentials script-B and script-T, the
 stage-1 integral of the half difference, int N^2/phi, u) is integrated
-level by level, or read from the tree, into arrays over the nodes in heap
+level by level, or read from the tree, into arrays over its nodes in heap
 order, level-major with the index ascending, so the node at k has its
-children at 2k + 1 and 2k + 2.  The walk holds a kept tree's levels at
-once and a streamed tree's one at a time, and every T(A+1, N) =
-N G(N/(A+1)) of the levels it holds (embed's script-T, embed2's u, each at
-every node and at the finest level's phantom) is one kernel call (_T): one
-call per certificate on a kept tree, one per level on a streamed one.
-Each of these arrays depends on its node and the cells below it alone, so
-J only selects its subtree's nodes, in the subtree's own heap order, and
-its cells of the finest level (_node_arrays).
-A certificate under J != ROOT thus pays for the whole tree's walk.  Every
-step after that is elementwise and runs once over J's nodes: the gains,
-the stage bounds, the weighted Haar split with its identity and
-alpha-bound checks, the f/M consistency checks and the verdicts.  Each
-elementwise step takes the same inputs as it would a level at a time, and
-every sum over nodes is a running sum in heap order, so the values are bit
-for bit those of a node-by-node walk.
+children at 2k + 1 and 2k + 2 (_node_arrays).  The walk holds a kept
+tree's levels at once and a streamed tree's one at a time, and every
+T(A+1, N) = N G(N/(A+1)) of the levels it holds (embed's script-T,
+embed2's u, each at every node and at the finest level's phantom) is one
+kernel call (_T): one call per certificate on a kept tree, one per level
+on a streamed one.  Every step after that is elementwise and runs once
+over the nodes: the gains, the stage bounds, the weighted Haar split with
+its identity and alpha-bound checks, the f/M consistency checks and the
+verdicts.  Each elementwise step takes the same inputs as it would a level
+at a time, and every sum over nodes is a running sum in heap order, so the
+values are bit for bit those of a node-by-node walk.
 
 Skip rule: nodes on which w vanishes identically carry no term and no
 inequality.  They are computed with the rest of their level, then dropped,
@@ -114,6 +116,7 @@ from .bellman import (
 )
 from .carleson import CarlesonSequence
 from .config import DEFAULT_TOL, Tolerances
+from .corpus import check_rhi
 from .intervals import ROOT, DyadicInterval
 from .orlicz import PsiFunction
 from .weights import DyadicWeight, StepFunction
@@ -224,21 +227,9 @@ class _Level(NamedTuple):
         return (above / self.grid.size).reshape(self.plus.shape)
 
 
-def _subtree_at(depth: int, j: DyadicInterval):
-    """The positions of the nodes of the subtree under j in the whole tree's
-    heap order, taken in the subtree's own heap order (level-major with the
-    index ascending, so the node at k has its children at 2k + 1 and
-    2k + 2): slice(None) for the whole tree."""
-    if j == ROOT:
-        return slice(None)
-    widths = 2 ** np.arange(depth - j.level + 1)
-    width = np.repeat(widths, widths)
-    return (2 ** j.level + j.index) * width - 1 + (np.arange(width.size) + 1 - width)
-
-
 def _labels(pos: np.ndarray, j: DyadicInterval):
-    """(level, index) of the nodes at the positions pos of the subtree under
-    j in its heap order; the level is an int8."""
+    """(level, index) in the whole tree of the nodes at the positions pos of
+    the tree under j in its heap order; the level is an int8."""
     below = np.frexp(pos + 1.0)[1] - 1      # floor(log2(pos + 1)), exact
     width = np.left_shift(1, below, dtype=np.int64)
     return (below + j.level).astype(np.int8), j.index * width + (pos + 1 - width)
@@ -333,11 +324,12 @@ def _sorted_levels(w: DyadicWeight, phi: np.ndarray):
 
 
 # The dense form of a tree's sorted levels is (d + 1) 2^d cells of 9 bytes
-# (a float64 piece length and a bool child label).  A tree whose dense form
-# fits in this many bytes (depth <= 13) keeps its sorted levels.  Its
-# collapsed levels hold no more cells than the dense form; each row adds at
-# most 18 bytes (its live and constant flags, its value or dense row
-# number, and its n_psi) and phi 8 bytes a finest cell.
+# (a float64 piece length and a bool child label).  A tree of a weight
+# whose dense form fits in this many bytes (depth <= 13) keeps its sorted
+# levels, under every root.  Its collapsed levels hold no more cells than
+# the dense form; each row adds at most 18 bytes (its live and constant
+# flags, its value or dense row number, and its n_psi) and phi 8 bytes a
+# finest cell.
 _SLOT_BYTES = 2 ** 20
 
 # the node arrays a tree keeps once a walk has computed them: those of
@@ -347,20 +339,23 @@ _KEPT = ("live", "n_psi", "n2_phi") + _SEQ_ARRAYS
 
 
 class _Tree:
-    """The dyadic tree of (w, psi) and the work its certificates share:
-    kernel is psi's BellmanKernel, phi is psi.phi on the finest grid, and
-    sorted is the _Level of every level, root first, or None for a tree
-    whose dense form does not fit _SLOT_BYTES, whose walks split its levels
-    again one at a time.  nodes holds the arrays of _KEPT over every node
-    in heap order that a walk on the tree has computed, whatever its depth,
-    those of _SEQ_ARRAYS for the sequence seq; each kept level's live flags
-    are a view of nodes["live"]."""
+    """The dyadic tree of (whole, psi) under j and the work its certificates
+    share: w is whole.restrict(j), which every walk reads, kernel is psi's
+    BellmanKernel, phi is psi.phi on the finest grid, and sorted is the
+    _Level of every level, root first, or None when the dense form of
+    whole does not fit _SLOT_BYTES: its walks split the levels again one at
+    a time.  nodes holds the arrays of _KEPT over every node in heap order
+    that a walk on the tree has computed, whatever its depth, those of
+    _SEQ_ARRAYS for the sequence seq; each kept level's live flags are a
+    view of nodes["live"]."""
 
-    def __init__(self, w: DyadicWeight, psi: PsiFunction, kernel: BellmanKernel) -> None:
-        self.w, self.psi, self.kernel = w, psi, kernel
+    def __init__(self, whole: DyadicWeight, psi: PsiFunction, kernel: BellmanKernel,
+                 j: DyadicInterval) -> None:
+        self.whole, self.j, self.psi, self.kernel = whole, j, psi, kernel
+        self.w = w = whole.restrict(j)
         self.phi = psi.phi(_top_grid(w))
         self.sorted, self.nodes, self.seq = None, {}, None
-        if (w.depth + 1) * 2 ** w.depth * 9 <= _SLOT_BYTES:
+        if (whole.depth + 1) * 2 ** whole.depth * 9 <= _SLOT_BYTES:
             levels = tuple(_sorted_levels(w, self.phi))
             live = self.nodes["live"] = np.concatenate([lv.live for lv in levels])
             self.sorted = tuple(lv._replace(live=live[2 ** lev - 1:2 ** (lev + 1) - 1])
@@ -372,7 +367,7 @@ class _Tree:
         return self.sorted or _sorted_levels(self.w, self.phi)
 
     def use_seq(self, seq: CarlesonSequence) -> None:
-        """Make seq the sequence whose arrays the tree keeps."""
+        """Make seq, unrestricted, the sequence whose arrays the tree keeps."""
         if self.seq is not seq:
             self.seq = seq
             for name in _SEQ_ARRAYS:
@@ -383,56 +378,55 @@ class _Tree:
         return _haar_weight(self)
 
 
-# The tree of the most recent (w, psi).
+# The tree of the most recent (w, psi, j).
 _current = None
 
 
-def _tree(w: DyadicWeight, psi: PsiFunction) -> _Tree:
-    """The tree of (w, psi): the current one if it holds w and psi, or else
-    a new one, which becomes current whatever its depth.  A new tree of the
-    current psi takes over its kernel; the old tree is dropped before the
-    new one is built."""
+def _tree(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT) -> _Tree:
+    """The tree of (w, psi) under j: the current one if it holds w, psi and
+    j, or else a new one, which becomes current whatever its depth.  A new
+    tree of the current psi takes over its kernel; the old tree is dropped
+    before the new one is built."""
     global _current
     if _current is not None and _current.psi is psi:
-        if _current.w is w:
+        if _current.whole is w and _current.j == j:
             return _current
         kernel = _current.kernel
     else:
         kernel = BellmanKernel(psi)
     _current = None
-    _current = _Tree(w, psi, kernel)
+    _current = _Tree(w, psi, kernel, j)
     return _current
 
 
-def _node_arrays(tree: _Tree, j: DyadicInterval, at, script=None, **per_level) -> dict:
-    """live and n_psi of every node of the subtree under j and fn(level) for
-    each fn of per_level.  With script = (form, budgets, phantoms), also
-    form(level, *T) for each name of the dict budgets on every level, and of
-    the dict phantoms on the finest level, with T the _T of A + 1 for the
-    level's entries A of the name's array (one a node in heap order, or one
-    a node of the finest level).  One walk of the whole tree writes each
-    per-level array level by level into one array over its nodes in heap
-    order; j then selects its nodes, at (_subtree_at), and its cells of the
-    finest level.  The walk holds a kept tree's levels at once, or a
-    streamed tree's one at a time, and evaluates the T of every level it
-    holds in one kernel call.  An array of _KEPT is read from tree.nodes:
-    the walk computes one that the tree lacks, and the tree keeps it."""
+def _node_arrays(tree: _Tree, script=None, **per_level) -> dict:
+    """live and n_psi of every node of the tree and fn(level) for each fn of
+    per_level.  With script = (form, budgets, phantoms), also form(level,
+    *T) for each name of the dict budgets on every level, and of the dict
+    phantoms on the finest level, with T the _T of A + 1 for the level's
+    entries A of the name's array (one a node in heap order, or one a node
+    of the finest level).  One walk writes each per-level array level by
+    level into one array over the nodes in heap order.  The walk holds a
+    kept tree's levels at once, or a streamed tree's one at a time, and
+    evaluates the T of every level it holds in one kernel call.  An array
+    of _KEPT is read from tree.nodes: the walk computes one that the tree
+    lacks, and the tree keeps it."""
     form, budgets, phantoms = script or (None, {}, {})
     per_level = {"live": lambda lv: lv.live, "n_psi": _Level.n_psi, **per_level}
-    whole = {name: tree.nodes[name] for name in (*per_level, *budgets, *phantoms)
-             if name in tree.nodes}
-    walk = {name: fn for name, fn in per_level.items() if name not in whole}
-    scripted = {name: a for name, a in {**budgets, **phantoms}.items() if name not in whole}
+    out = {name: tree.nodes[name] for name in (*per_level, *budgets, *phantoms)
+           if name in tree.nodes}
+    walk = {name: fn for name, fn in per_level.items() if name not in out}
+    scripted = {name: a for name, a in {**budgets, **phantoms}.items() if name not in out}
     if walk or scripted:
         size = 2 ** (tree.w.depth + 1) - 1
 
         def put(name, lv, part):
             if name in phantoms:
-                whole[name] = part
+                out[name] = part
                 return
-            if name not in whole:
-                whole[name] = np.empty(size, dtype=part.dtype)
-            lv.of(whole[name])[:] = part
+            if name not in out:
+                out[name] = np.empty(size, dtype=part.dtype)
+            lv.of(out[name])[:] = part
 
         levels = tree.levels()
         for held in [levels] if tree.sorted is not None else ((lv,) for lv in levels):
@@ -445,10 +439,8 @@ def _node_arrays(tree: _Tree, j: DyadicInterval, at, script=None, **per_level) -
                 for (name, lv, _), t in zip(parts, _T(tree.kernel, [p[1:] for p in parts])):
                     put(name, lv, form(lv, *t))
                 del parts, t    # freed before a streamed walk splits the next level
-        tree.nodes.update((name, whole[name]) for name in _KEPT if name in whole)
-    width = 2 ** (tree.w.depth - j.level)
-    cells = slice(j.index * width, (j.index + 1) * width)
-    return {name: a[cells if name in phantoms else at] for name, a in whole.items()}
+        tree.nodes.update((name, out[name]) for name in _KEPT if name in out)
+    return out
 
 
 def _slack(tol: Tolerances, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -570,8 +562,7 @@ def verify_buckley_classic(w: DyadicWeight, j: DyadicInterval = ROOT,
     lhs = 0.0
     count = 0
     for lev in range(j.level, w.depth):
-        width = 2 ** (lev - j.level)
-        a, b = j.index * width, (j.index + 1) * width
+        a, b = j.cell_range(lev)
         parent = w.level_averages(lev)[a:b]
         child = w.level_averages(lev + 1)[2 * a : 2 * b]
         dw = child[1::2] - child[0::2]
@@ -595,14 +586,11 @@ def verify_folk(w: DyadicWeight, seq: CarlesonSequence,
     the unweighted Carleson embedding to sqrt(w); off the Muckenhoupt class
     C_rhi is unbounded and the check is informational.
     """
-    from .corpus import check_rhi  # local import, corpus builds on this module
-
     seqn, norm = seq.norm_capped
     lhs = 0.0
     count = 0
     for lev in range(j.level, w.depth + 1):
-        width = 2 ** (lev - j.level)
-        a, b = j.index * width, (j.index + 1) * width
+        a, b = j.cell_range(lev)
         avg = w.level_averages(lev)[a:b]
         lhs += float(np.dot(avg, seqn.levels[lev][a:b])) * 2.0 ** (-lev)
         count += avg.size
@@ -624,15 +612,14 @@ def verify_folk(w: DyadicWeight, seq: CarlesonSequence,
 # the bounded certificates
 # ---------------------------------------------------------------------------
 
-def _pde_checks(tree: _Tree, j: DyadicInterval, tol: Tolerances) -> LevelChecks:
-    """check_pde_step at every node of the subtree under j above the finest
-    level: one pass over its node arrays in heap order, after the row
-    integrals of script-B and of stage1."""
+def _pde_checks(tree: _Tree, tol: Tolerances) -> LevelChecks:
+    """check_pde_step at every node of the tree above the finest level: one
+    pass over its node arrays in heap order, after the row integrals of
+    script-B and of stage1."""
     w = tree.w
-    at = _subtree_at(w.depth, j)
     b_top = tree.kernel.B(_top_grid(w))
     nodes = _node_arrays(
-        tree, j, at,
+        tree,
         pot=lambda lv: lv.integral(b_top[::b_top.size // lv.grid.size]),
         # h = 0 at N = 1 on a constant row: its two children are equal.
         # Every row of the finest level is one, so its unread entries are
@@ -644,35 +631,31 @@ def _pde_checks(tree: _Tree, j: DyadicInterval, tol: Tolerances) -> LevelChecks:
     gain = 0.5 * (pot[1::2] + pot[2::2]) - pot[:above]
     del pot
     stage1 = PDE_STAGE1_FACTOR * nodes.pop("stage1")[:above]
-    avgs = w.heap_averages()[at]
+    avgs = w.heap_averages()
     dw = avgs[2::2] - avgs[1::2]
     del avgs
     with np.errstate(divide="ignore", invalid="ignore"):   # n_psi = 0 off the live rows
         stage2 = PDE_FINAL_FACTOR * dw * dw / nodes["n_psi"][:above]
     # certificate lhs counts (Delta_I w)^2 / n_psi = stage2 / final factor
-    return _chain(j, nodes["live"][:above], stage2 / PDE_FINAL_FACTOR, gain, stage1, stage2,
-                  tol)
+    return _chain(tree.j, nodes["live"][:above], stage2 / PDE_FINAL_FACTOR, gain, stage1,
+                  stage2, tol)
 
 
-def _embed_checks(tree: _Tree, seq: CarlesonSequence, j: DyadicInterval,
-                  tol: Tolerances) -> LevelChecks:
-    """check_embed_step at every node of the subtree under j, the finest
-    level through a phantom generation: one pass over its node arrays in
-    heap order, after the row integrals of script-T and int N^2/phi."""
-    w = tree.w
-    at = _subtree_at(w.depth, j)
-    m_all, alpha_all = np.concatenate(seq.accumulators), np.concatenate(seq.levels)
+def _embed_checks(tree: _Tree, seq: CarlesonSequence, tol: Tolerances) -> LevelChecks:
+    """check_embed_step at every node of the tree, the finest level through
+    a phantom generation: one pass over its node arrays in heap order, after
+    the row integrals of script-T and int N^2/phi."""
+    w, seq = tree.w, seq.restrict(tree.j)
+    m, alpha = np.concatenate(seq.accumulators), np.concatenate(seq.levels)
     cells = slice(2 ** w.depth - 1, None)     # the finest level's nodes
     nodes = _node_arrays(
-        tree, j, at,
+        tree,
         # script-T at every node, and through a phantom generation below the
         # finest level: identical children carrying the remaining
         # accumulator mass (zero)
-        script=(_Level.integral, {"pot": m_all}, {"phantom": m_all[cells] - alpha_all[cells]}),
+        script=(_Level.integral, {"pot": m}, {"phantom": m[cells] - alpha[cells]}),
         # int N^2/phi depends on (w, psi) alone: the tree keeps it
         n2_phi=lambda lv: lv.integral(lv.grid * lv.grid / lv.phi))
-    m, alpha = m_all[at], alpha_all[at]
-    del m_all, alpha_all
     live = nodes["live"]
     over = live & (m > 1.0 + 1e-9)
     if over.any():
@@ -683,22 +666,21 @@ def _embed_checks(tree: _Tree, seq: CarlesonSequence, j: DyadicInterval,
     del pot, phantom
     stage1 = EMBED_STEP_FACTOR * alpha * nodes.pop("n2_phi")
     # the lhs term a_I <w>_I^2 / n_psi is stage2 over the step factor
-    term = _bump_term(alpha, w.heap_averages()[at], nodes["n_psi"])
+    term = _bump_term(alpha, w.heap_averages(), nodes["n_psi"])
     del alpha
-    return _chain(j, live, term, gain, stage1, EMBED_STEP_FACTOR * term, tol)
+    return _chain(tree.j, live, term, gain, stage1, EMBED_STEP_FACTOR * term, tol)
 
 
 def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
-                        j: DyadicInterval, spot_check_derivative: bool,
-                        tol: Tolerances) -> LevelChecks:
-    """check_paraproduct_step at every node of the subtree under j, the
-    finest level through a phantom generation: one pass over its node
-    arrays in heap order, after the row integrals of u."""
+                        spot_check_derivative: bool, tol: Tolerances) -> LevelChecks:
+    """check_paraproduct_step at every node of the tree, the finest level
+    through a phantom generation: one pass over its node arrays in heap
+    order, after the row integrals of u."""
     w = tree.w
-    at = _subtree_at(w.depth, j)
-    m_all, a_all = np.concatenate(seq.accumulators), np.concatenate(seq.levels)
-    m, a = m_all[at], a_all[at]
-    f_i = f.product(w).heap_averages()[at]
+    tree.use_seq(seq)
+    seq = seq.restrict(tree.j)
+    m, a = np.concatenate(seq.accumulators), np.concatenate(seq.levels)
+    f_i = f.restrict(tree.j).product(w).heap_averages()
     above = f_i.size // 2     # the nodes above the finest level
 
     def bellman(u_i, fv):
@@ -711,22 +693,21 @@ def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
     # u(N_I, M) = int (2N - T(M+1, N)) dt at each node's own budget M and
     # the finest level's phantom M - a; it depends on (w, seq, psi) alone:
     # the tree keeps it, and every f of the sequence reads it there
-    budgets = {"u": m_all}
+    budgets = {"u": m}
     if spot_check_derivative:
-        inside = (1e-4 < m_all) & (m_all < 1.0 - 1e-4)
-        mid = np.where(inside, m_all, 0.5)
+        inside = (1e-4 < m) & (m < 1.0 - 1e-4)
+        mid = np.where(inside, m, 0.5)
         h = 1e-5
         budgets.update(up=mid + h, down=mid - h)
     cells = slice(2 ** w.depth - 1, None)     # the finest level's nodes
-    phantom = m_all[cells] - a_all[cells]
+    phantom = m[cells] - a[cells]
     # the first budget outside [0, 1] in level order (up and down never are)
     for m_budget in (*budgets.values(), phantom):
         out = (m_budget < -1e-9) | (m_budget > 1.0 + 1e-9)
         if out.any():
             raise ValueError(f"M = {m_budget[out][0]} outside [0, 1]")
-    tree.use_seq(seq)
     nodes = _node_arrays(
-        tree, j, at,
+        tree,
         (lambda lv, t, t_at_one: lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one),
          budgets, {"u_phantom": phantom}))
 
@@ -752,8 +733,8 @@ def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
         slope = -(bellman(nodes["up"], f_i) - bellman(nodes["down"], f_i)) / (2 * h)
         with np.errstate(divide="ignore", invalid="ignore"):
             target = PARAPRODUCT_CONSTANT * f_i * f_i / n_val
-        passed &= ~(inside[at] & (slope < target * (1 - 1e-6) - 1e-12))
-    return _live_checks(j, live, term, lhs, (rhs,), passed)
+        passed &= ~(inside & (slope < target * (1 - 1e-6) - 1e-12))
+    return _live_checks(tree.j, live, term, lhs, (rhs,), passed)
 
 
 def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
@@ -764,9 +745,9 @@ def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
     Per node the full two-stage chain of check_pde_step is asserted; the
     telescoped potential is bounded by B(1) <= B'(1) at the leaves.
     """
-    tree = _tree(w, psi)
+    tree = _tree(w, psi, j)
     kernel = tree.kernel
-    return bellman_induction(_pde_checks(tree, j, tol), j,
+    return bellman_induction(_pde_checks(tree, tol), j,
                              constant=16.0 * kernel.C, rhs_base=w.mass(j),
                              theorem="d-embed", breakdown={"leaf_bound": kernel.C},
                              keep_ledger=keep_ledger, tol=tol)
@@ -784,10 +765,10 @@ def verify_embed(w: DyadicWeight, seq: CarlesonSequence, psi: PsiFunction,
     accumulator variable), so the constant is unchanged.  The sequence is
     normalized to Carleson norm 1 if needed (recorded).
     """
-    tree = _tree(w, psi)
+    tree = _tree(w, psi, j)
     kernel = tree.kernel
     seq, normalization = seq.norm_capped
-    return bellman_induction(_embed_checks(tree, seq, j, tol), j,
+    return bellman_induction(_embed_checks(tree, seq, tol), j,
                              constant=4.0 * kernel.C, rhs_base=w.mass(j),
                              theorem="embed",
                              breakdown={"normalization": normalization,
@@ -810,10 +791,10 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     step's right side over the constant, so f == 1 reproduces verify_embed's
     lhs bit for bit.
     """
-    tree = _tree(w, psi)
+    tree = _tree(w, psi, j)
     _require_normalized(tree.kernel)
     seq, normalization = seq.norm_capped
-    checks = _paraproduct_checks(tree, f, seq, j, spot_check_derivative, tol)
+    checks = _paraproduct_checks(tree, f, seq, spot_check_derivative, tol)
     return bellman_induction(checks, j, constant=1.0 / PARAPRODUCT_CONSTANT,
                              rhs_base=f.squared().product(w).integral(j),
                              theorem="embed2",
@@ -823,12 +804,12 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
 
 
 class _HaarWeight(NamedTuple):
-    """The w-part of the weighted Haar split at the live nodes of a subtree
+    """The w-part of the weighted Haar split at the live nodes of a tree
     above the finest level, in heap order: what every f of the weight
     shares."""
 
     level: np.ndarray       # node levels (int8)
-    heap: np.ndarray        # positions in the whole tree's heap order
+    heap: np.ndarray        # positions in the tree's heap order
     p: np.ndarray           # <w>_{I+}
     q: np.ndarray           # <w>_{I-}
     avg: np.ndarray         # <w>_I
@@ -841,10 +822,10 @@ class _HaarWeight(NamedTuple):
 
 def _haar_weight(tree: _Tree) -> _HaarWeight:
     w = tree.w
-    nodes = _node_arrays(tree, ROOT, slice(None))
+    nodes = _node_arrays(tree)
     live = nodes["live"]
     heap = np.flatnonzero(live[:live.size // 2])     # the live nodes above the finest level
-    level = _labels(heap, ROOT)[0]
+    level = _labels(heap, tree.j)[0]
     avgs = w.heap_averages()
     q, p, avg = avgs[2 * heap + 1], avgs[2 * heap + 2], avgs[heap]
     length = np.ldexp(1.0, -level)
@@ -857,20 +838,15 @@ def _haar_weight(tree: _Tree) -> _HaarWeight:
                        nodes["n_psi"][heap])
 
 
-def _haar_split(tree: _Tree, fw: StepFunction, j: DyadicInterval):
-    """weighted_haar_decompose of fw at the live nodes of the subtree under
-    j above the finest level, in full (not half) differences: (hw, full,
-    haar, drift, inner) with hw the w-part (_HaarWeight), full = Delta_I(fw)
-    = haar + drift up to rounding, haar the w-Haar part and inner = (f,
-    h_I^w)_{L2(w)}, both 0 where a child carries no w-mass, and drift =
-    (<fw>_I / <w>_I) Delta_I w.  The w-part of the whole tree is kept on the
-    tree, and j selects its nodes from it."""
+def _haar_split(tree: _Tree, fw: StepFunction):
+    """weighted_haar_decompose of fw at the live nodes of the tree above the
+    finest level, in full (not half) differences: (hw, full, haar, drift,
+    inner) with hw the w-part (_HaarWeight), kept on the tree, full =
+    Delta_I(fw) = haar + drift up to rounding, haar the w-Haar part and
+    inner = (f, h_I^w)_{L2(w)}, both 0 where a child carries no w-mass, and
+    drift = (<fw>_I / <w>_I) Delta_I w."""
     hw = tree.haar
-    if j != ROOT:   # the root selects every node, and copies none
-        level, index = _labels(hw.heap, ROOT)
-        under = (level >= j.level) & (index >> np.maximum(level - j.level, 0) == j.index)
-        hw = _HaarWeight(*(a[under] for a in hw))
-    avgs = fw.heap_averages()
+    avgs = fw.restrict(tree.j).heap_averages()
     y, x = avgs[2 * hw.heap + 1], avgs[2 * hw.heap + 2]
     drift = avgs[hw.heap] / hw.avg * 0.5 * (hw.p - hw.q)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -907,10 +883,10 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
                            float("nan"), float("nan"), False, float("nan"),
                            breakdown={"reason": "differential embedding failed"})
 
-    tree = _tree(w, psi)
+    tree = _tree(w, psi, j)
     kernel = tree.kernel
     psi_min = kernel.min_psi
-    hw, full, haar, drift, inner = _haar_split(tree, fw, j)
+    hw, full, haar, drift, inner = _haar_split(tree, fw)
     err = np.abs(full - (haar + drift))
     identity = err > tol.identity * np.maximum(1.0, np.abs(full)) * 10
     bound = hw.alpha > hw.root_avg * (1 + 1e-12)
@@ -921,10 +897,9 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
                                                err[identity].tolist())]
         + [(k, 1, "alpha-bound", a) for k, a in zip(np.flatnonzero(bound).tolist(),
                                                     hw.alpha[bound].tolist())])
-    failures = []
-    for k, _, kind, v in failed:
-        lev = int(hw.level[k])
-        failures.append((lev, int(hw.heap[k]) + 1 - 2 ** lev, kind, v))
+    level, index = _labels(hw.heap[[k for k, *_ in failed]], j)
+    failures = [(lev, i, kind, v)
+                for lev, i, (*_, kind, v) in zip(level.tolist(), index.tolist(), failed)]
     max_alpha_excess = float(np.max(hw.alpha - hw.root_avg, initial=-np.inf))
     length = np.ldexp(1.0, -hw.level)
     lhs, s_haar, s_drift, s_cross, parseval = map(_walk_total, (

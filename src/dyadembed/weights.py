@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .distribution import DistributionFunction
-from .intervals import DyadicInterval
+from .intervals import ROOT, DyadicInterval
 
 
 class StepFunction:
@@ -113,6 +113,13 @@ class StepFunction:
         a, b = i.cell_range(self.depth)
         return self.values[a:b]
 
+    def restrict(self, j: DyadicInterval) -> "StepFunction":
+        """The function on j, rescaled to [0, 1): self at the root.  Every
+        average keeps its bits; a subinterval's label and length do not."""
+        if j == ROOT:
+            return self
+        return StepFunction(self.depth - j.level, self.cells(j))
+
 
 class DyadicWeight(StepFunction):
     """Nonnegative dyadic step function (the weight w)."""
@@ -132,6 +139,11 @@ class DyadicWeight(StepFunction):
         """Normalized distribution function N_I(t) = |I|^-1 |{x in I : w(x) > t}|."""
         self._check(i)
         return DistributionFunction.from_values(self.cells(i))
+
+    def restrict(self, j: DyadicInterval) -> "DyadicWeight":
+        if j == ROOT:
+            return self
+        return DyadicWeight(self.depth - j.level, self.cells(j), allow_zero=True)
 
     def scaled(self, c: float) -> "DyadicWeight":
         if c < 0:

@@ -2,7 +2,7 @@
 
 * The per-node path: every node's term, stage1, stage2 and verdict from the
   engine (`verifiers._pde_checks`, `_embed_checks`, `_paraproduct_checks`
-  and `_haar_split`, each one pass over a subtree's node arrays) must match
+  and `_haar_split`, each one pass over a tree's node arrays) must match
   the per-node checks of `bellman` and `carleson`, evaluated on
   `w.distribution(node)`, on whole trees of depth <= 8, under subtree
   roots, and on a depth-14 tree too deep to keep its sorted levels.
@@ -32,9 +32,10 @@
   constant row expanded back to its dense form, equals a stable sort of
   that level on its own, bit for bit; a constant row's one-value sum equals
   the sum of its dense form, and the level sums equal their row-wise forms.
-* A root only selects nodes: the ledger and the failed nodes of `d-embed`
-  and `embed` under a root J are the ROOT certificate's entries of the
-  nodes under J, bit for bit, on a kept tree and on a streamed one.
+* A certificate under a root J reads the tree of w on J: the ledger and the
+  failed nodes of `d-embed` and `embed` under J are the ROOT certificate's
+  entries of the nodes under J, bit for bit, on a kept tree and on a
+  streamed one, and every sort reads J's cells alone.
 * Row sums add left to right: `_row_integral` on every shape up to 2^15
   cells equals a Python-float loop bit for bit, on data where a pairwise
   sum differs.  The int32 half difference equals its row form, on a
@@ -164,7 +165,7 @@ def _pde_oracle(w, tol):
 
 
 def _compare_pde(w, j, tol, sample=None):
-    checks = _pde_checks(verifiers._tree(w, PSI), j, tol)
+    checks = _pde_checks(verifiers._tree(w, PSI, j), tol)
     count = _compare_checks(w, checks, _pde_oracle(w, tol), w.depth - 1, j, sample)
     cert = verify_d_embed(w, PSI, j, tol=tol)
     assert cert.node_count == count
@@ -203,7 +204,7 @@ def _embed_oracle(w, seq, tol):
 
 def _compare_embed(w, j, tol, sample=None):
     seq, _ = gen_carleson_sequence("random", w.depth, 4).normalized()
-    checks = _embed_checks(verifiers._tree(w, PSI), seq, j, tol)
+    checks = _embed_checks(verifiers._tree(w, PSI, j), seq, tol)
     count = _compare_checks(w, checks, _embed_oracle(w, seq, tol), w.depth, j, sample)
     cert = verify_embed(w, seq, PSI, j, tol=tol)
     assert cert.node_count == count
@@ -245,7 +246,7 @@ def _paraproduct_oracle(w, f, seq, tol):
 def _compare_paraproduct(w, j, tol, sample=None):
     f = gen_test_function("random-bounded", w.depth, 7)
     seq, _ = gen_carleson_sequence("random", w.depth, 5).normalized()
-    checks = _paraproduct_checks(verifiers._tree(w, PSI), f, seq, j, True, tol)
+    checks = _paraproduct_checks(verifiers._tree(w, PSI, j), f, seq, True, tol)
     count = _compare_checks(w, checks, _paraproduct_oracle(w, f, seq, tol), w.depth, j, sample)
     cert = verify_embed2(w, f, seq, PSI, j, spot_check_derivative=True, tol=tol)
     assert cert.node_count == count
@@ -265,8 +266,8 @@ def _compare_haar(w, j, sample=None):
     fd-embed certificate's node count."""
     f = gen_test_function("random-bounded", w.depth, 8)
     fw = f.product(w)
-    hw, full, haar, drift, inner = _haar_split(verifiers._tree(w, PSI), fw, j)
-    index = hw.heap + 1 - 2 ** hw.level.astype(np.int64)
+    hw, full, haar, drift, inner = _haar_split(verifiers._tree(w, PSI, j), fw)
+    index = verifiers._labels(hw.heap, j)[1]
     nodes = list(zip(hw.level.tolist(), index.tolist()))
     assert nodes == _live_nodes(w, w.depth - 1, j)
     for r, node in enumerate(nodes):
@@ -329,7 +330,8 @@ def test_node_pass_past_the_slot_matches_per_node(j, tol):
     _clear_tree()
     for compare in (_compare_pde, _compare_embed, _compare_paraproduct):
         cert = compare(w, j, tol, _sampled)
-        assert verifiers._current.w is w and verifiers._current.sorted is None
+        assert verifiers._current.whole is w and verifiers._current.j == j
+        assert verifiers._current.sorted is None
         if tol is STRICT:
             assert cert.failures, cert.theorem
     if tol is DEFAULT_TOL:
@@ -356,7 +358,7 @@ def test_equal_children_have_zero_gain():
     # would exceed the slack and fail the certificate
     block = np.random.default_rng(1).uniform(1.0, 2.0, 64)
     w = DyadicWeight(9, np.tile(block, 8) * 1e100)
-    checks = _pde_checks(verifiers._tree(w, PSI), ROOT, DEFAULT_TOL)
+    checks = _pde_checks(verifiers._tree(w, PSI), DEFAULT_TOL)
     assert checks.level[:7].tolist() == [0, 1, 1, 2, 2, 2, 2]    # heap positions 0..6
     assert np.all(checks.gain[:7] == 0.0) and np.all(checks.bounds[0][:7] == 0.0)
     assert verify_d_embed(w, PSI).passed
@@ -563,16 +565,19 @@ def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
     w = gen_weight(spec)
     _clear_tree()
     verify_d_embed(w, PSI)
-    assert verifiers._current.w is w and verifiers._current.psi is PSI
+    assert verifiers._current.whole is w and verifiers._current.psi is PSI
     targets = weights(w)
+    j = kwargs.get("j", ROOT)
     warm = _bounded_runs(targets, tol=tol, **kwargs)
-    assert verifiers._current.w is targets[-1] and verifiers._current.psi is kwargs["psi"]
+    assert verifiers._current.whole is targets[-1] and verifiers._current.psi is kwargs["psi"]
+    assert verifiers._current.j == j
     cold = _bounded_runs(targets, tol=tol, before=_clear_tree, **kwargs)
     monkeypatch.setattr(verifiers, "_SLOT_BYTES", 0)   # sort level by level
     _clear_tree()
     streamed = _bounded_runs(targets, tol=tol, **kwargs)
     tree = verifiers._current
-    assert tree.w is targets[-1] and tree.psi is kwargs["psi"] and tree.sorted is None
+    assert tree.whole is targets[-1] and tree.psi is kwargs["psi"] and tree.j == j
+    assert tree.sorted is None
     del tree
     streamed_cold = _bounded_runs(targets, tol=tol, before=_clear_tree, **kwargs)
     assert warm == cold
@@ -584,10 +589,11 @@ def test_slot_entries_match_cold_runs(case, tol, spec, monkeypatch):
 
 
 def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
-    # five embed2 and five fd-embed certificates of one (w, seq), and five
-    # embed2 under a subtree root: one whole-tree walk computes each array
-    # the tree keeps, the Haar w-part is computed once and the sequence
-    # normalized once, and every other certificate reads them
+    # five embed2 and five fd-embed certificates of one (w, seq): one walk
+    # computes each array the tree keeps, the Haar w-part is computed once
+    # and the sequence normalized once, and every other certificate reads
+    # them.  Then five embed2 of (w, seq) under a subtree root: one walk of
+    # its tree computes its n_psi and u, and the sequence stays normalized
     w = gen_weight(CorpusSpec("random-martingale", 8, (0.6,), 3))
     seq = _one_seq(w)[0].scaled(3.0)
     _clear_tree()
@@ -609,8 +615,11 @@ def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
     for f in _five_f(w):
         verify_embed2(w, f, seq, PSI)
         verify_fd_embed(w, f, PSI)
-        verify_embed2(w, f, seq, PSI, DyadicInterval(1, 1))
     assert sorted(made) == ["haar", "n_psi", "normalized", "u", "u_phantom"]
+    made.clear()
+    for f in _five_f(w):
+        verify_embed2(w, f, seq, PSI, DyadicInterval(1, 1))
+    assert sorted(made) == ["n_psi", "u", "u_phantom"]
 
 
 def test_kernel_is_built_once_per_psi(monkeypatch):
@@ -635,7 +644,7 @@ def test_kernel_is_built_once_per_psi(monkeypatch):
         for cert in (verify_d_embed(w, psi), verify_embed(w, seq, psi),
                      verify_embed2(w, f, seq, psi), verify_fd_embed(w, f, psi)):
             assert cert.passed, (spec.label, cert.theorem)
-    assert verifiers._current.w is w
+    assert verifiers._current.whole is w
     assert [p is psi for p in built] == [True]
 
 
@@ -651,7 +660,7 @@ def test_deep_fd_embed_sorts_the_weight_once(monkeypatch):
     _clear_tree()
     assert verify_fd_embed(w, _one_f(w)[0], PSI).passed
     assert len(sorts) == 1 and sorts[0] is w
-    assert verifiers._current.w is w and verifiers._current.sorted is None
+    assert verifiers._current.whole is w and verifiers._current.sorted is None
 
 
 def _count_kernel_calls(monkeypatch):
@@ -691,7 +700,7 @@ def test_one_kernel_call_per_certificate(monkeypatch):
     deep = gen_weight(CorpusSpec("random-martingale", 14, (0.3,), 1))
     calls.update(G=0, _G_raw=0)
     verify_embed(deep, _one_seq(deep)[0], PSI)
-    assert verifiers._current.w is deep and verifiers._current.kernel is kernel
+    assert verifiers._current.whole is deep and verifiers._current.kernel is kernel
     assert calls == {"G": 15, "_G_raw": 16}
 
 
@@ -709,7 +718,7 @@ def test_u_budget_error_names_the_first_node_in_level_order(slot_bytes, monkeypa
     tree = verifiers._tree(w, PSI)
     assert (tree.sorted is None) == (slot_bytes == 0)
     with pytest.raises(ValueError, match=r"^M = 1\.5 outside \[0, 1\]$"):
-        _paraproduct_checks(tree, _one_f(w)[0], seq, ROOT, True, DEFAULT_TOL)
+        _paraproduct_checks(tree, _one_f(w)[0], seq, True, DEFAULT_TOL)
 
 
 def test_store_under_a_subtree_root_with_a_panel_kernel(monkeypatch):
@@ -737,7 +746,7 @@ def test_store_under_a_subtree_root_with_a_panel_kernel(monkeypatch):
     monkeypatch.setattr(verifiers, "_SLOT_BYTES", 0)
     _clear_tree()
     streamed = runs()
-    assert verifiers._current.w is w and verifiers._current.sorted is None
+    assert verifiers._current.whole is w and verifiers._current.sorted is None
     streamed_cold = runs(before=_clear_tree)
     assert warm == cold == streamed == streamed_cold
 
@@ -769,7 +778,7 @@ def test_slot_holds_one_weight_within_its_bound(monkeypatch):
     gc.collect()
     assert gone() is None                   # replaced whole: one weight at a time
     tree = verifiers._current
-    assert tree.w is w13 and len(tree.sorted) == 14
+    assert tree.whole is w13 and len(tree.sorted) == 14
     # the spike's levels 0..12 hold one dense row each, of 2^(13 - l)
     # cells; every other row is constant
     assert _tree_bytes(tree)[0] == 9 * (2 ** 14 - 2)
@@ -793,7 +802,7 @@ def test_slot_holds_one_weight_within_its_bound(monkeypatch):
     gc.collect()
     assert gone() is None
     tree = verifiers._current
-    assert tree.w is deep and tree.sorted is None
+    assert tree.whole is deep and tree.sorted is None
     assert sorted(tree.nodes) == ["live", "n_psi"]
 
 
@@ -835,7 +844,7 @@ def test_store_bytes_per_row(make):
         verify_embed2(w, _one_f(w)[0], seq, PSI)
     verify_fd_embed(w, _one_f(w)[0], PSI)
     tree = verifiers._current
-    assert tree.w is w and tree.seq is seqs[-1].norm_capped[0]
+    assert tree.whole is w and tree.seq is seqs[-1].norm_capped[0]
     rows = 2 ** (depth + 1) - 1
     bound = 16 * rows + 8 * 2 ** depth + 66 * (2 ** depth - 1)
     assert 0 < _store_bytes(tree) <= bound
@@ -970,7 +979,7 @@ def test_mixed_signed_zeros_stay_dense():
 
 
 # ---------------------------------------------------------------------------
-# a root J only selects nodes of the whole tree's walk
+# a certificate under a root J reads the tree of w on J
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -1006,10 +1015,31 @@ def test_a_root_only_selects_nodes(slot_bytes, case, seed):
                 whole, part = run(ROOT), run(j)
                 assert repr(part.per_node) == repr(_under(j, whole.per_node))
                 assert repr(part.failures) == repr(_under(j, whole.failures))
-        assert verifiers._current.w is w
+        assert verifiers._current.whole is w and verifiers._current.j == j
         assert (verifiers._current.sorted is None) == (slot_bytes == 0)
     finally:
         verifiers._SLOT_BYTES = kept
+
+
+@pytest.mark.parametrize("slot_bytes", [verifiers._SLOT_BYTES, 0], ids=["slot", "unslotted"])
+def test_a_subtree_root_sorts_only_its_cells(slot_bytes, monkeypatch):
+    # the four bounded certificates under J read the tree of w on J: every
+    # weight that is sorted, once on a kept tree and once a walk on a
+    # streamed one, holds J's 2^(depth - J.level) cells
+    w = gen_weight(CorpusSpec("random-martingale", 8, (0.6,), 3))
+    j = DyadicInterval(3, 5)
+    f, seq = _one_f(w)[0], _one_seq(w)[0]
+    sizes = []
+    sorted_levels = verifiers._sorted_levels
+    monkeypatch.setattr(verifiers, "_sorted_levels",
+                        lambda w, phi: sizes.append(w.values.size) or sorted_levels(w, phi))
+    monkeypatch.setattr(verifiers, "_SLOT_BYTES", slot_bytes)
+    _clear_tree()
+    for cert in (verify_d_embed(w, PSI, j), verify_embed(w, seq, PSI, j),
+                 verify_embed2(w, f, seq, PSI, j), verify_fd_embed(w, f, PSI, j)):
+        assert cert.passed and cert.root == (3, 5), cert.theorem
+    assert sizes and set(sizes) == {2 ** (w.depth - j.level)}
+    assert len(sizes) == 1 or not slot_bytes
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 64])
