@@ -426,9 +426,8 @@ class BellmanProfile:
     C: float                      # B'(1)
 
 
-def build_profile(psi: PsiFunction, kind: str = "B",
-                  points: int = 2000) -> BellmanProfile:
-    """Tabulate B (or m) on a log-spaced grid with validation.
+def build_profile(psi: PsiFunction, kind: str = "B") -> BellmanProfile:
+    """Tabulate B (or m) on a log-spaced grid of 2000 points with validation.
 
     Checks: endpoint limits, convexity of the grid values, B <= B'(1) s,
     and a finite-difference match B'' = 1/phi at interior points away from
@@ -438,7 +437,7 @@ def build_profile(psi: PsiFunction, kind: str = "B",
     kernel = BellmanKernel(psi)
     if kind == "m" and not kernel.is_normalized:
         raise ConstructionError("m-profile requires a normalized Psi")
-    s = np.geomspace(1e-16, 1.0, points)
+    s = np.geomspace(1e-16, 1.0, 2000)
     Bv = np.asarray(kernel.B(s))
     Gv = np.asarray(kernel.G(s))
     C = kernel.C

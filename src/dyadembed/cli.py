@@ -61,7 +61,6 @@ FUNCTION_KINDS = (("constant", 0), ("haar", 0), ("random-bounded", 11),
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     theorem: str = ""
     psi_family: str = "log-bump"
     alpha: float = 2.0
@@ -117,7 +116,7 @@ def _run_task(task) -> list[dict]:
     sequences = ((k, gen_carleson_sequence(k, w.depth, cfg.seed)) for k in SEQUENCE_KINDS)
     functions = ((k, gen_test_function(k, w.depth, s, weight=w)) for k, s in FUNCTION_KINDS)
     if theorem == "buc-classic":
-        certs = [(verify_buckley_classic(w, tol=tol), label)]
+        certs = [(verify_buckley_classic(w), label)]
     elif theorem == "folk":
         certs = [(verify_folk(w, seq, assert_rhi_bound=entry.is_ainfty, tol=tol),
                   f"{label}|{kind}") for kind, seq in sequences]
@@ -275,9 +274,8 @@ def cmd_verify(args) -> int:
               f"depth 3..min(8, depth)), got {depth}", file=sys.stderr)
         return 3
     cfg = RunConfig(
-        command="verify", theorem=args.theorem, psi_family=args.psi_family,
-        alpha=args.alpha, clamp_s0=args.clamp_s0,
-        normalize=not args.no_normalize,
+        theorem=args.theorem, psi_family=args.psi_family, alpha=args.alpha,
+        clamp_s0=args.clamp_s0, normalize=not args.no_normalize,
         corpus=args.corpus or "", out=args.out or _default_out(),
         workers=args.workers, depth=depth, seed=args.seed,
         tol_ineq=args.tolerance_ineq, tol_identity=args.tolerance_identity)
@@ -296,7 +294,7 @@ def cmd_verify(args) -> int:
 
     if args.theorem == "failure-demo":
         try:
-            demo = failure_demo(6, cfg.depth, psi, cfg.tolerances())
+            demo = failure_demo(cfg.depth, psi, cfg.tolerances())
         except ValueError as exc:
             print(f"failure demo not run: {exc}", file=sys.stderr)
             return 3
@@ -363,8 +361,9 @@ def cmd_verify(args) -> int:
     return 0 if n_fail == 0 else 2
 
 
-def _pointwise_sweep(psi, kernel, cfg: RunConfig, trials: int = 400) -> dict:
-    """Random-node sweep of the pair / n-point / paraproduct inequalities."""
+def _pointwise_sweep(psi, kernel, cfg: RunConfig) -> dict:
+    """Random-node sweep of the pair / n-point / paraproduct inequalities
+    over 400 trials."""
     from .bellman import (check_main_ineq_npoint, check_main_ineq_pair,
                           check_paraproduct_step, check_pde_step)
     from .corpus import CorpusSpec, gen_test_function, gen_weight
@@ -373,7 +372,7 @@ def _pointwise_sweep(psi, kernel, cfg: RunConfig, trials: int = 400) -> dict:
     rng = np.random.default_rng(cfg.seed)
     counts = {"pde": 0, "pair": 0, "npoint": 0, "paraproduct": 0}
     violations = 0
-    for trial in range(trials):
+    for trial in range(400):
         depth = int(rng.integers(3, min(8, cfg.depth) + 1))
         w = gen_weight(CorpusSpec("random-martingale", depth, (0.7,), trial + 1))
         f = gen_test_function("random-bounded", depth, trial)
@@ -409,10 +408,8 @@ def _pointwise_sweep(psi, kernel, cfg: RunConfig, trials: int = 400) -> dict:
 
 
 def cmd_psi_table(args) -> int:
-    cfg = RunConfig(command="psi-table", psi_family=args.psi_family,
-                    alpha=args.alpha, clamp_s0=args.clamp_s0,
-                    normalize=not args.no_normalize,
-                    out=args.out or _default_out())
+    cfg = RunConfig(psi_family=args.psi_family, alpha=args.alpha, clamp_s0=args.clamp_s0,
+                    normalize=not args.no_normalize, out=args.out or _default_out())
     try:
         psi = cfg.psi()
         psi.validate()

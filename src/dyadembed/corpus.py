@@ -275,12 +275,6 @@ def load_corpus(manifest_path: str | Path) -> list[tuple[CorpusEntry, DyadicWeig
     return [_load_entry(path.parent, e) for e in _manifest_entries(path)]
 
 
-def load_corpus_entry(manifest_path: str | Path, index: int):
-    """Load a single corpus entry by manifest position (hash-checked)."""
-    path = Path(manifest_path)
-    return _load_entry(path.parent, _manifest_entries(path)[index])
-
-
 def corpus_weights(specs: list[CorpusSpec] | None = None):
     """In-memory corpus: (entry, weight) pairs without touching disk."""
     specs = default_corpus_specs() if specs is None else specs

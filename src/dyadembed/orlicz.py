@@ -111,13 +111,17 @@ class YoungFunction:
                        np.maximum(y, self.t_min))
 
     def tail_integral(self, t0: float | None = None) -> float:
-        """int_{t0}^inf dt/Phi(t); closed form per family (finite by alpha > 1)."""
+        """A closed form below int_{t0}^inf dt/Phi(t), t0 = t_min by default:
+        int dt/((e+t) ln^a(e+t)) for log-bump and int dt/((e+t)(e+u)
+        ln^a(e+u)), u = ln(e+t), for loglog-bump, whose integrands are 1/Phi
+        times t/(e+t) and t u/((e+t)(e+u)).  Against 30-digit quadrature,
+        log-bump is exact to rounding at the t0 = 2.7e19 of the parametric
+        kernel's tail and 10.3% low at t_min; loglog-bump is 1.0% low at its
+        t0 = 2.2e20 and 27% low at t_min."""
         t0 = self.t_min if t0 is None else t0
         a = self.alpha
         if self.family == "log-bump":
-            # int dt / (t ln^a(e+t)) <= substitute x = ln t; bounded between
-            # the x = ln(e+t) and x = ln t versions; use ln(e+t0) exactly via
-            # numeric quadrature on a log grid plus the analytic remainder.
+            # x = ln(e+t), dx = dt/(e+t): int_{x0}^inf dx/x^a
             x0 = math.log(math.e + t0)
             return x0 ** (1 - a) / (a - 1)
         x0 = math.log(math.e + t0)
@@ -201,15 +205,16 @@ class PsiFunction:
 
     # -- admissibility ------------------------------------------------------
 
-    def validate(self, grid_points: int = 1200, tol: Tolerances = DEFAULT_TOL) -> None:
-        """Grid check: Psi decreasing, s*Psi increasing, up to 1e-12 slack."""
-        s = np.geomspace(1e-14, 1.0, grid_points)
+    def validate(self) -> None:
+        """Grid check on 1200 points: Psi decreasing, s*Psi increasing, up to
+        1e-12 slack."""
+        s = np.geomspace(1e-14, 1.0, 1200)
         ps = self.psi(s)
-        slack = tol.identity * np.maximum(1.0, np.abs(ps[1:]))
+        slack = DEFAULT_TOL.identity * np.maximum(1.0, np.abs(ps[1:]))
         if np.any(np.diff(ps) > slack):
             raise ConstructionError("Psi is not nonincreasing on the sample grid")
         ph = s * ps
-        slack = tol.identity * np.maximum(1.0, np.abs(ph[1:]))
+        slack = DEFAULT_TOL.identity * np.maximum(1.0, np.abs(ph[1:]))
         if np.any(np.diff(ph) < -slack):
             raise ConstructionError("s*Psi(s) is not nondecreasing on the sample grid")
         # s phi'(s) <= phi(s) (equality on linear clamp pieces), sampled away

@@ -45,8 +45,9 @@ Lifetimes, one rule for every depth: the tree of the most recent (w, Psi,
 J) is the current one, matched by the identity of w and Psi, which it
 holds, and the equality of J (_tree).  A tree of another (w, Psi, J)
 replaces it whole, and the old tree is dropped before the new one is
-built, so one tree is held at a time.  The depth of w decides only whether
-the sorted levels are kept or split again by each walk, under every J.
+built, so one tree is held at a time.  The depth of the tree, that of w
+on J, decides only whether its sorted levels are kept or split again by
+each walk.
 The kernel lives while its Psi stays current: a new tree of the current
 tree's Psi takes it over, so its C is evaluated once per Psi.  A
 sequence's normalized copy lives on the sequence
@@ -134,7 +135,6 @@ class Certificate:
     node_count: int = 0
     failures: tuple = ()
     breakdown: dict = field(default_factory=dict)
-    per_node: tuple = ()
 
     def to_dict(self) -> dict:
         """Plain-JSON form; a non-finite float (the report-only constants,
@@ -324,12 +324,11 @@ def _sorted_levels(w: DyadicWeight, phi: np.ndarray):
 
 
 # The dense form of a tree's sorted levels is (d + 1) 2^d cells of 9 bytes
-# (a float64 piece length and a bool child label).  A tree of a weight
-# whose dense form fits in this many bytes (depth <= 13) keeps its sorted
-# levels, under every root.  Its collapsed levels hold no more cells than
-# the dense form; each row adds at most 18 bytes (its live and constant
-# flags, its value or dense row number, and its n_psi) and phi 8 bytes a
-# finest cell.
+# (a float64 piece length and a bool child label).  A tree whose dense
+# form fits in this many bytes (depth <= 13) keeps its sorted levels.  Its
+# collapsed levels hold no more cells than the dense form; each row adds at
+# most 18 bytes (its live and constant flags, its value or dense row
+# number, and its n_psi) and phi 8 bytes a finest cell.
 _SLOT_BYTES = 2 ** 20
 
 # the node arrays a tree keeps once a walk has computed them: those of
@@ -342,9 +341,9 @@ class _Tree:
     """The dyadic tree of (whole, psi) under j and the work its certificates
     share: w is whole.restrict(j), which every walk reads, kernel is psi's
     BellmanKernel, phi is psi.phi on the finest grid, and sorted is the
-    _Level of every level, root first, or None when the dense form of
-    whole does not fit _SLOT_BYTES: its walks split the levels again one at
-    a time.  nodes holds the arrays of _KEPT over every node in heap order
+    _Level of every level, root first, or None when the dense form of w
+    does not fit _SLOT_BYTES: its walks split the levels again one at a
+    time.  nodes holds the arrays of _KEPT over every node in heap order
     that a walk on the tree has computed, whatever its depth, those of
     _SEQ_ARRAYS for the sequence seq; each kept level's live flags are a
     view of nodes["live"]."""
@@ -355,7 +354,7 @@ class _Tree:
         self.w = w = whole.restrict(j)
         self.phi = psi.phi(_top_grid(w))
         self.sorted, self.nodes, self.seq = None, {}, None
-        if (whole.depth + 1) * 2 ** whole.depth * 9 <= _SLOT_BYTES:
+        if (w.depth + 1) * 2 ** w.depth * 9 <= _SLOT_BYTES:
             levels = tuple(_sorted_levels(w, self.phi))
             live = self.nodes["live"] = np.concatenate([lv.live for lv in levels])
             self.sorted = tuple(lv._replace(live=live[2 ** lev - 1:2 ** (lev + 1) - 1])
@@ -520,8 +519,7 @@ def _walk_total(terms: np.ndarray) -> float:
 
 def bellman_induction(checks: LevelChecks, j: DyadicInterval,
                       constant: float, rhs_base: float, theorem: str,
-                      breakdown: dict, keep_ledger: bool = False,
-                      tol: Tolerances = DEFAULT_TOL) -> Certificate:
+                      breakdown: dict, tol: Tolerances = DEFAULT_TOL) -> Certificate:
     """Reduce the node checks of the subtree under j.
 
     The telescoping identity sum |I| gain_I = +-(leaf potential - root
@@ -530,34 +528,28 @@ def bellman_induction(checks: LevelChecks, j: DyadicInterval,
         lhs := sum |I| * term_I  <=  constant * rhs_base
 
     summed node by node in heap order, and fails if any node inequality
-    failed, each such node recorded as (level, index, gain, *bounds).
-    keep_ledger keeps (level, index, term, gain) for every node in per_node.
+    failed, each such node recorded as (level, index, gain, *bounds).  The
+    per-node record is checks itself.
     """
     length = np.ldexp(1.0, -checks.level)
     lhs = _walk_total(length * checks.term)
     bad = ~checks.passed
     failures = tuple(zip(checks.level[bad].tolist(), checks.index[bad].tolist(),
                          checks.gain[bad].tolist(), *(b[bad].tolist() for b in checks.bounds)))
-    ledger = ()
-    if keep_ledger:
-        ledger = tuple(zip(checks.level.tolist(), checks.index.tolist(), checks.term.tolist(),
-                           checks.gain.tolist()))
     bound = constant * rhs_base
     passed = lhs <= bound + tol.slack(bound, lhs) and not failures
     return Certificate(theorem, (j.level, j.index), lhs, rhs_base, constant,
                        passed, lhs / rhs_base if rhs_base > 0 else 0.0,
                        node_count=checks.index.size, failures=failures,
                        breakdown={**breakdown,
-                                  "telescoped_gain": _walk_total(length * checks.gain)},
-                       per_node=ledger)
+                                  "telescoped_gain": _walk_total(length * checks.gain)})
 
 
 # ---------------------------------------------------------------------------
 # classical ratios (no verdict; they fail off the Muckenhoupt class)
 # ---------------------------------------------------------------------------
 
-def verify_buckley_classic(w: DyadicWeight, j: DyadicInterval = ROOT,
-                           tol: Tolerances = DEFAULT_TOL) -> Certificate:
+def verify_buckley_classic(w: DyadicWeight, j: DyadicInterval = ROOT) -> Certificate:
     """Classical ratio sum (Delta_I w)^2/<w>_I |I| over w(J); reported only."""
     lhs = 0.0
     count = 0
@@ -672,7 +664,7 @@ def _embed_checks(tree: _Tree, seq: CarlesonSequence, tol: Tolerances) -> LevelC
 
 
 def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
-                        spot_check_derivative: bool, tol: Tolerances) -> LevelChecks:
+                        tol: Tolerances) -> LevelChecks:
     """check_paraproduct_step at every node of the tree, the finest level
     through a phantom generation: one pass over its node arrays in heap
     order, after the row integrals of u."""
@@ -693,23 +685,17 @@ def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
     # u(N_I, M) = int (2N - T(M+1, N)) dt at each node's own budget M and
     # the finest level's phantom M - a; it depends on (w, seq, psi) alone:
     # the tree keeps it, and every f of the sequence reads it there
-    budgets = {"u": m}
-    if spot_check_derivative:
-        inside = (1e-4 < m) & (m < 1.0 - 1e-4)
-        mid = np.where(inside, m, 0.5)
-        h = 1e-5
-        budgets.update(up=mid + h, down=mid - h)
     cells = slice(2 ** w.depth - 1, None)     # the finest level's nodes
     phantom = m[cells] - a[cells]
-    # the first budget outside [0, 1] in level order (up and down never are)
-    for m_budget in (*budgets.values(), phantom):
+    # the first budget outside [0, 1] in level order
+    for m_budget in (m, phantom):
         out = (m_budget < -1e-9) | (m_budget > 1.0 + 1e-9)
         if out.any():
             raise ValueError(f"M = {m_budget[out][0]} outside [0, 1]")
     nodes = _node_arrays(
         tree,
         (lambda lv, t, t_at_one: lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one),
-         budgets, {"u_phantom": phantom}))
+         {"u": m}, {"u_phantom": phantom}))
 
     pot = bellman(nodes["u"], f_i)
     # phantom generation: the finest-level sequence mass enters as a pure
@@ -723,22 +709,14 @@ def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
         raise ValueError("f inconsistent with sum alpha_k f_k")
     if np.any(live & (np.abs(m_sum - m) > tol.identity * np.maximum(1.0, np.abs(m)))):
         raise ValueError("M inconsistent with a + sum alpha_k M_k")
-    n_val = nodes["n_psi"]
     # the lhs term a_I <fw>_I^2 / n_psi is the step's right side over its constant
-    term = _bump_term(a, f_i, n_val)
+    term = _bump_term(a, f_i, nodes["n_psi"])
     rhs = PARAPRODUCT_CONSTANT * term
     passed = lhs >= rhs - _slack(tol, lhs, rhs)
-    if spot_check_derivative:
-        # central difference of B~ in M against its bound f^2 / (16 n_psi)
-        slope = -(bellman(nodes["up"], f_i) - bellman(nodes["down"], f_i)) / (2 * h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            target = PARAPRODUCT_CONSTANT * f_i * f_i / n_val
-        passed &= ~(inside & (slope < target * (1 - 1e-6) - 1e-12))
     return _live_checks(tree.j, live, term, lhs, (rhs,), passed)
 
 
 def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
-                   keep_ledger: bool = False,
                    tol: Tolerances = DEFAULT_TOL) -> Certificate:
     """Differential embedding: sum |I| (Delta_I w)^2 / n_psi(N_I) <= 16 B'(1) w(J).
 
@@ -749,13 +727,11 @@ def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
     kernel = tree.kernel
     return bellman_induction(_pde_checks(tree, tol), j,
                              constant=16.0 * kernel.C, rhs_base=w.mass(j),
-                             theorem="d-embed", breakdown={"leaf_bound": kernel.C},
-                             keep_ledger=keep_ledger, tol=tol)
+                             theorem="d-embed", breakdown={"leaf_bound": kernel.C}, tol=tol)
 
 
 def verify_embed(w: DyadicWeight, seq: CarlesonSequence, psi: PsiFunction,
-                 j: DyadicInterval = ROOT, keep_ledger: bool = False,
-                 tol: Tolerances = DEFAULT_TOL) -> Certificate:
+                 j: DyadicInterval = ROOT, tol: Tolerances = DEFAULT_TOL) -> Certificate:
     """Embedding with a Carleson sequence:
 
     sum_{I in J} |I| alpha_I <w>_I^2 / n_psi(N_I) <= 4 C w(J),
@@ -772,13 +748,11 @@ def verify_embed(w: DyadicWeight, seq: CarlesonSequence, psi: PsiFunction,
                              constant=4.0 * kernel.C, rhs_base=w.mass(j),
                              theorem="embed",
                              breakdown={"normalization": normalization,
-                                        "leaf_bound": kernel.C},
-                             keep_ledger=keep_ledger, tol=tol)
+                                        "leaf_bound": kernel.C}, tol=tol)
 
 
 def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
                   psi: PsiFunction, j: DyadicInterval = ROOT,
-                  spot_check_derivative: bool = False,
                   tol: Tolerances = DEFAULT_TOL) -> Certificate:
     """Bump embedding (paraproduct boundedness):
 
@@ -789,12 +763,13 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     paraproduct step inequality with constant 1/16; leaves are bounded by
     Cauchy-Schwarz <fw>^2/<w> <= <f^2 w>.  The lhs term of a node is its
     step's right side over the constant, so f == 1 reproduces verify_embed's
-    lhs bit for bit.
+    lhs bit for bit.  The derivative bound in M behind the step is checked
+    by check_paraproduct_step(spot_check_derivative=True), not here.
     """
     tree = _tree(w, psi, j)
     _require_normalized(tree.kernel)
     seq, normalization = seq.norm_capped
-    checks = _paraproduct_checks(tree, f, seq, spot_check_derivative, tol)
+    checks = _paraproduct_checks(tree, f, seq, tol)
     return bellman_induction(checks, j, constant=1.0 / PARAPRODUCT_CONSTANT,
                              rhs_base=f.squared().product(w).integral(j),
                              theorem="embed2",
@@ -971,32 +946,28 @@ class FailureDemo:
     passed: bool
 
 
-def failure_demo(depth_lo: int = 6, depth_hi: int = 12,
-                 psi: PsiFunction | None = None,
+def failure_demo(depth_hi: int = 12, psi: PsiFunction | None = None,
                  tol: Tolerances = DEFAULT_TOL) -> FailureDemo:
     """Spike-family contrast between the classical and bounded ratios.
 
     Classical Buckley ratio is exactly 4*depth (each spine node contributes
     4); the bounded certificate's ratio is a partial sum of a convergent
     series, so it stabilizes.  The demo passes when the classical ratio
-    grows by a factor >= 1.8 from depth_lo to depth_hi and every d-embed
+    grows by a factor >= 1.8 over depths 6..depth_hi and every d-embed
     certificate of the series passes, whatever the Psi family.  The
     relative change of the bounded ratio is reported, not judged: its size
-    depends on the family (15.3% over depths 6..12 and 7.3% over 8..12 for
-    the clamped alpha = 2 log family).  depth_hi is at most
-    FAILURE_DEMO_MAX_DEPTH.
+    depends on the family (15.3% over depths 6..12 for the clamped alpha = 2
+    log family).  depth_hi is at most FAILURE_DEMO_MAX_DEPTH.
     """
     from .orlicz import psi_closed_form
 
-    if depth_lo < 6:
-        raise ValueError("depth_lo must be >= 6")
-    if depth_hi < depth_lo:
-        raise ValueError(f"depth_hi = {depth_hi} is below depth_lo = {depth_lo}")
+    if depth_hi < 6:
+        raise ValueError(f"depth_hi = {depth_hi} is below the lowest depth 6")
     if depth_hi > FAILURE_DEMO_MAX_DEPTH:
         raise ValueError(f"depth_hi = {depth_hi} exceeds the ceiling "
                          f"{FAILURE_DEMO_MAX_DEPTH}: a spike of depth d has 2^d cells")
     psi = psi or psi_closed_form(2.0)
-    depths = tuple(range(depth_lo, depth_hi + 1))
+    depths = tuple(range(6, depth_hi + 1))
     classical = []
     bounded = []
     certs_pass = True

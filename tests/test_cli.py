@@ -175,7 +175,7 @@ def test_one_task_per_weight(theorem, small_corpus, tmp_path, monkeypatch):
     for name in (f"certificates_{theorem}.json", f"summary_{theorem}.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     rows = json.loads((out1 / f"certificates_{theorem}.json").read_text())
-    psi = RunConfig(command="verify").psi()
+    psi = RunConfig().psi()
     assert rows == [r for entry, w in entries for r in _library_rows(theorem, entry, w, psi)]
 
 
@@ -183,7 +183,7 @@ def test_run_task_sorts_the_weight_once(small_corpus, monkeypatch):
     # a task that went through pickle, as to a pool worker, holds its own
     # copy of the weight; its five embed2 certificates share one sort of it
     entry, w = load_corpus(small_corpus)[2]
-    task = pickle.loads(pickle.dumps(("embed2", RunConfig(command="verify"), entry, w)))
+    task = pickle.loads(pickle.dumps(("embed2", RunConfig(), entry, w)))
     sorts = []
     sorted_levels = verifiers._sorted_levels
 
@@ -202,7 +202,7 @@ def test_library_calls_sort_the_weight_once(small_corpus, monkeypatch):
     # makes them: d-embed, embed and folk for each sequence, fd-embed and
     # embed2 for each test function; every certificate reads one sort
     entry, w = load_corpus(small_corpus)[2]
-    psi = RunConfig(command="verify").psi()
+    psi = RunConfig().psi()
     seqs = {k: gen_carleson_sequence(k, w.depth, 0) for k in SEQUENCE_KINDS}
     funcs = [gen_test_function(k, w.depth, s, weight=w) for k, s in FUNCTION_KINDS]
     calls = [lambda: verify_d_embed(w, psi)]

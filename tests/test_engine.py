@@ -32,10 +32,11 @@
   constant row expanded back to its dense form, equals a stable sort of
   that level on its own, bit for bit; a constant row's one-value sum equals
   the sum of its dense form, and the level sums equal their row-wise forms.
-* A certificate under a root J reads the tree of w on J: the ledger and the
-  failed nodes of `d-embed` and `embed` under J are the ROOT certificate's
-  entries of the nodes under J, bit for bit, on a kept tree and on a
-  streamed one, and every sort reads J's cells alone.
+* A certificate under a root J reads the tree of w on J: the node checks
+  (level, index, term, gain) and the failed nodes of `d-embed` and `embed`
+  under J are the ROOT tree's entries of the nodes under J, bit for bit, on
+  a kept tree and on a streamed one; every sort reads J's cells alone, and
+  J's tree is kept or streamed by its own depth.
 * Row sums add left to right: `_row_integral` on every shape up to 2^15
   cells equals a Python-float loop bit for bit, on data where a pairwise
   sum differs.  The int32 half difference equals its row form, on a
@@ -246,9 +247,9 @@ def _paraproduct_oracle(w, f, seq, tol):
 def _compare_paraproduct(w, j, tol, sample=None):
     f = gen_test_function("random-bounded", w.depth, 7)
     seq, _ = gen_carleson_sequence("random", w.depth, 5).normalized()
-    checks = _paraproduct_checks(verifiers._tree(w, PSI, j), f, seq, True, tol)
+    checks = _paraproduct_checks(verifiers._tree(w, PSI, j), f, seq, tol)
     count = _compare_checks(w, checks, _paraproduct_oracle(w, f, seq, tol), w.depth, j, sample)
-    cert = verify_embed2(w, f, seq, PSI, j, spot_check_derivative=True, tol=tol)
+    cert = verify_embed2(w, f, seq, PSI, j, tol=tol)
     assert cert.node_count == count
     _assert_failures(cert, checks)
     return cert
@@ -322,11 +323,14 @@ def _sampled(node):
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT], ids=["default", "strict"])
 @pytest.mark.parametrize("j", [ROOT] + SUBTREE_ROOTS, ids=_root_id)
-def test_node_pass_past_the_slot_matches_per_node(j, tol):
+def test_node_pass_past_the_slot_matches_per_node(j, tol, monkeypatch):
     # a depth-14 tree is above the bound of kept levels: its levels are
     # sorted and integrated one at a time, then checked in one pass; like
-    # any tree it is current
+    # any tree it is current.  The tree under a subtree root is kept, so
+    # there the bound is set to 0 to stream it
     w = gen_weight(CorpusSpec("random-martingale", 14, (0.6,), 3))
+    if j != ROOT:
+        monkeypatch.setattr(verifiers, "_SLOT_BYTES", 0)
     _clear_tree()
     for compare in (_compare_pde, _compare_embed, _compare_paraproduct):
         cert = compare(w, j, tol, _sampled)
@@ -486,20 +490,32 @@ def _five_f(w):
     return tuple(gen_test_function(k, w.depth, s, weight=w) for k, s in FUNCTION_KINDS)
 
 
-def _bounded_runs(weights, psi, j=ROOT, keep_ledger=False, tol=DEFAULT_TOL, before=None,
+def _ledger(checks):
+    """(level, index, term, gain) of every checked node, in heap order."""
+    return tuple(zip(checks.level.tolist(), checks.index.tolist(), checks.term.tolist(),
+                     checks.gain.tolist()))
+
+
+def _bounded_runs(weights, psi, j=ROOT, ledger=False, tol=DEFAULT_TOL, before=None,
                   fs=_one_f, seqs=_one_seq):
     """The bounded certificates of each weight in turn under root j: d-embed,
     embed and folk for every sequence of seqs(w), embed2 for every f of
     fs(w) and every sequence, and fd-embed for every f.  Each is reduced to
-    the repr of (theorem, lhs, ratio, breakdown, failures, per_node): repr
-    writes every float exactly.  before() runs ahead of each one."""
+    the repr of (theorem, lhs, ratio, breakdown, failures): repr writes
+    every float exactly.  With ledger, d-embed and embed are followed by
+    the repr of their node checks' _ledger.  before() runs ahead of each
+    one."""
     runs = []
     for w in weights:
         f_list, seq_list = fs(w), seqs(w)
-        runs.append(lambda w=w: verify_d_embed(w, psi, j, keep_ledger=keep_ledger, tol=tol))
+        runs.append(lambda w=w: verify_d_embed(w, psi, j, tol=tol))
+        if ledger:
+            runs.append(lambda w=w: _pde_checks(verifiers._tree(w, psi, j), tol))
         for seq in seq_list:
-            runs.append(lambda w=w, seq=seq: verify_embed(w, seq, psi, j,
-                                                          keep_ledger=keep_ledger, tol=tol))
+            runs.append(lambda w=w, seq=seq: verify_embed(w, seq, psi, j, tol=tol))
+            if ledger:
+                runs.append(lambda w=w, seq=seq: _embed_checks(verifiers._tree(w, psi, j),
+                                                               seq.norm_capped[0], tol))
             runs.append(lambda w=w, seq=seq: verify_folk(w, seq, j, tol=tol))
             runs += [lambda w=w, f=f, seq=seq: verify_embed2(w, f, seq, psi, j, tol=tol)
                      for f in f_list]
@@ -509,7 +525,10 @@ def _bounded_runs(weights, psi, j=ROOT, keep_ledger=False, tol=DEFAULT_TOL, befo
         if before is not None:
             before()
         c = run()
-        out.append(repr((c.theorem, c.lhs, c.ratio, c.breakdown, c.failures, c.per_node)))
+        if isinstance(c, verifiers.LevelChecks):
+            out.append(repr(_ledger(c)))
+        else:
+            out.append(repr((c.theorem, c.lhs, c.ratio, c.breakdown, c.failures)))
     return out
 
 
@@ -537,7 +556,7 @@ SLOT_CASES = {
     "subtree-left": ({"psi": PSI, "j": DyadicInterval(2, 0)}, lambda w: [w]),
     "subtree-right": ({"psi": PSI, "j": DyadicInterval(1, 1), "fs": _five_f},
                       lambda w: [w]),
-    "keep-ledger": ({"psi": PSI, "keep_ledger": True}, lambda w: [w]),
+    "keep-ledger": ({"psi": PSI, "ledger": True}, lambda w: [w]),
     "equal-values-new-object": ({"psi": PSI}, lambda w: [DyadicWeight(w.depth, w.values.copy())]),
     # the arrays the tree keeps of one (w, seq), read by every f
     "five-f-one-seq": ({"psi": PSI, "fs": _five_f}, lambda w: [w]),
@@ -718,7 +737,7 @@ def test_u_budget_error_names_the_first_node_in_level_order(slot_bytes, monkeypa
     tree = verifiers._tree(w, PSI)
     assert (tree.sorted is None) == (slot_bytes == 0)
     with pytest.raises(ValueError, match=r"^M = 1\.5 outside \[0, 1\]$"):
-        _paraproduct_checks(tree, _one_f(w)[0], seq, True, DEFAULT_TOL)
+        _paraproduct_checks(tree, _one_f(w)[0], seq, DEFAULT_TOL)
 
 
 def test_store_under_a_subtree_root_with_a_panel_kernel(monkeypatch):
@@ -1001,8 +1020,9 @@ def _under(j, entries):
 @settings(max_examples=30, deadline=None)
 @given(case=rooted_weights(), seed=st.integers(0, 1000))
 def test_a_root_only_selects_nodes(slot_bytes, case, seed):
-    # d-embed and embed under J: every ledger entry and every failed node
-    # is the ROOT certificate's entry of that node, bit for bit
+    # d-embed and embed under J: every node check (level, index, term,
+    # gain) and every failed node is the ROOT tree's entry of that node,
+    # bit for bit
     w, j = case
     seq = gen_carleson_sequence("random", w.depth, seed)
     kept = verifiers._SLOT_BYTES
@@ -1010,10 +1030,14 @@ def test_a_root_only_selects_nodes(slot_bytes, case, seed):
     _clear_tree()
     try:
         for tol in (DEFAULT_TOL, STRICT):
-            for run in (lambda j: verify_d_embed(w, PSI, j, keep_ledger=True, tol=tol),
-                        lambda j: verify_embed(w, seq, PSI, j, keep_ledger=True, tol=tol)):
-                whole, part = run(ROOT), run(j)
-                assert repr(part.per_node) == repr(_under(j, whole.per_node))
+            for checks, verify in (
+                    (lambda j: _pde_checks(verifiers._tree(w, PSI, j), tol),
+                     lambda j: verify_d_embed(w, PSI, j, tol=tol)),
+                    (lambda j: _embed_checks(verifiers._tree(w, PSI, j), seq.norm_capped[0], tol),
+                     lambda j: verify_embed(w, seq, PSI, j, tol=tol))):
+                whole, part = checks(ROOT), checks(j)
+                assert repr(_ledger(part)) == repr(_under(j, _ledger(whole)))
+                whole, part = verify(ROOT), verify(j)
                 assert repr(part.failures) == repr(_under(j, whole.failures))
         assert verifiers._current.whole is w and verifiers._current.j == j
         assert (verifiers._current.sorted is None) == (slot_bytes == 0)
@@ -1040,6 +1064,25 @@ def test_a_subtree_root_sorts_only_its_cells(slot_bytes, monkeypatch):
         assert cert.passed and cert.root == (3, 5), cert.theorem
     assert sizes and set(sizes) == {2 ** (w.depth - j.level)}
     assert len(sizes) == 1 or not slot_bytes
+
+
+def test_a_kept_subtree_of_a_streamed_weight_sorts_once(monkeypatch):
+    # the tree under (1, 1) of a depth-14 weight has depth 13, whose dense
+    # form fits _SLOT_BYTES: it keeps its sorted levels, so the four bounded
+    # certificates under (1, 1) sort its 8192 cells once
+    w = gen_weight(CorpusSpec("random-martingale", 14, (0.6,), 3))
+    j = DyadicInterval(1, 1)
+    f, seq = _one_f(w)[0], _one_seq(w)[0]
+    sizes = []
+    sorted_levels = verifiers._sorted_levels
+    monkeypatch.setattr(verifiers, "_sorted_levels",
+                        lambda w, phi: sizes.append(w.values.size) or sorted_levels(w, phi))
+    _clear_tree()
+    for cert in (verify_d_embed(w, PSI, j), verify_embed(w, seq, PSI, j),
+                 verify_embed2(w, f, seq, PSI, j), verify_fd_embed(w, f, PSI, j)):
+        assert cert.passed and cert.root == (1, 1), cert.theorem
+    assert sizes == [2 ** 13]
+    assert verifiers._current.sorted is not None
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 64])

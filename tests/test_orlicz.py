@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from dyadembed import (
     psi_from_phi,
     young_function,
 )
+from dyadembed.bellman import _PANEL_X
 from dyadembed.orlicz import _loglog_clamp_knot
 
 
@@ -295,3 +297,19 @@ def test_young_function_tail_finite():
         assert yf.tail_integral() < float("inf")
     with pytest.raises(ConstructionError):
         young_function("log-bump", 1.0)
+
+
+def test_log_bump_tail_integral_at_the_parametric_tail():
+    # the parametric kernel reads tail_integral at the t with Phi Phi' =
+    # exp(_PANEL_X), 2.7e19 for alpha = 2.  There the log-bump closed form
+    # equals int_t^inf dt/Phi to rounding: with x = ln(e+t), dt/Phi is
+    # x^-a (1 + e/t) dx, integrated by 30-digit quadrature
+    yf = young_function("log-bump", 2.0)
+    t0 = float(yf.phi_dphi_inverse(math.exp(_PANEL_X)))
+    assert 2.7e19 < t0 < 2.8e19
+    with mp.workdps(30):
+        e = mp.e
+        x0 = mp.log(e + mp.mpf(t0))
+        exact = mp.quad(lambda x: x ** -2 * (1 + e / (mp.exp(x) - e)),
+                        [x0, x0 + 1, x0 + 10, x0 + 100, mp.inf])
+    assert abs(yf.tail_integral(t0) - float(exact)) <= 1e-15 * float(exact)

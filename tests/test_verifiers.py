@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dyadembed import (
+    DEFAULT_TOL,
     ROOT,
     BellmanKernel,
     CarlesonSequence,
@@ -28,12 +29,19 @@ from dyadembed import (
     verify_folk,
     young_function,
 )
-from dyadembed.verifiers import FAILURE_DEMO_MAX_DEPTH
+from dyadembed import verifiers
+from dyadembed.verifiers import FAILURE_DEMO_MAX_DEPTH, _embed_checks, _pde_checks
 
 
 @pytest.fixture(scope="module")
 def psi2():
     return psi_closed_form(2.0)
+
+
+def _ledger(checks):
+    """(level, index, term, gain) of every checked node, in heap order."""
+    return tuple(zip(checks.level.tolist(), checks.index.tolist(), checks.term.tolist(),
+                     checks.gain.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +117,9 @@ def test_d_embed_spike_closed_form(psi2):
 
 def test_d_embed_telescoping_ledger(psi2):
     w = gen_weight(CorpusSpec("random-martingale", 6, (0.5,), 4))
-    cert = verify_d_embed(w, psi2, keep_ledger=True)
+    cert = verify_d_embed(w, psi2)
     assert cert.passed
+    ledger = _ledger(_pde_checks(verifiers._tree(w, psi2), DEFAULT_TOL))
     kernel = BellmanKernel(psi2)
     # pure bookkeeping: sum |I| gain = leaf potential - root potential
     leaves = sum(
@@ -119,7 +128,7 @@ def test_d_embed_telescoping_ledger(psi2):
     root_pot = kernel.script_B(w.distribution(ROOT))
     assert cert.breakdown["telescoped_gain"] == pytest.approx(leaves - root_pot, rel=1e-9)
     # ledger terms add up to the certificate lhs
-    total = sum(2.0 ** -lev * term for lev, idx, term, gain in cert.per_node)
+    total = sum(2.0 ** -lev * term for lev, idx, term, gain in ledger)
     assert total == pytest.approx(cert.lhs, rel=1e-12)
 
 
@@ -158,14 +167,15 @@ def test_d_embed_subtree_decomposition(psi2):
 def test_d_embed_depth2_manual(psi2):
     # handmade depth-2 weight, ledger equals the hand-computed sums
     w = DyadicWeight(2, [4.0, 2.0, 1.0, 1.0])
-    cert = verify_d_embed(w, psi2, keep_ledger=True)
+    cert = verify_d_embed(w, psi2)
     assert cert.passed
+    ledger = _ledger(_pde_checks(verifiers._tree(w, psi2), DEFAULT_TOL))
     kernel = BellmanKernel(psi2)
     expect = {}
     for lev, idx in [(0, 0), (1, 0), (1, 1)]:
         i = DyadicInterval(lev, idx)
         expect[(lev, idx)] = w.haar_difference(i) ** 2 / kernel.n_of(w.distribution(i))
-    got = {(lev, idx): term for lev, idx, term, gain in cert.per_node}
+    got = {(lev, idx): term for lev, idx, term, gain in ledger}
     for key in expect:
         assert got[key] == pytest.approx(expect[key], rel=1e-12)
 
@@ -208,17 +218,18 @@ def test_embed_corpus_smoke(psi2):
 def test_embed_telescoping_ledger(psi2):
     w = gen_weight(CorpusSpec("random-martingale", 6, (0.5,), 4))
     seq, _ = gen_carleson_sequence("random", 6, 3).normalized()
-    cert = verify_embed(w, seq, psi2, keep_ledger=True)
+    cert = verify_embed(w, seq, psi2)
     assert cert.passed and cert.breakdown["normalization"] == 1.0
+    ledger = _ledger(_embed_checks(verifiers._tree(w, psi2), seq, DEFAULT_TOL))
     kernel = BellmanKernel(psi2)
     # one entry per node of every level, the finest (phantom) one included
-    assert len(cert.per_node) == cert.node_count == 2 ** 7 - 1
-    for lev, idx, term, gain in cert.per_node:
+    assert len(ledger) == cert.node_count == 2 ** 7 - 1
+    for lev, idx, term, gain in ledger:
         i = DyadicInterval(lev, idx)
         expect = seq.levels[lev][idx] * w.average(i) ** 2 / kernel.n_of(w.distribution(i))
         assert term == pytest.approx(expect, rel=1e-12)
     # ledger terms add up to the certificate lhs
-    total = sum(2.0 ** -lev * term for lev, idx, term, gain in cert.per_node)
+    total = sum(2.0 ** -lev * term for lev, idx, term, gain in ledger)
     assert total == pytest.approx(cert.lhs, rel=1e-12)
 
 
@@ -293,8 +304,7 @@ def test_embed2_corpus_smoke(psi2):
         params = {"spike": (), "random-martingale": (0.5,), "two-level-gap": (1.0,)}[kind]
         w = gen_weight(CorpusSpec(kind, 7, params, 21))
         f = gen_test_function("random-bounded", 7, 31)
-        cert = verify_embed2(w, f, gen_carleson_sequence("random", 7, 5), psi2,
-                             spot_check_derivative=True)
+        cert = verify_embed2(w, f, gen_carleson_sequence("random", 7, 5), psi2)
         assert cert.passed, kind
         assert cert.constant == 16.0
 
@@ -323,7 +333,7 @@ def test_parametric_psi_certificates_corpus():
 # ---------------------------------------------------------------------------
 
 def test_failure_demo_values(psi2):
-    demo = failure_demo(6, 12, psi2)
+    demo = failure_demo(12, psi2)
     assert demo.passed
     assert demo.classical_ratios[0] == pytest.approx(24.0, abs=1e-9)
     assert demo.classical_ratios[-1] == pytest.approx(48.0, abs=1e-9)
@@ -337,12 +347,10 @@ def test_failure_demo_values(psi2):
 
 
 def test_failure_demo_depth_guard():
-    with pytest.raises(ValueError):
-        failure_demo(4, 8)
-    with pytest.raises(ValueError):
-        failure_demo(6, 3)
+    with pytest.raises(ValueError, match="below the lowest depth 6"):
+        failure_demo(5)
     with pytest.raises(ValueError, match="exceeds the ceiling 24"):
-        failure_demo(6, FAILURE_DEMO_MAX_DEPTH + 1)
+        failure_demo(FAILURE_DEMO_MAX_DEPTH + 1)
 
 
 def test_certificate_json_stable(psi2):
