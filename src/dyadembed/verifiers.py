@@ -39,7 +39,17 @@ certificate that lacks one computes it in its own walk, as one more array,
 and the tree keeps it, so each certificate of the weight computes only its
 f-dependent part.  Every kernel value is a function of its point alone
 (see `bellman`), so a later certificate reads the bits it would have
-computed.  The kept arrays take at most about 53 bytes a node.
+computed.  These arrays take 16 bytes a node, 8 a finest node and 66 a
+node above the finest.  A kept tree also holds, computed once, what each
+of its certificates would otherwise recompute (_Tree.memo): w's averages
+in heap order (8 bytes a node), the live nodes' positions, labels and
+|I| (25 bytes a live node, once among all nodes and once among those
+above the finest level), and the layout of the points at which T is read
+(12 bytes a point: a point per dense cell of each level, one per
+constant row, and one per finest node for the phantom generation, at
+most (d + 2) 2^d).  A streamed tree holds none of these: each
+certificate computes them.  The tree of a depth-13 random martingale,
+with every array filled, holds 4.3 MB, 2.2 MB of it in the memo.
 
 Lifetimes, one rule for every depth: the tree of the most recent (w, Psi,
 J) is the current one, matched by the identity of w and Psi, which it
@@ -67,8 +77,11 @@ children at 2k + 1 and 2k + 2 (_node_arrays).  The walk holds a kept
 tree's levels at once and a streamed tree's one at a time, and every
 T(A+1, N) = N G(N/(A+1)) of the levels it holds (embed's script-T,
 embed2's u, each at every node and at the finest level's phantom) is one
-kernel call (_T): one call per certificate on a kept tree, one per level
-on a streamed one.  Every step after that is elementwise and runs once
+kernel call (_T).  A kept tree evaluates it over its layout, a flat,
+level-major array of its points, each with the int32 heap row of its
+budget A: one gather, one divide, one kernel call and one product per
+certificate.  A streamed tree divides each level's grid by its rows'
+budgets and makes one call per level.  Every step after that is elementwise and runs once
 over the nodes: the gains, the stage bounds, the weighted Haar split with
 its identity and alpha-bound checks, the f/M consistency checks and the
 verdicts.  Each elementwise step takes the same inputs as it would a level
@@ -120,7 +133,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .corpus import check_rhi
 from .intervals import ROOT, DyadicInterval
 from .orlicz import PsiFunction
-from .weights import DyadicWeight, StepFunction
+from .weights import DyadicWeight, StepFunction, finite, heap_averages, level_sums
 
 
 @dataclass(frozen=True)
@@ -328,7 +341,10 @@ def _sorted_levels(w: DyadicWeight, phi: np.ndarray):
 # form fits in this many bytes (depth <= 13) keeps its sorted levels.  Its
 # collapsed levels hold no more cells than the dense form; each row adds at
 # most 18 bytes (its live and constant flags, its value or dense row
-# number, and its n_psi) and phi 8 bytes a finest cell.
+# number, and its n_psi) and phi 8 bytes a finest cell.  A kept tree's memo
+# adds at most 12 (d + 2) 2^d bytes for the layout of T's points (1.5 MB
+# at depth 13), 8 a node for w's averages and 50 a live node for the live
+# labels.
 _SLOT_BYTES = 2 ** 20
 
 # the node arrays a tree keeps once a walk has computed them: those of
@@ -346,14 +362,15 @@ class _Tree:
     time.  nodes holds the arrays of _KEPT over every node in heap order
     that a walk on the tree has computed, whatever its depth, those of
     _SEQ_ARRAYS for the sequence seq; each kept level's live flags are a
-    view of nodes["live"]."""
+    view of nodes["live"].  memo holds what a kept tree computes once for
+    all its certificates (avgs, live_above, live_nodes, layout)."""
 
     def __init__(self, whole: DyadicWeight, psi: PsiFunction, kernel: BellmanKernel,
                  j: DyadicInterval) -> None:
         self.whole, self.j, self.psi, self.kernel = whole, j, psi, kernel
         self.w = w = whole.restrict(j)
         self.phi = psi.phi(_top_grid(w))
-        self.sorted, self.nodes, self.seq = None, {}, None
+        self.sorted, self.nodes, self.seq, self.memo = None, {}, None, {}
         if (w.depth + 1) * 2 ** w.depth * 9 <= _SLOT_BYTES:
             levels = tuple(_sorted_levels(w, self.phi))
             live = self.nodes["live"] = np.concatenate([lv.live for lv in levels])
@@ -375,6 +392,53 @@ class _Tree:
     @cached_property
     def haar(self) -> _HaarWeight:
         return _haar_weight(self)
+
+    @property
+    def avgs(self) -> np.ndarray:
+        """w's averages over every node in heap order (heap_averages)."""
+        return self._kept("avgs", self.w.heap_averages)
+
+    @property
+    def live_above(self) -> _Live:
+        """The live nodes above the finest level."""
+        return self._kept("live_above", lambda: self._live(2 ** self.w.depth - 1))
+
+    @property
+    def live_nodes(self) -> _Live:
+        """Every live node."""
+        return self._kept("live_nodes", lambda: self._live(self.nodes["live"].size))
+
+    @property
+    def layout(self) -> tuple:
+        """The _layout of a kept tree's levels."""
+        return self._kept("layout", lambda: _layout(self.sorted))
+
+    def _kept(self, name: str, make):
+        """make(): computed once and kept in self.memo on a kept tree, and
+        by every call on a streamed one, which holds no more than its node
+        arrays."""
+        if self.sorted is None:
+            return make()
+        if name not in self.memo:
+            self.memo[name] = make()
+        return self.memo[name]
+
+    def _live(self, stop: int) -> _Live:
+        """The live nodes before heap position stop, once a walk has
+        computed nodes["live"]."""
+        pos = np.flatnonzero(self.nodes["live"][:stop])
+        level, index = _labels(pos, self.j)
+        return _Live(pos, level, index, np.ldexp(1.0, -level))
+
+
+class _Live(NamedTuple):
+    """The live nodes of a tree, or of its levels above the finest, in heap
+    order."""
+
+    pos: np.ndarray         # positions in the tree's heap order
+    level: np.ndarray       # levels in the whole tree (int8)
+    index: np.ndarray       # indices in the whole tree
+    length: np.ndarray      # |I|
 
 
 # The tree of the most recent (w, psi, j).
@@ -400,29 +464,24 @@ def _tree(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT) -> _Tree:
 
 def _node_arrays(tree: _Tree, script=None, **per_level) -> dict:
     """live and n_psi of every node of the tree and fn(level) for each fn of
-    per_level.  With script = (form, budgets, phantoms), also form(level,
-    *T) for each name of the dict budgets on every level, and of the dict
-    phantoms on the finest level, with T the _T of A + 1 for the level's
-    entries A of the name's array (one a node in heap order, or one a node
-    of the finest level).  One walk writes each per-level array level by
-    level into one array over the nodes in heap order.  The walk holds a
+    per_level.  With script = (form, (name, phantom), budgets), also
+    form(level, *T) for name on every level and for phantom on the finest
+    level, with T the _T of A + 1 for the budgets A of its nodes: budgets
+    holds one a node in heap order, then one a node of the finest level
+    for its phantom generation.  One walk writes each per-level array level
+    by level into one array over the nodes in heap order.  The walk holds a
     kept tree's levels at once, or a streamed tree's one at a time, and
-    evaluates the T of every level it holds in one kernel call.  An array
-    of _KEPT is read from tree.nodes: the walk computes one that the tree
-    lacks, and the tree keeps it."""
-    form, budgets, phantoms = script or (None, {}, {})
+    evaluates the T of every level it holds in one kernel call (_T).  An array of _KEPT is read from tree.nodes: the walk
+    computes one that the tree lacks, and the tree keeps it."""
+    form, names, budgets = script or (None, (), None)
     per_level = {"live": lambda lv: lv.live, "n_psi": _Level.n_psi, **per_level}
-    out = {name: tree.nodes[name] for name in (*per_level, *budgets, *phantoms)
-           if name in tree.nodes}
+    out = {name: tree.nodes[name] for name in (*per_level, *names) if name in tree.nodes}
     walk = {name: fn for name, fn in per_level.items() if name not in out}
-    scripted = {name: a for name, a in {**budgets, **phantoms}.items() if name not in out}
+    scripted = names and names[0] not in out
     if walk or scripted:
         size = 2 ** (tree.w.depth + 1) - 1
 
         def put(name, lv, part):
-            if name in phantoms:
-                out[name] = part
-                return
             if name not in out:
                 out[name] = np.empty(size, dtype=part.dtype)
             lv.of(out[name])[:] = part
@@ -432,12 +491,18 @@ def _node_arrays(tree: _Tree, script=None, **per_level) -> dict:
             for lv in held:
                 for name, fn in walk.items():
                     put(name, lv, fn(lv))
-            parts = [(name, lv, (a if name in phantoms else lv.of(a)) + 1.0) for lv in held
-                     for name, a in scripted.items() if name not in phantoms or lv.grid.size == 1]
-            if parts:
-                for (name, lv, _), t in zip(parts, _T(tree.kernel, [p[1:] for p in parts])):
-                    put(name, lv, form(lv, *t))
-                del parts, t    # freed before a streamed walk splits the next level
+            if scripted:
+                t, at = _T(tree, held, budgets), 0
+                for lv, phantom in _parts(held):
+                    dense, ones = lv.pieces.size, lv.value.size
+                    part = form(lv, t[at:at + dense].reshape(lv.pieces.shape),
+                                t[at + dense:at + dense + ones])
+                    at += dense + ones
+                    if phantom:
+                        out[names[1]] = part
+                    else:
+                        put(names[0], lv, part)
+                del t    # freed before a streamed walk splits the next level
         tree.nodes.update((name, out[name]) for name in _KEPT if name in out)
     return out
 
@@ -454,30 +519,69 @@ def _bump_term(alpha: np.ndarray, avg: np.ndarray, n_psi: np.ndarray) -> np.ndar
         return alpha * avg * avg / n_psi
 
 
-def _T(kernel: BellmanKernel, parts: list) -> list:
-    """T(divisor, N) = N G(N / divisor) for each (level, divisor) pair of
-    parts, the divisor over the level's rows: on the grid, one row per dense
-    row, and at N = 1 on the constant rows (the two arguments of
-    _Level.integral).  The points of every pair are written into one array
-    for one kernel evaluation, whose values are sliced back to their pairs."""
-    x = np.empty(sum(lv.pieces.size + lv.value.size for lv, _ in parts))
+def _parts(levels):
+    """(level, phantom) for each part of the points at which a certificate
+    reads T(A + 1, N) on levels, in order: every level, then the finest
+    level once more, for its phantom generation, if levels end with it.  A
+    part is its level's dense rows, each row's grid in turn, then N = 1 once
+    for each constant row: the two arguments of _Level.integral."""
+    parts = [(lv, False) for lv in levels]
+    if levels[-1].grid.size == 1:
+        parts.append((levels[-1], True))
+    return parts
+
+
+def _layout(levels) -> tuple:
+    """(N, row): every point of the _parts of a kept tree's levels, with the
+    entry of the budgets A that it reads, an int32: a node's budget is at its
+    heap position, and a phantom budget after all nodes, at 2^(depth + 1) -
+    1 plus its index."""
+    parts = _parts(levels)
+    size = 2 * levels[-1].live.size - 1
+    grid = np.empty(sum(lv.pieces.size + lv.value.size for lv, _ in parts))
+    rows = np.empty(grid.size, dtype=np.int32)
     at = 0
-    for lv, divisor in parts:
-        dense = lv.pieces.size
+    for lv, phantom in parts:
+        dense, ones = lv.pieces.size, lv.value.size
+        first = size if phantom else lv.live.size - 1
+        row = np.arange(lv.live.size) if lv.dense is None else lv.dense
+        grid[at:at + dense].reshape(lv.pieces.shape)[:] = lv.grid
+        rows[at:at + dense].reshape(lv.pieces.shape)[:] = (row + first)[:, None]
+        grid[at + dense:at + dense + ones] = 1.0
+        rows[at + dense:at + dense + ones] = np.flatnonzero(lv.const) + first
+        at += dense + ones
+    return grid, rows
+
+
+def _T(tree: _Tree, held, budgets: np.ndarray) -> np.ndarray:
+    """T(A + 1, N) = N G(N / (A + 1)) at every point of the _parts of the
+    levels held, A the budgets it reads (as in _layout), in one kernel call.
+    A kept tree reads its _layout: one gather, one divide, one kernel call
+    and one product.  A streamed level divides each dense row's grid by its
+    row's budget, part by part, and multiplies the kernel's values by their
+    N in place."""
+    if tree.sorted is not None:
+        grid, rows = tree.layout
+        x = (budgets + 1.0)[rows]
+        t = tree.kernel.G(np.divide(grid, x, out=x))
+        return np.multiply(t, grid, out=t)
+    parts = _parts(held)
+    x, at = np.empty(sum(lv.pieces.size + lv.value.size for lv, _ in parts)), 0
+    for lv, phantom in parts:
+        divisor = (budgets[2 * lv.live.size - 1:] if phantom else lv.of(budgets)) + 1.0
+        dense, ones = lv.pieces.size, lv.value.size
         np.divide(lv.grid, (divisor if lv.dense is None else divisor[lv.dense])[:, None],
                   out=x[at:at + dense].reshape(lv.pieces.shape))
-        at += dense
-        np.divide(1.0, divisor[lv.const], out=x[at:at + lv.value.size])
-        at += lv.value.size
-    g = kernel.G(x)
-    del x
-    out, at = [], 0
-    for lv, _ in parts:
-        dense, ones = lv.pieces.size, lv.value.size
-        out.append((lv.grid * g[at:at + dense].reshape(lv.pieces.shape),
-                    g[at + dense:at + dense + ones]))
+        np.divide(1.0, divisor[lv.const], out=x[at + dense:at + dense + ones])
         at += dense + ones
-    return out
+    t = tree.kernel.G(x)
+    del x
+    at = 0
+    for lv, _ in parts:
+        dense = t[at:at + lv.pieces.size].reshape(lv.pieces.shape)
+        np.multiply(dense, lv.grid, out=dense)
+        at += lv.pieces.size + lv.value.size
+    return t
 
 
 class LevelChecks(NamedTuple):
@@ -486,27 +590,26 @@ class LevelChecks(NamedTuple):
 
     level: np.ndarray       # node levels (int8)
     index: np.ndarray       # node indices
+    length: np.ndarray      # |I|
     term: np.ndarray        # certificate lhs term of each node
     gain: np.ndarray        # left side of each node inequality
     bounds: tuple           # what the gain must dominate: (stage1, stage2) or (rhs,)
     passed: np.ndarray
 
 
-def _live_checks(j: DyadicInterval, live: np.ndarray, term, gain, bounds,
-                 passed) -> LevelChecks:
-    """The LevelChecks of the live nodes of arrays over the subtree under j
-    in heap order."""
-    pos = np.flatnonzero(live)
-    return LevelChecks(*_labels(pos, j), term[pos], gain[pos], tuple(b[pos] for b in bounds),
-                       passed[pos])
+def _live_checks(live: _Live, term, gain, bounds, passed) -> LevelChecks:
+    """The LevelChecks of the live nodes of arrays over a tree's nodes in
+    heap order."""
+    pos = live.pos
+    return LevelChecks(live.level, live.index, live.length, term[pos], gain[pos],
+                       tuple(b[pos] for b in bounds), passed[pos])
 
 
-def _chain(j: DyadicInterval, live, term, gain, stage1, stage2,
-           tol: Tolerances) -> LevelChecks:
+def _chain(live: _Live, term, gain, stage1, stage2, tol: Tolerances) -> LevelChecks:
     """The two-stage chain gain >= stage1 >= stage2, within slack."""
     passed = ((gain >= stage1 - _slack(tol, gain, stage1))
               & (stage1 >= stage2 - _slack(tol, stage1, stage2)))
-    return _live_checks(j, live, term, gain, (stage1, stage2), passed)
+    return _live_checks(live, term, gain, (stage1, stage2), passed)
 
 
 def _walk_total(terms: np.ndarray) -> float:
@@ -515,6 +618,14 @@ def _walk_total(terms: np.ndarray) -> float:
     turns the -0.0 of an all-(-0.0) sum into the +0.0 a start from 0.0
     gives."""
     return float(np.cumsum(terms)[-1]) + 0.0 if terms.size else 0.0
+
+
+def _walk_totals(rows: np.ndarray) -> list:
+    """_walk_total of every row of a 2-D array, bit for bit: one running
+    sum along the rows, which adds each row's terms in order."""
+    if not rows.shape[1]:
+        return [0.0] * rows.shape[0]
+    return (np.cumsum(rows, axis=1)[:, -1] + 0.0).tolist()
 
 
 def bellman_induction(checks: LevelChecks, j: DyadicInterval,
@@ -531,18 +642,20 @@ def bellman_induction(checks: LevelChecks, j: DyadicInterval,
     failed, each such node recorded as (level, index, gain, *bounds).  The
     per-node record is checks itself.
     """
-    length = np.ldexp(1.0, -checks.level)
-    lhs = _walk_total(length * checks.term)
-    bad = ~checks.passed
-    failures = tuple(zip(checks.level[bad].tolist(), checks.index[bad].tolist(),
-                         checks.gain[bad].tolist(), *(b[bad].tolist() for b in checks.bounds)))
+    lhs = _walk_total(checks.length * checks.term)
+    failures = ()
+    if not checks.passed.all():
+        bad = ~checks.passed
+        failures = tuple(zip(checks.level[bad].tolist(), checks.index[bad].tolist(),
+                             checks.gain[bad].tolist(),
+                             *(b[bad].tolist() for b in checks.bounds)))
     bound = constant * rhs_base
     passed = lhs <= bound + tol.slack(bound, lhs) and not failures
     return Certificate(theorem, (j.level, j.index), lhs, rhs_base, constant,
                        passed, lhs / rhs_base if rhs_base > 0 else 0.0,
                        node_count=checks.index.size, failures=failures,
                        breakdown={**breakdown,
-                                  "telescoped_gain": _walk_total(length * checks.gain)})
+                                  "telescoped_gain": _walk_total(checks.length * checks.gain)})
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +736,13 @@ def _pde_checks(tree: _Tree, tol: Tolerances) -> LevelChecks:
     gain = 0.5 * (pot[1::2] + pot[2::2]) - pot[:above]
     del pot
     stage1 = PDE_STAGE1_FACTOR * nodes.pop("stage1")[:above]
-    avgs = w.heap_averages()
+    avgs = tree.avgs
     dw = avgs[2::2] - avgs[1::2]
     del avgs
     with np.errstate(divide="ignore", invalid="ignore"):   # n_psi = 0 off the live rows
         stage2 = PDE_FINAL_FACTOR * dw * dw / nodes["n_psi"][:above]
     # certificate lhs counts (Delta_I w)^2 / n_psi = stage2 / final factor
-    return _chain(tree.j, nodes["live"][:above], stage2 / PDE_FINAL_FACTOR, gain, stage1,
-                  stage2, tol)
+    return _chain(tree.live_above, stage2 / PDE_FINAL_FACTOR, gain, stage1, stage2, tol)
 
 
 def _embed_checks(tree: _Tree, seq: CarlesonSequence, tol: Tolerances) -> LevelChecks:
@@ -645,11 +757,11 @@ def _embed_checks(tree: _Tree, seq: CarlesonSequence, tol: Tolerances) -> LevelC
         # script-T at every node, and through a phantom generation below the
         # finest level: identical children carrying the remaining
         # accumulator mass (zero)
-        script=(_Level.integral, {"pot": m}, {"phantom": m[cells] - alpha[cells]}),
+        script=(_Level.integral, ("pot", "phantom"),
+                np.concatenate((m, m[cells] - alpha[cells]))),
         # int N^2/phi depends on (w, psi) alone: the tree keeps it
         n2_phi=lambda lv: lv.integral(lv.grid * lv.grid / lv.phi))
-    live = nodes["live"]
-    over = live & (m > 1.0 + 1e-9)
+    over = nodes["live"] & (m > 1.0 + 1e-9)
     if over.any():
         raise ValueError(f"Carleson accumulator {m[over][0]} exceeds 1; normalize first")
     del m
@@ -658,9 +770,9 @@ def _embed_checks(tree: _Tree, seq: CarlesonSequence, tol: Tolerances) -> LevelC
     del pot, phantom
     stage1 = EMBED_STEP_FACTOR * alpha * nodes.pop("n2_phi")
     # the lhs term a_I <w>_I^2 / n_psi is stage2 over the step factor
-    term = _bump_term(alpha, w.heap_averages(), nodes["n_psi"])
+    term = _bump_term(alpha, tree.avgs, nodes["n_psi"])
     del alpha
-    return _chain(tree.j, live, term, gain, stage1, EMBED_STEP_FACTOR * term, tol)
+    return _chain(tree.live_nodes, term, gain, stage1, EMBED_STEP_FACTOR * term, tol)
 
 
 def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
@@ -672,7 +784,7 @@ def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
     tree.use_seq(seq)
     seq = seq.restrict(tree.j)
     m, a = np.concatenate(seq.accumulators), np.concatenate(seq.levels)
-    f_i = f.restrict(tree.j).product(w).heap_averages()
+    f_i = heap_averages(level_sums(_times(f.cells(tree.j), w.values)))
     above = f_i.size // 2     # the nodes above the finest level
 
     def bellman(u_i, fv):
@@ -695,7 +807,7 @@ def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
     nodes = _node_arrays(
         tree,
         (lambda lv, t, t_at_one: lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one),
-         {"u": m}, {"u_phantom": phantom}))
+         ("u", "u_phantom"), np.concatenate((m, phantom))))
 
     pot = bellman(nodes["u"], f_i)
     # phantom generation: the finest-level sequence mass enters as a pure
@@ -713,7 +825,7 @@ def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
     term = _bump_term(a, f_i, nodes["n_psi"])
     rhs = PARAPRODUCT_CONSTANT * term
     passed = lhs >= rhs - _slack(tol, lhs, rhs)
-    return _live_checks(tree.j, live, term, lhs, (rhs,), passed)
+    return _live_checks(tree.live_nodes, term, lhs, (rhs,), passed)
 
 
 def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
@@ -771,7 +883,7 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
     seq, normalization = seq.norm_capped
     checks = _paraproduct_checks(tree, f, seq, tol)
     return bellman_induction(checks, j, constant=1.0 / PARAPRODUCT_CONSTANT,
-                             rhs_base=f.squared().product(w).integral(j),
+                             rhs_base=_integral(_times(f.values * f.values, w.values), j),
                              theorem="embed2",
                              breakdown={"normalization": normalization,
                                         "leaf_bound": "cauchy-schwarz"},
@@ -796,37 +908,50 @@ class _HaarWeight(NamedTuple):
 
 
 def _haar_weight(tree: _Tree) -> _HaarWeight:
-    w = tree.w
-    nodes = _node_arrays(tree)
-    live = nodes["live"]
-    heap = np.flatnonzero(live[:live.size // 2])     # the live nodes above the finest level
-    level = _labels(heap, tree.j)[0]
-    avgs = w.heap_averages()
+    n_psi = _node_arrays(tree)["n_psi"]
+    heap, level, _, length = tree.live_above
+    avgs = tree.avgs
     q, p, avg = avgs[2 * heap + 1], avgs[2 * heap + 2], avgs[heap]
-    length = np.ldexp(1.0, -level)
     two_sided = (p != 0.0) & (q != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         mass_p, mass_q = p * length / 2.0, q * length / 2.0
         kappa = np.sqrt(mass_p * mass_q / (mass_p + mass_q))
         alpha = np.where(two_sided, np.sqrt(2.0 * p * q / (p + q)), 0.0)
     return _HaarWeight(level, heap, p, q, avg, two_sided, kappa, alpha, np.sqrt(avg),
-                       nodes["n_psi"][heap])
+                       n_psi[heap])
 
 
-def _haar_split(tree: _Tree, fw: StepFunction):
-    """weighted_haar_decompose of fw at the live nodes of the tree above the
-    finest level, in full (not half) differences: (hw, full, haar, drift,
-    inner) with hw the w-part (_HaarWeight), kept on the tree, full =
-    Delta_I(fw) = haar + drift up to rounding, haar the w-Haar part and
-    inner = (f, h_I^w)_{L2(w)}, both 0 where a child carries no w-mass, and
-    drift = (<fw>_I / <w>_I) Delta_I w."""
+def _times(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The cells g w, with the ValueError of StepFunction.product on a depth
+    mismatch or a product that is not finite."""
+    if g.size != w.size:
+        raise ValueError("depth mismatch")
+    return finite(g * w)
+
+
+def _integral(cells: np.ndarray, j: DyadicInterval) -> float:
+    """int_J of the step function with these cells, bit for bit
+    StepFunction.integral: the pairwise sum over J's cells times |cell|."""
+    depth = cells.size.bit_length() - 1
+    start, stop = j.cell_range(depth)
+    return float(level_sums(cells[start:stop])[0][0]) * 2.0 ** (-depth)
+
+
+def _haar_split(tree: _Tree, fw: np.ndarray):
+    """weighted_haar_decompose of f w, whose cells over the whole tree are
+    fw, at the live nodes of the tree above the finest level, in full (not
+    half) differences: (hw, full, haar, drift, inner) with hw the w-part
+    (_HaarWeight), kept on the tree, full = Delta_I(fw) = haar + drift up to
+    rounding, haar the w-Haar part and inner = (f, h_I^w)_{L2(w)}, both 0
+    where a child carries no w-mass, and drift = (<fw>_I / <w>_I) Delta_I w."""
     hw = tree.haar
-    avgs = fw.restrict(tree.j).heap_averages()
+    start, stop = tree.j.cell_range(tree.whole.depth)
+    avgs = heap_averages(level_sums(fw[start:stop]))
     y, x = avgs[2 * hw.heap + 1], avgs[2 * hw.heap + 2]
     drift = avgs[hw.heap] / hw.avg * 0.5 * (hw.p - hw.q)
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = np.where(hw.two_sided, hw.kappa * (x / hw.p - y / hw.q), 0.0)
-    haar = hw.alpha * inner / np.sqrt(np.ldexp(1.0, -hw.level))
+    haar = hw.alpha * inner / np.sqrt(tree.live_above.length)
     return hw, 2.0 * (0.5 * (x - y)), 2.0 * haar, 2.0 * drift, inner
 
 
@@ -846,8 +971,8 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
     4 * 16 B'(1)), and their cross sum (Cauchy-Schwarz).  The report
     itemizes all three plus the budgets actually attained.
     """
-    fw = f.product(w)
-    f2w = f.squared().product(w)
+    fw = _times(f.values, w.values)
+    base = _integral(_times(f.values * f.values, w.values), j)
     # upfront: the drift sequence beta_I = (Delta_I w)^2 / n_psi must be
     # w-Carleson with the differential embedding constant at every prefix
     # (pass a precomputed certificate when sweeping many f over one w)
@@ -872,20 +997,19 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
                                                err[identity].tolist())]
         + [(k, 1, "alpha-bound", a) for k, a in zip(np.flatnonzero(bound).tolist(),
                                                     hw.alpha[bound].tolist())])
-    level, index = _labels(hw.heap[[k for k, *_ in failed]], j)
-    failures = [(lev, i, kind, v)
-                for lev, i, (*_, kind, v) in zip(level.tolist(), index.tolist(), failed)]
+    above, ks = tree.live_above, [k for k, *_ in failed]
+    failures = [(lev, i, kind, v) for lev, i, (*_, kind, v)
+                in zip(above.level[ks].tolist(), above.index[ks].tolist(), failed)]
     max_alpha_excess = float(np.max(hw.alpha - hw.root_avg, initial=-np.inf))
-    length = np.ldexp(1.0, -hw.level)
-    lhs, s_haar, s_drift, s_cross, parseval = map(_walk_total, (
+    length = above.length
+    lhs, s_haar, s_drift, s_cross, parseval = _walk_totals(np.stack((
         length * full * full / hw.n_psi,
         length * haar * haar / hw.n_psi,
         length * drift * drift / hw.n_psi,
         2.0 * length * haar * drift / hw.n_psi,
-        inner ** 2))
+        inner ** 2)))
     count = hw.heap.size
 
-    base = f2w.integral(j)
     constant = 8.0 / psi_min + 128.0 * kernel.C
     bound = constant * base
     # component budgets from the assembly

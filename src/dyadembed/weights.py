@@ -22,6 +22,32 @@ from .distribution import DistributionFunction
 from .intervals import ROOT, DyadicInterval
 
 
+def finite(values: np.ndarray) -> np.ndarray:
+    """values, if every one is finite; ValueError otherwise."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    return values
+
+
+def level_sums(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pairwise sums of the 2^d cell values over every dyadic interval,
+    level by level, root first: sums[l][i] is the sum over (l, i), its two
+    halves' sums added."""
+    sums = [values]
+    while sums[-1].size > 1:
+        sums.append(sums[-1][0::2] + sums[-1][1::2])
+    return tuple(reversed(sums))
+
+
+def heap_averages(sums: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The averages of every interval in heap order, level-major with the
+    index ascending ((l, i) at 2^l - 1 + i), from its level_sums."""
+    depth = len(sums) - 1
+    levels = np.arange(depth + 1)
+    divisors = np.repeat(np.ldexp(1.0, depth - levels), 2 ** levels)
+    return np.concatenate(sums) / divisors
+
+
 class StepFunction:
     """Real-valued dyadic step function (signed values allowed)."""
 
@@ -31,8 +57,7 @@ class StepFunction:
         vals = np.array(values, dtype=np.float64)
         if vals.shape != (2 ** depth,):
             raise ValueError(f"expected {2 ** depth} values, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
+        finite(vals)
         vals.flags.writeable = False
         self.depth = depth
         self.values = vals
@@ -42,12 +67,7 @@ class StepFunction:
     @cached_property
     def _level_sums(self) -> tuple[np.ndarray, ...]:
         """_level_sums[l][i] = pairwise sum of cell values inside (l, i)."""
-        sums = [self.values]
-        cur = self.values
-        for _ in range(self.depth):
-            cur = cur[0::2] + cur[1::2]
-            sums.append(cur)
-        return tuple(reversed(sums))
+        return level_sums(self.values)
 
     # -- interval queries --------------------------------------------------
 
@@ -89,9 +109,7 @@ class StepFunction:
         """The averages of every interval in heap order, level-major with
         the index ascending ((l, i) at 2^l - 1 + i), bit for bit those of
         level_averages."""
-        levels = np.arange(self.depth + 1)
-        divisors = np.repeat(np.ldexp(1.0, self.depth - levels), 2 ** levels)
-        return np.concatenate(self._level_sums) / divisors
+        return heap_averages(self._level_sums)
 
     def level_integrals(self, level: int) -> np.ndarray:
         return self._level_sums[level] * 2.0 ** (-self.depth)

@@ -83,7 +83,7 @@ from dyadembed import (
     weighted_haar_decompose,
     young_function,
 )
-from dyadembed.cli import FUNCTION_KINDS
+from dyadembed.cli import FUNCTION_KINDS, SEQUENCE_KINDS
 from dyadembed.bellman import (
     EMBED_STEP_FACTOR,
     PARAPRODUCT_CONSTANT,
@@ -267,7 +267,7 @@ def _compare_haar(w, j, sample=None):
     fd-embed certificate's node count."""
     f = gen_test_function("random-bounded", w.depth, 8)
     fw = f.product(w)
-    hw, full, haar, drift, inner = _haar_split(verifiers._tree(w, PSI, j), fw)
+    hw, full, haar, drift, inner = _haar_split(verifiers._tree(w, PSI, j), fw.values)
     index = verifiers._labels(hw.heap, j)[1]
     nodes = list(zip(hw.level.tolist(), index.tolist()))
     assert nodes == _live_nodes(w, w.depth - 1, j)
@@ -639,6 +639,55 @@ def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
     for f in _five_f(w):
         verify_embed2(w, f, seq, PSI, DyadicInterval(1, 1))
     assert sorted(made) == ["n_psi", "u", "u_phantom"]
+
+
+def test_per_tree_work_is_done_once(monkeypatch):
+    # the CLI's certificates of one depth-8 weight (d-embed, embed under
+    # its 4 sequences, fd-embed and embed2 of its 5 test functions): w's
+    # heap averages are computed once, the live labels once above the
+    # finest level and once on it, the points of T once, and no step
+    # function is built for f w or f^2 w; each embed makes one kernel call
+    w = gen_weight(CorpusSpec("random-martingale", 8, (0.6,), 3))
+    seqs = [gen_carleson_sequence(k, w.depth, 0) for k in SEQUENCE_KINDS]
+    fs = _five_f(w)
+    _clear_tree()
+    made = []
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: made.append(name) or fn(*a, **k))
+
+    for owner, name in ((StepFunction, "heap_averages"), (StepFunction, "__init__"),
+                        (verifiers, "_labels"), (verifiers, "_layout")):
+        counting(owner, name)
+    calls = _count_kernel_calls(monkeypatch)
+    d_cert = verify_d_embed(w, PSI)
+    for seq in seqs:
+        calls.update(G=0)
+        verify_embed(w, seq, PSI)
+        assert calls["G"] == 1
+    for f in fs:
+        verify_fd_embed(w, f, PSI, d_cert=d_cert)
+        verify_embed2(w, f, seqs[2], PSI)
+    assert verifiers._current.whole is w and verifiers._current.sorted is not None
+    assert sorted(made) == ["_labels", "_labels", "_layout", "heap_averages"]
+
+
+def test_stacked_totals_match_walk_total():
+    # fd-embed's five totals, summed along the rows of one stacked array,
+    # are bit for bit _walk_total of each row: wide exponents, a row of
+    # -0.0 (+0.0 after a walk from 0.0), a row ending in -0.0, and no
+    # terms at all
+    rng = np.random.default_rng(11)
+    rows = rng.uniform(-1.0, 1.0, (5, 300)) * 10.0 ** rng.integers(-8, 9, (5, 300))
+    rows[1] = -0.0
+    rows[3, 1:] = -0.0
+    for stack in (rows, rows[:, :1], np.empty((5, 0))):
+        want = [verifiers._walk_total(r) for r in stack]
+        got = verifiers._walk_totals(stack)
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        assert all(type(t) is float for t in got)
+    assert math.copysign(1.0, verifiers._walk_totals(rows)[1]) == 1.0
 
 
 def test_kernel_is_built_once_per_psi(monkeypatch):

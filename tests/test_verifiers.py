@@ -282,6 +282,21 @@ def test_fd_embed_constant_value(psi2):
 # bump embedding
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("w_values, f_values", [
+    ([1e200, 1.0], [1e200, 1.0]),       # f w overflows
+    ([1e-300, 1.0], [1e200, 1.0]),      # f w is finite, f^2 overflows
+], ids=["fw", "f2"])
+def test_overflowing_products_are_rejected(psi2, w_values, f_values):
+    # f w or f^2 w beyond the float range: fd-embed and embed2 raise the
+    # error of a step function with a cell that is not finite
+    w, f = DyadicWeight(1, w_values), StepFunction(1, f_values)
+    seq = gen_carleson_sequence("random", 1, 0)
+    with pytest.raises(ValueError, match="^values must be finite$"):
+        verify_fd_embed(w, f, psi2)
+    with pytest.raises(ValueError, match="^values must be finite$"):
+        verify_embed2(w, f, seq, psi2)
+
+
 def test_embed2_zero_f(psi2):
     w = gen_weight(CorpusSpec("random-martingale", 5, (0.3,), 3))
     f = StepFunction(5, np.zeros(32))
