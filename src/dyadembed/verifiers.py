@@ -56,8 +56,8 @@ J) is the current one, matched by the identity of w and Psi, which it
 holds, and the equality of J (_tree).  A tree of another (w, Psi, J)
 replaces it whole, and the old tree is dropped before the new one is
 built, so one tree is held at a time.  The depth of the tree, that of w
-on J, decides only whether its sorted levels are kept or split again by
-each walk.
+on J, decides only whether its sorted levels and its memo are kept, or
+split again and recomputed by each walk.
 The kernel lives while its Psi stays current: a new tree of the current
 tree's Psi takes it over, so its C is evaluated once per Psi.  A
 sequence's normalized copy lives on the sequence
