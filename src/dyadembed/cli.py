@@ -20,7 +20,6 @@ import json
 import math
 import os
 import pickle
-import select
 import signal
 import sys
 from dataclasses import dataclass
@@ -61,14 +60,10 @@ FUNCTION_KINDS = (("constant", 0), ("haar", 0), ("random-bounded", 11),
 
 @dataclass(frozen=True)
 class RunConfig:
-    theorem: str = ""
     psi_family: str = "log-bump"
     alpha: float = 2.0
     clamp_s0: float | None = None
     normalize: bool = True
-    corpus: str = ""
-    out: str = ""
-    workers: int = 1
     depth: int = 12
     seed: int = 0
     tol_ineq: float = 1e-9
@@ -140,8 +135,6 @@ def _run_task(task) -> list[dict]:
             for cert, row_label in certs]
 
 
-_INDEX = 4      # bytes of one task index on the queue pipe
-
 # The forked section of `_run_tasks` as a context that does nothing:
 # bench/tracing.py subclasses and replaces this name to time it as `cli.pool_s`.
 ProcessPoolExecutor = contextlib.nullcontext
@@ -152,40 +145,26 @@ def _run_tasks(tasks: list, workers: int) -> list[list[dict]]:
     `workers - 1` children forked from it, which inherit `tasks` and the
     cached Psi, so nothing is pickled to them.
 
-    The task indices go out largest depth first, ties in task order, on one
-    queue pipe that every process reads 4 bytes at a time.  This process
-    fills it after forking, in writes of PIPE_BUF bytes, which a pipe takes
-    whole or not at all, and runs the next task itself while the pipe is
-    full: it never blocks there, whatever the number of tasks.  Each child
-    sends its (index, rows) pairs, or the type and message of the error
-    that stopped it, as one pickle on a pipe of its own, and leaves by
-    os._exit.  Every child is reaped, and killed first unless all rows came
-    back."""
+    The tasks are dealt at fork time: in the order largest depth first,
+    ties in task order, process r of the k runs every k-th task from the
+    r-th on, this process share 0.  Each child sends its (index, rows)
+    pairs, or the type and message of the error that stopped it, as one
+    pickle on a pipe of its own, and leaves by os._exit.  Every child is
+    reaped, and killed first unless all rows came back."""
     if workers == 1:
         return [_run_task(t) for t in tasks]
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][3].depth)
-    queue_r, queue_w = (open(fd, mode, buffering=0)
-                        for fd, mode in zip(os.pipe(), ("rb", "wb")))
     results = {}        # child pid -> read end of its result pipe
     rows = None
     try:
         with ProcessPoolExecutor():
-            for _ in range(workers - 1):
+            for r in range(1, workers):
                 result_r, result_w = os.pipe()
                 if (pid := os.fork()) == 0:
-                    _child(tasks, queue_r, queue_w, result_w)
+                    _child(tasks, order[r::workers], result_w)
                 os.close(result_w)
                 results[pid] = open(result_r, "rb")
-            os.set_blocking(queue_w.fileno(), False)
-            merged, sent = {}, 0
-            while sent < len(order):
-                batch = order[sent:sent + select.PIPE_BUF // _INDEX]
-                if queue_w.write(b"".join(i.to_bytes(_INDEX, "little") for i in batch)) is None:
-                    batch = batch[:1]
-                    merged[batch[0]] = _run_task(tasks[batch[0]])
-                sent += len(batch)
-            queue_w.close()
-            merged.update(_drain(tasks, queue_r))
+            merged = {i: _run_task(tasks[i]) for i in order[::workers]}
             for pid, fh in results.items():
                 data = fh.read()
                 if not data:
@@ -197,7 +176,7 @@ def _run_tasks(tasks: list, workers: int) -> list[list[dict]]:
                 merged.update(done)
             rows = [merged[i] for i in range(len(tasks))]
     finally:
-        for fh in (queue_r, queue_w, *results.values()):
+        for fh in results.values():
             fh.close()
         for pid in results:
             if rows is None:
@@ -206,29 +185,18 @@ def _run_tasks(tasks: list, workers: int) -> list[list[dict]]:
     return rows
 
 
-def _child(tasks, queue_r, queue_w, result_w: int) -> None:
-    """A forked child's whole life: run tasks from the queue, send back
+def _child(tasks, share: list, result_w: int) -> None:
+    """A forked child's whole life: run the tasks of its share, send back
     their rows or the error that stopped it, exit without returning."""
     try:
-        queue_w.close()
         try:
-            result = (_drain(tasks, queue_r), None)
+            result = ([(i, _run_task(tasks[i])) for i in share], None)
         except BaseException as exc:
             result = (None, (type(exc), str(exc)))
         with open(result_w, "wb") as fh:
             pickle.dump(result, fh)
     finally:
         os._exit(0)
-
-
-def _drain(tasks, queue_r) -> list:
-    """(index, rows) of every task whose index this process reads from the
-    queue, until the queue is empty and closed."""
-    done = []
-    while index := queue_r.read(_INDEX):
-        i = int.from_bytes(index, "little")
-        done.append((i, _run_task(tasks[i])))
-    return done
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +242,10 @@ def cmd_verify(args) -> int:
               f"depth 3..min(8, depth)), got {depth}", file=sys.stderr)
         return 3
     cfg = RunConfig(
-        theorem=args.theorem, psi_family=args.psi_family, alpha=args.alpha,
-        clamp_s0=args.clamp_s0, normalize=not args.no_normalize,
-        corpus=args.corpus or "", out=args.out or _default_out(),
-        workers=args.workers, depth=depth, seed=args.seed,
+        psi_family=args.psi_family, alpha=args.alpha, clamp_s0=args.clamp_s0,
+        normalize=not args.no_normalize, depth=depth, seed=args.seed,
         tol_ineq=args.tolerance_ineq, tol_identity=args.tolerance_identity)
-    out_dir = Path(cfg.out)
+    out_dir = Path(args.out or _default_out())
     if not _write(out_dir):
         return 3
     try:
@@ -332,7 +298,7 @@ def cmd_verify(args) -> int:
                          sort_keys=True))
         return 0 if ok else 2
 
-    manifest = Path(cfg.corpus or str(Path(_default_out()) / "corpus" / "manifest.json"))
+    manifest = Path(args.corpus or str(Path(_default_out()) / "corpus" / "manifest.json"))
     if not manifest.exists():
         print(f"corpus manifest not found: {manifest} (run gen-corpus first)",
               file=sys.stderr)
@@ -344,7 +310,7 @@ def cmd_verify(args) -> int:
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     tasks = [(args.theorem, cfg, entry, w) for entry, w in entries]
-    rows = _run_tasks(tasks, min(cfg.workers, len(tasks)))
+    rows = _run_tasks(tasks, min(args.workers, len(tasks)))
     results = [r for task_rows in rows for r in task_rows]
 
     cert_path = out_dir / f"certificates_{args.theorem}.json"
@@ -409,7 +375,7 @@ def _pointwise_sweep(psi, kernel, cfg: RunConfig) -> dict:
 
 def cmd_psi_table(args) -> int:
     cfg = RunConfig(psi_family=args.psi_family, alpha=args.alpha, clamp_s0=args.clamp_s0,
-                    normalize=not args.no_normalize, out=args.out or _default_out())
+                    normalize=not args.no_normalize)
     try:
         psi = cfg.psi()
         psi.validate()
@@ -417,7 +383,7 @@ def cmd_psi_table(args) -> int:
         print(f"psi not admissible: {exc}", file=sys.stderr)
         return 3
     kernel = BellmanKernel(psi)
-    out_dir = Path(cfg.out)
+    out_dir = Path(args.out or _default_out())
     if not _write(out_dir):
         return 3
     path = out_dir / f"psi_table_{cfg.psi_family}_a{cfg.alpha:g}.csv"

@@ -892,11 +892,9 @@ def verify_embed2(w: DyadicWeight, f: StepFunction, seq: CarlesonSequence,
 
 class _HaarWeight(NamedTuple):
     """The w-part of the weighted Haar split at the live nodes of a tree
-    above the finest level, in heap order: what every f of the weight
-    shares."""
+    above the finest level (live_above), in heap order: what every f of
+    the weight shares."""
 
-    level: np.ndarray       # node levels (int8)
-    heap: np.ndarray        # positions in the tree's heap order
     p: np.ndarray           # <w>_{I+}
     q: np.ndarray           # <w>_{I-}
     avg: np.ndarray         # <w>_I
@@ -909,7 +907,7 @@ class _HaarWeight(NamedTuple):
 
 def _haar_weight(tree: _Tree) -> _HaarWeight:
     n_psi = _node_arrays(tree)["n_psi"]
-    heap, level, _, length = tree.live_above
+    heap, _, _, length = tree.live_above
     avgs = tree.avgs
     q, p, avg = avgs[2 * heap + 1], avgs[2 * heap + 2], avgs[heap]
     two_sided = (p != 0.0) & (q != 0.0)
@@ -917,8 +915,7 @@ def _haar_weight(tree: _Tree) -> _HaarWeight:
         mass_p, mass_q = p * length / 2.0, q * length / 2.0
         kappa = np.sqrt(mass_p * mass_q / (mass_p + mass_q))
         alpha = np.where(two_sided, np.sqrt(2.0 * p * q / (p + q)), 0.0)
-    return _HaarWeight(level, heap, p, q, avg, two_sided, kappa, alpha, np.sqrt(avg),
-                       n_psi[heap])
+    return _HaarWeight(p, q, avg, two_sided, kappa, alpha, np.sqrt(avg), n_psi[heap])
 
 
 def _times(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -937,22 +934,21 @@ def _integral(cells: np.ndarray, j: DyadicInterval) -> float:
     return float(level_sums(cells[start:stop])[0][0]) * 2.0 ** (-depth)
 
 
-def _haar_split(tree: _Tree, fw: np.ndarray):
+def _haar_split(tree: _Tree, hw: _HaarWeight, above: _Live, fw: np.ndarray):
     """weighted_haar_decompose of f w, whose cells over the whole tree are
-    fw, at the live nodes of the tree above the finest level, in full (not
-    half) differences: (hw, full, haar, drift, inner) with hw the w-part
-    (_HaarWeight), kept on the tree, full = Delta_I(fw) = haar + drift up to
-    rounding, haar the w-Haar part and inner = (f, h_I^w)_{L2(w)}, both 0
-    where a child carries no w-mass, and drift = (<fw>_I / <w>_I) Delta_I w."""
-    hw = tree.haar
+    fw, at the nodes above = tree.live_above, in full (not half)
+    differences: (full, haar, drift, inner) with hw = tree.haar the w-part,
+    full = Delta_I(fw) = haar + drift up to rounding, haar the w-Haar part
+    and inner = (f, h_I^w)_{L2(w)}, both 0 where a child carries no w-mass,
+    and drift = (<fw>_I / <w>_I) Delta_I w."""
     start, stop = tree.j.cell_range(tree.whole.depth)
     avgs = heap_averages(level_sums(fw[start:stop]))
-    y, x = avgs[2 * hw.heap + 1], avgs[2 * hw.heap + 2]
-    drift = avgs[hw.heap] / hw.avg * 0.5 * (hw.p - hw.q)
+    y, x = avgs[2 * above.pos + 1], avgs[2 * above.pos + 2]
+    drift = avgs[above.pos] / hw.avg * 0.5 * (hw.p - hw.q)
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = np.where(hw.two_sided, hw.kappa * (x / hw.p - y / hw.q), 0.0)
-    haar = hw.alpha * inner / np.sqrt(tree.live_above.length)
-    return hw, 2.0 * (0.5 * (x - y)), 2.0 * haar, 2.0 * drift, inner
+    haar = hw.alpha * inner / np.sqrt(above.length)
+    return 2.0 * (0.5 * (x - y)), 2.0 * haar, 2.0 * drift, inner
 
 
 def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
@@ -986,7 +982,10 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
     tree = _tree(w, psi, j)
     kernel = tree.kernel
     psi_min = kernel.min_psi
-    hw, full, haar, drift, inner = _haar_split(tree, fw)
+    # hw first: its walk computes the live flags that live_above reads
+    hw = tree.haar
+    above = tree.live_above
+    full, haar, drift, inner = _haar_split(tree, hw, above, fw)
     err = np.abs(full - (haar + drift))
     identity = err > tol.identity * np.maximum(1.0, np.abs(full)) * 10
     bound = hw.alpha > hw.root_avg * (1 + 1e-12)
@@ -997,7 +996,7 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
                                                err[identity].tolist())]
         + [(k, 1, "alpha-bound", a) for k, a in zip(np.flatnonzero(bound).tolist(),
                                                     hw.alpha[bound].tolist())])
-    above, ks = tree.live_above, [k for k, *_ in failed]
+    ks = [k for k, *_ in failed]
     failures = [(lev, i, kind, v) for lev, i, (*_, kind, v)
                 in zip(above.level[ks].tolist(), above.index[ks].tolist(), failed)]
     max_alpha_excess = float(np.max(hw.alpha - hw.root_avg, initial=-np.inf))
@@ -1008,7 +1007,7 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
         length * drift * drift / hw.n_psi,
         2.0 * length * haar * drift / hw.n_psi,
         inner ** 2)))
-    count = hw.heap.size
+    count = above.pos.size
 
     constant = 8.0 / psi_min + 128.0 * kernel.C
     bound = constant * base

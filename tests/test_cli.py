@@ -310,8 +310,9 @@ def _deadlock_alarm(signum, frame):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_run_tasks_returns_rows_in_task_order(workers, monkeypatch):
-    # 20,000 indices (80 kB) do not fit in one pipe (64 kB), nor do the rows
-    # that each process sends back; the alarm turns a deadlock into a failure
+    # the rows of each child's share of 20,000 tasks do not fit in one pipe
+    # (64 kB), so a parent that waited for a child before reading all of
+    # its pipe would never return; the alarm turns a deadlock into a failure
     weights = [DyadicWeight(d, np.ones(2 ** d)) for d in (1, 3, 2)]
     tasks = [("buc-classic", None, k, weights[k % 3]) for k in range(20000)]
     monkeypatch.setattr(cli, "_run_task", lambda t: [{"task": t[2], "depth": t[3].depth}])
@@ -323,6 +324,39 @@ def test_run_tasks_returns_rows_in_task_order(workers, monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert rows == [[{"task": k, "depth": weights[k % 3].depth}] for k in range(20000)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_tasks_are_dealt_at_fork_time(workers, monkeypatch):
+    # in the order largest depth first, ties in task order, this process
+    # runs every k-th task from the first, and each child one of the other
+    # k - 1 shares, whatever the tasks cost
+    weights = [DyadicWeight(d, np.ones(2 ** d)) for d in (1, 3, 2)]
+    tasks = [("buc-classic", None, k, weights[k % 3]) for k in range(10)]
+    order = [1, 4, 7, 2, 5, 8, 0, 3, 6, 9]
+    monkeypatch.setattr(cli, "_run_task", lambda t: [{"task": t[2], "pid": os.getpid()}])
+    rows = cli._run_tasks(tasks, workers)
+    assert [r["task"] for task_rows in rows for r in task_rows] == list(range(10))
+    ran = {}
+    for k in order:
+        ran.setdefault(rows[k][0]["pid"], []).append(k)
+    shares = [order[r::workers] for r in range(workers)]
+    assert ran.pop(os.getpid()) == shares[0]
+    assert sorted(ran.values()) == sorted(shares[1:])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_tasks_with_more_workers_than_tasks(monkeypatch, forks):
+    # the children past the last task get an empty share and still send
+    # back their (empty) rows
+    tasks = [("buc-classic", None, k, DyadicWeight(k + 1, np.ones(2 ** (k + 1))))
+             for k in range(2)]
+    monkeypatch.setattr(cli, "_run_task", lambda t: [{"task": t[2]}])
+    assert cli._run_tasks(tasks, 5) == [[{"task": 0}], [{"task": 1}]]
+    assert len(forks) == 4
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -267,9 +267,11 @@ def _compare_haar(w, j, sample=None):
     fd-embed certificate's node count."""
     f = gen_test_function("random-bounded", w.depth, 8)
     fw = f.product(w)
-    hw, full, haar, drift, inner = _haar_split(verifiers._tree(w, PSI, j), fw.values)
-    index = verifiers._labels(hw.heap, j)[1]
-    nodes = list(zip(hw.level.tolist(), index.tolist()))
+    tree = verifiers._tree(w, PSI, j)
+    hw = tree.haar
+    above = tree.live_above
+    full, haar, drift, inner = _haar_split(tree, hw, above, fw.values)
+    nodes = list(zip(above.level.tolist(), above.index.tolist()))
     assert nodes == _live_nodes(w, w.depth - 1, j)
     for r, node in enumerate(nodes):
         if sample is not None and not sample(node):
@@ -646,7 +648,9 @@ def test_per_tree_work_is_done_once(monkeypatch):
     # its 4 sequences, fd-embed and embed2 of its 5 test functions): w's
     # heap averages are computed once, the live labels once above the
     # finest level and once on it, the points of T once, and no step
-    # function is built for f w or f^2 w; each embed makes one kernel call
+    # function is built for f w or f^2 w; each embed makes one kernel call.
+    # A streamed depth-14 tree keeps no labels, so each of three fd-embed
+    # certificates reads them once, after the one read of its w-part
     w = gen_weight(CorpusSpec("random-martingale", 8, (0.6,), 3))
     seqs = [gen_carleson_sequence(k, w.depth, 0) for k in SEQUENCE_KINDS]
     fs = _five_f(w)
@@ -671,6 +675,14 @@ def test_per_tree_work_is_done_once(monkeypatch):
         verify_embed2(w, f, seqs[2], PSI)
     assert verifiers._current.whole is w and verifiers._current.sorted is not None
     assert sorted(made) == ["_labels", "_labels", "_layout", "heap_averages"]
+    deep = gen_weight(CorpusSpec("random-martingale", 14, (0.3,), 1))
+    fs = _five_f(deep)[:3]
+    d_cert = verify_d_embed(deep, PSI)
+    made.clear()
+    for f in fs:
+        verify_fd_embed(deep, f, PSI, d_cert=d_cert)
+    assert verifiers._current.whole is deep and verifiers._current.sorted is None
+    assert sorted(made) == ["_labels"] * 4 + ["heap_averages"]
 
 
 def test_stacked_totals_match_walk_total():
