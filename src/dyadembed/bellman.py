@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -404,6 +404,16 @@ class BellmanKernel:
         return dist.step_integral(lambda s: 2.0 * s - self.T(m_budget + 1.0, s))
 
 
+@lru_cache(maxsize=1)
+def kernel_of(psi: PsiFunction) -> BellmanKernel:
+    """The BellmanKernel of psi, the one place a kernel is built: the kernel
+    of the most recent Psi (matched by equality) is kept, so its C and its
+    tables are evaluated once per Psi in a process, and a forked worker
+    inherits its parent's.  The kernel is not cached on psi itself, which
+    must stay picklable (a panel grid holds lambdas)."""
+    return BellmanKernel(psi)
+
+
 def scalar_bellman(f: float, u: float) -> float:
     """B(f, u) = f^2/u with the perspective-function closure B(0, 0) = 0."""
     if u > 0:
@@ -434,7 +444,7 @@ def build_profile(psi: PsiFunction, kind: str = "B") -> BellmanProfile:
     the clamp knot (tolerance 1e-8).  For kind="m" the Psi must be
     normalized and m' <= 1, m(s) <= s are verified.
     """
-    kernel = BellmanKernel(psi)
+    kernel = kernel_of(psi)
     if kind == "m" and not kernel.is_normalized:
         raise ConstructionError("m-profile requires a normalized Psi")
     s = np.geomspace(1e-16, 1.0, 2000)
@@ -496,7 +506,7 @@ def bellman_potential(w: DyadicWeight, i: DyadicInterval, psi: PsiFunction,
                       kernel: BellmanKernel | None = None,
                       tol: Tolerances = DEFAULT_TOL) -> float:
     """Script-B potential int_0^inf B(N_I(t)) dt; asserts <= B'(1) <w>_I."""
-    kernel = kernel or BellmanKernel(psi)
+    kernel = kernel or kernel_of(psi)
     dist = w.distribution(i)
     if dist.is_zero:
         return 0.0
@@ -520,7 +530,7 @@ def check_pde_step(w: DyadicWeight, i: DyadicInterval, psi: PsiFunction,
     gain >= stage1 holds for any nonincreasing U (one-sided tent bound);
     stage1 >= stage2 is Cauchy-Schwarz plus int dN dt = Delta_I w / 2.
     """
-    kernel = kernel or BellmanKernel(psi)
+    kernel = kernel or kernel_of(psi)
     if dists is None:
         d_i = w.distribution(i)
         d_m = w.distribution(i.minus)
@@ -564,7 +574,7 @@ def check_embed_step(w: DyadicWeight, i: DyadicInterval, psi: PsiFunction,
     combines joint convexity of T with -dT/d(divisor) >= N^2/(4 phi(N)); the
     second is Cauchy-Schwarz.
     """
-    kernel = kernel or BellmanKernel(psi)
+    kernel = kernel or kernel_of(psi)
     if acc_parent > 1.0 + 1e-9:
         raise ValueError(f"Carleson accumulator {acc_parent} exceeds 1; normalize first")
     if dists is None:
@@ -621,7 +631,7 @@ def check_t_convexity(psi: PsiFunction,
     kept points are one kernel evaluation; failures are listed point by
     point (divisor outer, N inner), checks in the order above.
     """
-    kernel = kernel or BellmanKernel(psi)
+    kernel = kernel or kernel_of(psi)
     if grid_divisor is None:
         grid_divisor = np.linspace(1.02, 1.98, 50)
     if grid_n is None:
@@ -697,7 +707,7 @@ def check_main_ineq_pair(psi: PsiFunction, f1: float, d1: DistributionFunction,
     (B(f1,u(N1)) + B(f2,u(N2)))/2 - B(f,u(N)) >= (1/20) (f1-f)^2 / n_psi(N)
     for f = (f1+f2)/2, N = (N1+N2)/2.
     """
-    kernel = kernel or BellmanKernel(psi)
+    kernel = kernel or kernel_of(psi)
     _require_normalized(kernel)
     if d_mid is None:
         d_mid = mix([d1, d2], np.array([0.5, 0.5]))
@@ -730,7 +740,7 @@ def check_main_ineq_npoint(psi: PsiFunction, fs: Sequence[float],
         >= (1/80) (sum_k alpha_k |f_k - f|)^2 / n_psi(N)
     under f = sum alpha_k f_k, N = sum alpha_k N_k, sum alpha_k = 1.
     """
-    kernel = kernel or BellmanKernel(psi)
+    kernel = kernel or kernel_of(psi)
     _require_normalized(kernel)
     alphas = np.asarray(alphas, dtype=np.float64)
     if abs(float(alphas.sum()) - 1.0) > tol.identity:
@@ -771,7 +781,7 @@ def check_paraproduct_step(psi: PsiFunction,
     -B~(X) + sum_k alpha_k B~(X_k) >= (1/16) a f^2 / n_psi(N)
     under f = sum alpha_k f_k, N = sum alpha_k N_k, M = a + sum alpha_k M_k.
     """
-    kernel = kernel or BellmanKernel(psi)
+    kernel = kernel or kernel_of(psi)
     _require_normalized(kernel)
     alphas = np.asarray(alphas, dtype=np.float64)
     if abs(float(alphas.sum()) - 1.0) > tol.identity:

@@ -20,10 +20,8 @@ bound would fail by a factor 2 at equal children.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -109,27 +107,6 @@ class CarlesonSequence:
         if carleson_norm(self) > 1.0 + 1e-12:
             return self.normalized()
         return self, 1.0
-
-    def to_json(self) -> str:
-        entries = [
-            [lev, int(i), float(v)]
-            for lev, arr in enumerate(self.levels)
-            for i, v in enumerate(arr)
-            if v != 0.0
-        ]
-        return json.dumps({"depth": self.depth, "alpha": entries}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CarlesonSequence":
-        obj = json.loads(text)
-        return cls.from_entries(int(obj["depth"]), obj["alpha"])
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CarlesonSequence":
-        return cls.from_json(Path(path).read_text())
 
 
 def carleson_norm(seq: CarlesonSequence) -> float:

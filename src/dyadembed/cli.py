@@ -36,7 +36,7 @@ from .corpus import (
 )
 from .orlicz import (ConstructionError, normalized_psi, psi_closed_form, psi_from_phi,
                      young_function)
-from .bellman import BellmanKernel, build_profile, check_t_convexity
+from .bellman import build_profile, check_t_convexity, kernel_of
 from .verifiers import (
     failure_demo,
     verify_buckley_classic,
@@ -142,17 +142,16 @@ ProcessPoolExecutor = contextlib.nullcontext
 
 def _run_tasks(tasks: list, workers: int) -> list[list[dict]]:
     """`_run_task` of every task, in task order, run by this process and
-    `workers - 1` children forked from it, which inherit `tasks` and the
-    cached Psi, so nothing is pickled to them.
+    `workers - 1` children forked from it, which inherit `tasks`, the
+    cached Psi and any kernel built for it, so nothing is pickled to them.
 
     The tasks are dealt at fork time: in the order largest depth first,
     ties in task order, process r of the k runs every k-th task from the
-    r-th on, this process share 0.  Each child sends its (index, rows)
-    pairs, or the type and message of the error that stopped it, as one
-    pickle on a pipe of its own, and leaves by os._exit.  Every child is
-    reaped, and killed first unless all rows came back."""
-    if workers == 1:
-        return [_run_task(t) for t in tasks]
+    r-th on, and this process share 0, in task order (with one worker,
+    every task, and no child is forked).  Each child sends its (index,
+    rows) pairs, or the type and message of the error that stopped it, as
+    one pickle on a pipe of its own, and leaves by os._exit.  Every child
+    is reaped, and killed first unless all rows came back."""
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][3].depth)
     results = {}        # child pid -> read end of its result pipe
     rows = None
@@ -164,7 +163,7 @@ def _run_tasks(tasks: list, workers: int) -> list[list[dict]]:
                     _child(tasks, order[r::workers], result_w)
                 os.close(result_w)
                 results[pid] = open(result_r, "rb")
-            merged = {i: _run_task(tasks[i]) for i in order[::workers]}
+            merged = {i: _run_task(tasks[i]) for i in sorted(order[::workers])}
             for pid, fh in results.items():
                 data = fh.read()
                 if not data:
@@ -253,7 +252,7 @@ def cmd_verify(args) -> int:
     except ConstructionError as exc:
         print(f"psi construction failed: {exc}", file=sys.stderr)
         return 3
-    if args.theorem in NORMALIZED_THEOREMS and not BellmanKernel(psi).is_normalized:
+    if args.theorem in NORMALIZED_THEOREMS and not kernel_of(psi).is_normalized:
         print(f"{args.theorem} requires a normalized Psi (int_0^1 ds/phi <= 1 and "
               f"phi(s) >= s); drop --no-normalize", file=sys.stderr)
         return 3
@@ -278,7 +277,7 @@ def cmd_verify(args) -> int:
         return 0 if demo.passed else 2
 
     if args.theorem == "bellman-checks":
-        kernel = BellmanKernel(psi)
+        kernel = kernel_of(psi)
         profile = build_profile(psi)
         conv = check_t_convexity(psi, kernel=kernel)
         sweep = _pointwise_sweep(psi, kernel, cfg)
@@ -382,7 +381,7 @@ def cmd_psi_table(args) -> int:
     except ConstructionError as exc:
         print(f"psi not admissible: {exc}", file=sys.stderr)
         return 3
-    kernel = BellmanKernel(psi)
+    kernel = kernel_of(psi)
     out_dir = Path(args.out or _default_out())
     if not _write(out_dir):
         return 3

@@ -301,10 +301,10 @@ def normalized_psi(psi: PsiFunction) -> PsiFunction:
     Scaling up preserves both constraints: int_0^1 ds/phi_k <= 1 and
     phi_k(s) >= s.  k = 1 already works for the log family with alpha >= 2.
     """
-    from .bellman import BellmanKernel  # local import to avoid a cycle
+    from .bellman import kernel_of  # local import to avoid a cycle
 
     base = replace(psi, k=1.0)
-    g1 = BellmanKernel(base).G(1.0)
+    g1 = kernel_of(base).G(1.0)
     k = max(1.0, float(g1), 1.0 / base.min_psi)
     return replace(psi, k=k)
 

@@ -43,13 +43,13 @@ computed.  These arrays take 16 bytes a node, 8 a finest node and 66 a
 node above the finest.  A kept tree also holds, computed once, what each
 of its certificates would otherwise recompute (_Tree.memo): w's averages
 in heap order (8 bytes a node), the live nodes' positions, labels and
-|I| (25 bytes a live node, once among all nodes and once among those
-above the finest level), and the layout of the points at which T is read
+|I| (25 bytes a live node, once: those above the finest level are a
+prefix of them), and the layout of the points at which T is read
 (12 bytes a point: a point per dense cell of each level, one per
 constant row, and one per finest node for the phantom generation, at
 most (d + 2) 2^d).  A streamed tree holds none of these: each
 certificate computes them.  The tree of a depth-13 random martingale,
-with every array filled, holds 4.3 MB, 2.2 MB of it in the memo.
+with every array filled, holds 4.1 MB, 2.0 MB of it in the memo.
 
 Lifetimes, one rule for every depth: the tree of the most recent (w, Psi,
 J) is the current one, matched by the identity of w and Psi, which it
@@ -58,9 +58,10 @@ replaces it whole, and the old tree is dropped before the new one is
 built, so one tree is held at a time.  The depth of the tree, that of w
 on J, decides only whether its sorted levels and its memo are kept, or
 split again and recomputed by each walk.
-The kernel lives while its Psi stays current: a new tree of the current
-tree's Psi takes it over, so its C is evaluated once per Psi.  A
-sequence's normalized copy lives on the sequence
+The kernel of Psi is built in one place, bellman.kernel_of, which keeps
+the kernel of the most recent Psi: one kernel per Psi in a process, so
+its C and tables are evaluated once, and a forked worker inherits its
+parent's.  A sequence's normalized copy lives on the sequence
 (CarlesonSequence.norm_capped).
 
 The Carleson-Buckley condition holds for every dyadic J, and a certificate
@@ -121,16 +122,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .bellman import (
-    BellmanKernel,
     EMBED_STEP_FACTOR,
     PARAPRODUCT_CONSTANT,
     PDE_FINAL_FACTOR,
     PDE_STAGE1_FACTOR,
     _require_normalized,
+    kernel_of,
 )
 from .carleson import CarlesonSequence
 from .config import DEFAULT_TOL, Tolerances
-from .corpus import check_rhi
+from .corpus import CorpusSpec, check_rhi, gen_weight
 from .intervals import ROOT, DyadicInterval
 from .orlicz import PsiFunction
 from .weights import DyadicWeight, StepFunction, finite, heap_averages, level_sums
@@ -343,7 +344,7 @@ def _sorted_levels(w: DyadicWeight, phi: np.ndarray):
 # most 18 bytes (its live and constant flags, its value or dense row
 # number, and its n_psi) and phi 8 bytes a finest cell.  A kept tree's memo
 # adds at most 12 (d + 2) 2^d bytes for the layout of T's points (1.5 MB
-# at depth 13), 8 a node for w's averages and 50 a live node for the live
+# at depth 13), 8 a node for w's averages and 25 a live node for the live
 # labels.
 _SLOT_BYTES = 2 ** 20
 
@@ -355,8 +356,8 @@ _KEPT = ("live", "n_psi", "n2_phi") + _SEQ_ARRAYS
 
 class _Tree:
     """The dyadic tree of (whole, psi) under j and the work its certificates
-    share: w is whole.restrict(j), which every walk reads, kernel is psi's
-    BellmanKernel, phi is psi.phi on the finest grid, and sorted is the
+    share: w is whole.restrict(j), which every walk reads, kernel is
+    kernel_of(psi), phi is psi.phi on the finest grid, and sorted is the
     _Level of every level, root first, or None when the dense form of w
     does not fit _SLOT_BYTES: its walks split the levels again one at a
     time.  nodes holds the arrays of _KEPT over every node in heap order
@@ -365,9 +366,8 @@ class _Tree:
     view of nodes["live"].  memo holds what a kept tree computes once for
     all its certificates (avgs, live_above, live_nodes, layout)."""
 
-    def __init__(self, whole: DyadicWeight, psi: PsiFunction, kernel: BellmanKernel,
-                 j: DyadicInterval) -> None:
-        self.whole, self.j, self.psi, self.kernel = whole, j, psi, kernel
+    def __init__(self, whole: DyadicWeight, psi: PsiFunction, j: DyadicInterval) -> None:
+        self.whole, self.j, self.psi, self.kernel = whole, j, psi, kernel_of(psi)
         self.w = w = whole.restrict(j)
         self.phi = psi.phi(_top_grid(w))
         self.sorted, self.nodes, self.seq, self.memo = None, {}, None, {}
@@ -399,14 +399,19 @@ class _Tree:
         return self._kept("avgs", self.w.heap_averages)
 
     @property
-    def live_above(self) -> _Live:
-        """The live nodes above the finest level."""
-        return self._kept("live_above", lambda: self._live(2 ** self.w.depth - 1))
-
-    @property
     def live_nodes(self) -> _Live:
         """Every live node."""
-        return self._kept("live_nodes", lambda: self._live(self.nodes["live"].size))
+        return self._kept("live_nodes", self._live)
+
+    @property
+    def live_above(self) -> _Live:
+        """The live nodes above the finest level: a prefix of live_nodes,
+        whose arrays it views."""
+        def make():
+            live = self.live_nodes
+            count = np.searchsorted(live.pos, 2 ** self.w.depth - 1)
+            return _Live(*(a[:count] for a in live))
+        return self._kept("live_above", make)
 
     @property
     def layout(self) -> tuple:
@@ -423,10 +428,9 @@ class _Tree:
             self.memo[name] = make()
         return self.memo[name]
 
-    def _live(self, stop: int) -> _Live:
-        """The live nodes before heap position stop, once a walk has
-        computed nodes["live"]."""
-        pos = np.flatnonzero(self.nodes["live"][:stop])
+    def _live(self) -> _Live:
+        """The live nodes, from the live flags of _node_arrays."""
+        pos = np.flatnonzero(_node_arrays(self)["live"])
         level, index = _labels(pos, self.j)
         return _Live(pos, level, index, np.ldexp(1.0, -level))
 
@@ -447,18 +451,15 @@ _current = None
 
 def _tree(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT) -> _Tree:
     """The tree of (w, psi) under j: the current one if it holds w, psi and
-    j, or else a new one, which becomes current whatever its depth.  A new
-    tree of the current psi takes over its kernel; the old tree is dropped
-    before the new one is built."""
+    j, or else a new one, which becomes current whatever its depth; the old
+    tree is dropped before the new one is built.  Every tree reads the
+    kernel of its psi from kernel_of, which builds one per Psi in a
+    process."""
     global _current
-    if _current is not None and _current.psi is psi:
-        if _current.whole is w and _current.j == j:
-            return _current
-        kernel = _current.kernel
-    else:
-        kernel = BellmanKernel(psi)
+    if _current is not None and _current.whole is w and _current.psi is psi and _current.j == j:
+        return _current
     _current = None
-    _current = _Tree(w, psi, kernel, j)
+    _current = _Tree(w, psi, j)
     return _current
 
 
@@ -612,17 +613,11 @@ def _chain(live: _Live, term, gain, stage1, stage2, tol: Tolerances) -> LevelChe
     return _live_checks(live, term, gain, (stage1, stage2), passed)
 
 
-def _walk_total(terms: np.ndarray) -> float:
-    """The sum of terms added one at a time, in order, from 0.0: their
-    running sum, since 0.0 + t is t for every t but -0.0, plus 0.0, which
-    turns the -0.0 of an all-(-0.0) sum into the +0.0 a start from 0.0
-    gives."""
-    return float(np.cumsum(terms)[-1]) + 0.0 if terms.size else 0.0
-
-
 def _walk_totals(rows: np.ndarray) -> list:
-    """_walk_total of every row of a 2-D array, bit for bit: one running
-    sum along the rows, which adds each row's terms in order."""
+    """The sum of each row of a 2-D array with its terms added one at a
+    time, in order, from 0.0: one running sum along the rows, since 0.0 + t
+    is t for every t but -0.0, plus 0.0, which turns the -0.0 of an
+    all-(-0.0) sum into the +0.0 a start from 0.0 gives."""
     if not rows.shape[1]:
         return [0.0] * rows.shape[0]
     return (np.cumsum(rows, axis=1)[:, -1] + 0.0).tolist()
@@ -642,7 +637,8 @@ def bellman_induction(checks: LevelChecks, j: DyadicInterval,
     failed, each such node recorded as (level, index, gain, *bounds).  The
     per-node record is checks itself.
     """
-    lhs = _walk_total(checks.length * checks.term)
+    lhs, telescoped = _walk_totals(np.stack((checks.length * checks.term,
+                                             checks.length * checks.gain)))
     failures = ()
     if not checks.passed.all():
         bad = ~checks.passed
@@ -654,8 +650,7 @@ def bellman_induction(checks: LevelChecks, j: DyadicInterval,
     return Certificate(theorem, (j.level, j.index), lhs, rhs_base, constant,
                        passed, lhs / rhs_base if rhs_base > 0 else 0.0,
                        node_count=checks.index.size, failures=failures,
-                       breakdown={**breakdown,
-                                  "telescoped_gain": _walk_total(checks.length * checks.gain)})
+                       breakdown={**breakdown, "telescoped_gain": telescoped})
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +977,6 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
     tree = _tree(w, psi, j)
     kernel = tree.kernel
     psi_min = kernel.min_psi
-    # hw first: its walk computes the live flags that live_above reads
     hw = tree.haar
     above = tree.live_above
     full, haar, drift, inner = _haar_split(tree, hw, above, fw)
@@ -1043,9 +1037,7 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
 
 def spike_weight(depth: int) -> DyadicWeight:
     """Unit-mass spike: 2^depth on the leftmost cell, zero elsewhere."""
-    values = np.zeros(2 ** depth)
-    values[0] = 2.0 ** depth
-    return DyadicWeight(depth, values)
+    return gen_weight(CorpusSpec("spike", depth))
 
 
 def spike_d_embed_closed_form(depth: int, psi: PsiFunction) -> float:

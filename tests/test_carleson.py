@@ -71,15 +71,6 @@ def test_level_uniform_normalization_factor():
     assert carleson_norm(raw) == pytest.approx(d + 1.0, rel=1e-14)
 
 
-def test_sequence_json_roundtrip(tmp_path):
-    seq = gen_carleson_sequence("random", 5, seed=9)
-    p = tmp_path / "seq.json"
-    seq.save(p)
-    back = CarlesonSequence.load(p)
-    for a, b in zip(seq.levels, back.levels):
-        assert np.array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # classical embeddings with brute-force cross-check
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dyadembed import cli, verifiers
+from dyadembed.bellman import BellmanKernel, kernel_of
 from dyadembed.cli import FUNCTION_KINDS, SEQUENCE_KINDS, RunConfig, main
 from dyadembed.corpus import (CorpusSpec, gen_carleson_sequence, gen_test_function,
                               load_corpus, write_corpus)
@@ -308,7 +310,7 @@ def _deadlock_alarm(signum, frame):
     raise TimeoutError("the runner is stuck")
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_run_tasks_returns_rows_in_task_order(workers, monkeypatch):
     # the rows of each child's share of 20,000 tasks do not fit in one pipe
     # (64 kB), so a parent that waited for a child before reading all of
@@ -328,7 +330,7 @@ def test_run_tasks_returns_rows_in_task_order(workers, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_tasks_are_dealt_at_fork_time(workers, monkeypatch):
     # in the order largest depth first, ties in task order, this process
     # runs every k-th task from the first, and each child one of the other
@@ -366,6 +368,31 @@ def test_verify_bellman_checks(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "bellman_checks.json").read_text())
     assert report["bprime_1"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("family", ["loglog-bump", "log-bump"])
+def test_bellman_checks_builds_one_kernel_per_psi(family, tmp_path, monkeypatch):
+    # the normalization multiplier's base Psi's kernel, then the Psi's own,
+    # which the normalization check, the profile, the T-convexity grid and
+    # the pointwise sweep all read from kernel_of.  The log family's
+    # multiplier is 1, so its base Psi equals the Psi and one kernel serves
+    built = []
+    init = BellmanKernel.__init__
+
+    def counting(self, psi):
+        built.append(psi)
+        init(self, psi)
+
+    monkeypatch.setattr(BellmanKernel, "__init__", counting)
+    cli._psi.cache_clear()
+    kernel_of.cache_clear()
+    rc = main(["verify", "--theorem", "bellman-checks", "--depth", "4",
+               "--psi-family", family, "--out", str(tmp_path)])
+    assert rc == 0
+    psi = RunConfig(psi_family=family).psi()
+    base = replace(psi, k=1.0)
+    assert built == ([base, psi] if family == "loglog-bump" else [psi])
+    assert (base == psi) == (family == "log-bump")
 
 
 def test_psi_table(tmp_path):

@@ -88,6 +88,7 @@ from dyadembed.bellman import (
     EMBED_STEP_FACTOR,
     PARAPRODUCT_CONSTANT,
     PDE_FINAL_FACTOR,
+    kernel_of,
     scalar_bellman,
 )
 from dyadembed import verifiers
@@ -370,25 +371,36 @@ def test_equal_children_have_zero_gain():
     assert verify_d_embed(w, PSI).passed
 
 
+def _loop_total(terms) -> float:
+    """The node-by-node running total of terms, from 0.0."""
+    total = 0.0
+    for t in np.asarray(terms).tolist():
+        total += t
+    return total
+
+
+def _walk_total(terms: np.ndarray) -> float:
+    """_walk_totals of one row."""
+    (total,) = verifiers._walk_totals(np.asarray(terms)[None, :])
+    return total
+
+
 def test_node_sum_adds_in_walk_order():
     # a depth-14 tree's levels in heap order, with wide exponents so that
-    # any other order of the additions rounds differently: _walk_total
+    # any other order of the additions rounds differently: _walk_totals
     # equals the node-by-node running total
     rng = np.random.default_rng(3)
     levels = [rng.uniform(-1.0, 1.0, 2 ** lev) * 10.0 ** rng.integers(-8, 9, 2 ** lev)
               for lev in range(15)]
-    expected = 0.0
-    for terms in levels:
-        for t in terms.tolist():
-            expected += t
-    total = verifiers._walk_total(np.concatenate(levels))
-    assert total == expected
+    total = _walk_total(np.concatenate(levels))
+    assert total == _loop_total(np.concatenate(levels))
     assert total != math.fsum(np.concatenate(levels))
     # a walk starts from +0.0: no terms, or terms that are all -0.0, sum to +0.0
     for terms in (np.empty(0), np.full(5, -0.0), np.array([-0.0, 0.0, -0.0])):
-        total = verifiers._walk_total(terms)
+        total = _walk_total(terms)
         assert total == 0.0 and math.copysign(1.0, total) == 1.0
-    assert math.copysign(1.0, verifiers._walk_total(np.array([-0.0, -1e-300]))) == -1.0
+        assert math.copysign(1.0, _loop_total(terms)) == 1.0
+    assert math.copysign(1.0, _walk_total(np.array([-0.0, -1e-300]))) == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +658,12 @@ def test_store_is_read_by_every_f_of_a_sequence(monkeypatch):
 def test_per_tree_work_is_done_once(monkeypatch):
     # the CLI's certificates of one depth-8 weight (d-embed, embed under
     # its 4 sequences, fd-embed and embed2 of its 5 test functions): w's
-    # heap averages are computed once, the live labels once above the
-    # finest level and once on it, the points of T once, and no step
-    # function is built for f w or f^2 w; each embed makes one kernel call.
-    # A streamed depth-14 tree keeps no labels, so each of three fd-embed
-    # certificates reads them once, after the one read of its w-part
+    # heap averages are computed once, the live labels once (those above
+    # the finest level are a prefix of them), the points of T once, and no
+    # step function is built for f w or f^2 w; each embed makes one kernel
+    # call.  A streamed depth-14 tree keeps no labels, so each of three
+    # fd-embed certificates reads them once, after the one read of its
+    # w-part
     w = gen_weight(CorpusSpec("random-martingale", 8, (0.6,), 3))
     seqs = [gen_carleson_sequence(k, w.depth, 0) for k in SEQUENCE_KINDS]
     fs = _five_f(w)
@@ -674,7 +687,7 @@ def test_per_tree_work_is_done_once(monkeypatch):
         verify_fd_embed(w, f, PSI, d_cert=d_cert)
         verify_embed2(w, f, seqs[2], PSI)
     assert verifiers._current.whole is w and verifiers._current.sorted is not None
-    assert sorted(made) == ["_labels", "_labels", "_layout", "heap_averages"]
+    assert sorted(made) == ["_labels", "_layout", "heap_averages"]
     deep = gen_weight(CorpusSpec("random-martingale", 14, (0.3,), 1))
     fs = _five_f(deep)[:3]
     d_cert = verify_d_embed(deep, PSI)
@@ -687,15 +700,15 @@ def test_per_tree_work_is_done_once(monkeypatch):
 
 def test_stacked_totals_match_walk_total():
     # fd-embed's five totals, summed along the rows of one stacked array,
-    # are bit for bit _walk_total of each row: wide exponents, a row of
-    # -0.0 (+0.0 after a walk from 0.0), a row ending in -0.0, and no
-    # terms at all
+    # are bit for bit the running total of each row from 0.0: wide
+    # exponents, a row of -0.0 (+0.0 after a walk from 0.0), a row ending
+    # in -0.0, and no terms at all
     rng = np.random.default_rng(11)
     rows = rng.uniform(-1.0, 1.0, (5, 300)) * 10.0 ** rng.integers(-8, 9, (5, 300))
     rows[1] = -0.0
     rows[3, 1:] = -0.0
     for stack in (rows, rows[:, :1], np.empty((5, 0))):
-        want = [verifiers._walk_total(r) for r in stack]
+        want = [_loop_total(r) for r in stack]
         got = verifiers._walk_totals(stack)
         assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
         assert all(type(t) is float for t in got)
@@ -704,9 +717,10 @@ def test_stacked_totals_match_walk_total():
 
 def test_kernel_is_built_once_per_psi(monkeypatch):
     # the bounded certificates on two streamed depth-14 trees, first after
-    # no tree at all, then on three corpus weights, under one psi: every new
-    # tree of the current psi takes over its kernel, whatever its depth, so
-    # C and the kernel's tables are evaluated once
+    # no tree at all, then on three corpus weights, under one psi: every
+    # tree reads the kernel of its psi from kernel_of, whatever its depth,
+    # so C and the kernel's tables are evaluated once.  The cache is
+    # cleared first, or an equal psi left by an earlier test would be met
     psi = normalized_psi(psi_from_phi(young_function("log-bump", 2.0)))
     built = []
     init = BellmanKernel.__init__
@@ -717,6 +731,7 @@ def test_kernel_is_built_once_per_psi(monkeypatch):
 
     monkeypatch.setattr(BellmanKernel, "__init__", counting)
     _clear_tree()
+    kernel_of.cache_clear()
     deep = [CorpusSpec("random-martingale", 14, (0.3,), 1), CorpusSpec("lacunary", 14, (0.25,))]
     for spec in deep + SLOT_WEIGHTS:
         w = gen_weight(spec)
