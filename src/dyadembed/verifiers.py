@@ -454,7 +454,8 @@ def _tree(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT) -> _Tree:
     j, or else a new one, which becomes current whatever its depth; the old
     tree is dropped before the new one is built.  Every tree reads the
     kernel of its psi from kernel_of, which builds one per Psi in a
-    process."""
+    process, and a kept tree holds its live labels once (25 bytes a live
+    node)."""
     global _current
     if _current is not None and _current.whole is w and _current.psi is psi and _current.j == j:
         return _current
@@ -613,11 +614,13 @@ def _chain(live: _Live, term, gain, stage1, stage2, tol: Tolerances) -> LevelChe
     return _live_checks(live, term, gain, (stage1, stage2), passed)
 
 
-def _walk_totals(rows: np.ndarray) -> list:
-    """The sum of each row of a 2-D array with its terms added one at a
-    time, in order, from 0.0: one running sum along the rows, since 0.0 + t
-    is t for every t but -0.0, plus 0.0, which turns the -0.0 of an
-    all-(-0.0) sum into the +0.0 a start from 0.0 gives."""
+def _walk_totals(rows) -> list:
+    """The sum of each row of rows (a 2-D array, or equal-length 1-D arrays,
+    copied into one) with its terms added one at a time, in order, from
+    0.0: one running sum along the rows, since 0.0 + t is t for every t but
+    -0.0, plus 0.0, which turns the -0.0 of an all-(-0.0) sum into the +0.0
+    a start from 0.0 gives."""
+    rows = np.asarray(rows)
     if not rows.shape[1]:
         return [0.0] * rows.shape[0]
     return (np.cumsum(rows, axis=1)[:, -1] + 0.0).tolist()
@@ -637,8 +640,8 @@ def bellman_induction(checks: LevelChecks, j: DyadicInterval,
     failed, each such node recorded as (level, index, gain, *bounds).  The
     per-node record is checks itself.
     """
-    lhs, telescoped = _walk_totals(np.stack((checks.length * checks.term,
-                                             checks.length * checks.gain)))
+    lhs, telescoped = _walk_totals((checks.length * checks.term,
+                                    checks.length * checks.gain))
     failures = ()
     if not checks.passed.all():
         bad = ~checks.passed
@@ -995,12 +998,12 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
                 in zip(above.level[ks].tolist(), above.index[ks].tolist(), failed)]
     max_alpha_excess = float(np.max(hw.alpha - hw.root_avg, initial=-np.inf))
     length = above.length
-    lhs, s_haar, s_drift, s_cross, parseval = _walk_totals(np.stack((
+    lhs, s_haar, s_drift, s_cross, parseval = _walk_totals((
         length * full * full / hw.n_psi,
         length * haar * haar / hw.n_psi,
         length * drift * drift / hw.n_psi,
         2.0 * length * haar * drift / hw.n_psi,
-        inner ** 2)))
+        inner ** 2))
     count = above.pos.size
 
     constant = 8.0 / psi_min + 128.0 * kernel.C

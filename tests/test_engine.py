@@ -380,8 +380,8 @@ def _loop_total(terms) -> float:
 
 
 def _walk_total(terms: np.ndarray) -> float:
-    """_walk_totals of one row."""
-    (total,) = verifiers._walk_totals(np.asarray(terms)[None, :])
+    """_walk_totals of one row, passed as a sequence of 1-D arrays."""
+    (total,) = verifiers._walk_totals((terms,))
     return total
 
 
