@@ -6,7 +6,7 @@ the parent are merged in task order, so runs with 1 and k workers produce
 identical files.
 
 Exit codes: 0 all verdicts pass, 2 any certificate failure, 3 configuration
-error.
+or usage error.
 """
 
 from __future__ import annotations
@@ -440,8 +440,15 @@ def _add_psi_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit 3, a configuration error, not argparse's 2, a certificate failure."""
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dyadembed",
         description="Certified Carleson-type embeddings on dyadic step weights")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,10 +1,13 @@
 """Central numeric tolerances.
 
-Every inequality check in the package takes its slack from one place so a
-run is reproducible from its configuration alone.  The inequality slack is
-applied as `ineq_slack * max(1, |scale|)`: a pure absolute 1e-9 would
-misfire on certificates whose sides are orders of magnitude above 1, where
-double rounding alone exceeds it.
+Every inequality check reads its slack from a Tolerances, so a run is
+reproducible from its configuration alone.  `verifiers` decides each of its
+inequalities `big >= small` through `_holds`, within `ineq_slack * max(1,
+|big|, |small|)`, scaled by both sides; the per-node references of
+`bellman` write that rule with `Tolerances.slack(big, small)`
+(`bellman_potential`, `carleson` and `orlicz` scale by their bound alone).
+A pure absolute 1e-9 would misfire on sides far above 1, where double
+rounding alone exceeds it.
 """
 
 from __future__ import annotations

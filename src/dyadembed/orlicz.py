@@ -42,7 +42,8 @@ def _bisect(f, target, lo, hi) -> np.ndarray:
     may overflow to inf.  The bisection runs on the int64 bit patterns of the
     positive floats, which are ordered as the floats are, so each step
     halves the bit-pattern gap between the ends (bisection in log x), and a
-    gap of g closes to adjacent floats in ceil(log2 g) <= 63 steps.
+    gap of g closes to adjacent floats in ceil(log2 g) <= 63 steps; each
+    element's hi then stays, whatever the other elements' gaps.
     """
     target = np.asarray(target, dtype=np.float64)
     lo_b = np.full(target.shape, lo, dtype=np.float64).view(np.int64)
@@ -53,7 +54,7 @@ def _bisect(f, target, lo, hi) -> np.ndarray:
             mid = lo_b + (hi_b - lo_b) // 2
             below = f(mid.view(np.float64)) < target
             lo_b = np.where(below, mid, lo_b)
-            hi_b = np.where(below, hi_b, mid)
+            hi_b = np.where(below | (mid == lo_b), hi_b, mid)
     return hi_b.view(np.float64)
 
 

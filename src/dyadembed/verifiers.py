@@ -92,10 +92,14 @@ values are bit for bit those of a node-by-node walk.
 Skip rule: nodes on which w vanishes identically carry no term and no
 inequality.  They are computed with the rest of their level, then dropped,
 and not counted.  Failed nodes are reported level-major with the index
-ascending, as plain Python numbers.  `d-embed`, `embed` and `embed2` reduce
-their checks through `bellman_induction`; `fd-embed` sums its weighted
-Haar split.  The per-node functions of `bellman` and `carleson`
-(check_pde_step, check_embed_step, check_paraproduct_step,
+ascending, as plain Python numbers.  Four functions decide every bounded
+certificate: _gain, the midpoint gain 0.5 (pot(I-) + pot(I+)) - pot(I);
+_chain, each node's chain gain >= bounds[0] >= bounds[1] ...; _holds, the
+one rule big >= small - ineq_slack max(1, |big|, |small|) of every link
+and of every global bound, budget and Parseval check; and _certificate,
+the verdict, ratio and Certificate of d-embed, embed and embed2 (through
+bellman_induction) and of fd-embed.  The per-node functions of `bellman`
+and `carleson` (check_pde_step, check_embed_step, check_paraproduct_step,
 weighted_haar_decompose) compute the same quantities one node at a time.
 
 Certificate constants (derived, documented in the module docstrings of
@@ -509,9 +513,20 @@ def _node_arrays(tree: _Tree, script=None, **per_level) -> dict:
     return out
 
 
-def _slack(tol: Tolerances, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tolerances.slack(a, b), elementwise."""
-    return tol.ineq_slack * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+def _holds(big, small, tol: Tolerances):
+    """big >= small within ineq_slack * max(1, |big|, |small|), elementwise
+    over arrays or on two floats."""
+    return big >= small - tol.ineq_slack * np.maximum(np.maximum(abs(big), abs(small)), 1.0)
+
+
+def _gain(pot: np.ndarray, phantom: np.ndarray | None = None) -> np.ndarray:
+    """0.5 (pot(I-) + pot(I+)) - pot(I) for pot over a tree's nodes in heap
+    order: at every node above the finest level, or at every node, given the
+    potential of the finest level's phantom children."""
+    pair = pot[1::2] + pot[2::2]
+    if phantom is None:
+        return 0.5 * pair - pot[:pair.size]
+    return 0.5 * np.concatenate((pair, phantom + phantom)) - pot
 
 
 def _bump_term(alpha: np.ndarray, avg: np.ndarray, n_psi: np.ndarray) -> np.ndarray:
@@ -599,19 +614,16 @@ class LevelChecks(NamedTuple):
     passed: np.ndarray
 
 
-def _live_checks(live: _Live, term, gain, bounds, passed) -> LevelChecks:
+def _chain(live: _Live, term, gain, bounds: tuple, tol: Tolerances) -> LevelChecks:
     """The LevelChecks of the live nodes of arrays over a tree's nodes in
-    heap order."""
+    heap order: a node passes when gain >= bounds[0] >= bounds[1] ... holds
+    link by link (_holds)."""
+    passed = _holds(gain, bounds[0], tol)
+    for big, small in zip(bounds, bounds[1:]):
+        passed &= _holds(big, small, tol)
     pos = live.pos
     return LevelChecks(live.level, live.index, live.length, term[pos], gain[pos],
                        tuple(b[pos] for b in bounds), passed[pos])
-
-
-def _chain(live: _Live, term, gain, stage1, stage2, tol: Tolerances) -> LevelChecks:
-    """The two-stage chain gain >= stage1 >= stage2, within slack."""
-    passed = ((gain >= stage1 - _slack(tol, gain, stage1))
-              & (stage1 >= stage2 - _slack(tol, stage1, stage2)))
-    return _live_checks(live, term, gain, (stage1, stage2), passed)
 
 
 def _walk_totals(rows) -> list:
@@ -642,18 +654,23 @@ def bellman_induction(checks: LevelChecks, j: DyadicInterval,
     """
     lhs, telescoped = _walk_totals((checks.length * checks.term,
                                     checks.length * checks.gain))
-    failures = ()
-    if not checks.passed.all():
-        bad = ~checks.passed
-        failures = tuple(zip(checks.level[bad].tolist(), checks.index[bad].tolist(),
-                             checks.gain[bad].tolist(),
-                             *(b[bad].tolist() for b in checks.bounds)))
-    bound = constant * rhs_base
-    passed = lhs <= bound + tol.slack(bound, lhs) and not failures
-    return Certificate(theorem, (j.level, j.index), lhs, rhs_base, constant,
-                       passed, lhs / rhs_base if rhs_base > 0 else 0.0,
-                       node_count=checks.index.size, failures=failures,
-                       breakdown={**breakdown, "telescoped_gain": telescoped})
+    bad = ~checks.passed
+    failures = zip(checks.level[bad].tolist(), checks.index[bad].tolist(),
+                   checks.gain[bad].tolist(), *(b[bad].tolist() for b in checks.bounds))
+    return _certificate(theorem, j, lhs, rhs_base, constant, checks.index.size, failures,
+                        {**breakdown, "telescoped_gain": telescoped}, tol)
+
+
+def _certificate(theorem: str, j: DyadicInterval, lhs: float, base: float, constant: float,
+                 count: int, failures, breakdown: dict, tol: Tolerances) -> Certificate:
+    """The Certificate of a bounded theorem under j: it passes when lhs <=
+    constant * base holds (_holds) and no failure was recorded; its ratio
+    is lhs / base, or 0.0 when base is not positive."""
+    failures = tuple(failures)
+    passed = bool(_holds(constant * base, lhs, tol)) and not failures
+    return Certificate(theorem, (j.level, j.index), lhs, base, constant, passed,
+                       lhs / base if base > 0 else 0.0, node_count=count,
+                       failures=failures, breakdown=breakdown)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +722,7 @@ def verify_folk(w: DyadicWeight, seq: CarlesonSequence,
     if assert_rhi_bound:
         c_rhi = check_rhi(w, j)
         constant = 4.0 * c_rhi
-        passed = lhs <= constant * base + tol.slack(constant * base)
+        passed = bool(_holds(constant * base, lhs, tol))
         breakdown["c_rhi"] = c_rhi
     return Certificate("folk", (j.level, j.index), lhs, base, constant,
                        passed, ratio, node_count=count, breakdown=breakdown)
@@ -730,8 +747,8 @@ def _pde_checks(tree: _Tree, tol: Tolerances) -> LevelChecks:
         stage1=lambda lv: lv.integral(lv.half_difference() ** 2 / lv.phi, 0.0))
     del b_top
     pot = nodes.pop("pot")
-    above = pot.size // 2
-    gain = 0.5 * (pot[1::2] + pot[2::2]) - pot[:above]
+    gain = _gain(pot)
+    above = gain.size
     del pot
     stage1 = PDE_STAGE1_FACTOR * nodes.pop("stage1")[:above]
     avgs = tree.avgs
@@ -740,7 +757,7 @@ def _pde_checks(tree: _Tree, tol: Tolerances) -> LevelChecks:
     with np.errstate(divide="ignore", invalid="ignore"):   # n_psi = 0 off the live rows
         stage2 = PDE_FINAL_FACTOR * dw * dw / nodes["n_psi"][:above]
     # certificate lhs counts (Delta_I w)^2 / n_psi = stage2 / final factor
-    return _chain(tree.live_above, stage2 / PDE_FINAL_FACTOR, gain, stage1, stage2, tol)
+    return _chain(tree.live_above, stage2 / PDE_FINAL_FACTOR, gain, (stage1, stage2), tol)
 
 
 def _embed_checks(tree: _Tree, seq: CarlesonSequence, tol: Tolerances) -> LevelChecks:
@@ -764,13 +781,13 @@ def _embed_checks(tree: _Tree, seq: CarlesonSequence, tol: Tolerances) -> LevelC
         raise ValueError(f"Carleson accumulator {m[over][0]} exceeds 1; normalize first")
     del m
     pot, phantom = nodes.pop("pot"), nodes.pop("phantom")
-    gain = 0.5 * np.concatenate((pot[1::2] + pot[2::2], phantom + phantom)) - pot
+    gain = _gain(pot, phantom)
     del pot, phantom
     stage1 = EMBED_STEP_FACTOR * alpha * nodes.pop("n2_phi")
     # the lhs term a_I <w>_I^2 / n_psi is stage2 over the step factor
     term = _bump_term(alpha, tree.avgs, nodes["n_psi"])
     del alpha
-    return _chain(tree.live_nodes, term, gain, stage1, EMBED_STEP_FACTOR * term, tol)
+    return _chain(tree.live_nodes, term, gain, (stage1, EMBED_STEP_FACTOR * term), tol)
 
 
 def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
@@ -807,11 +824,9 @@ def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
         (lambda lv, t, t_at_one: lv.integral(2.0 * lv.grid - t, 2.0 - t_at_one),
          ("u", "u_phantom"), np.concatenate((m, phantom))))
 
-    pot = bellman(nodes["u"], f_i)
     # phantom generation: the finest-level sequence mass enters as a pure
     # shift of the accumulator variable
-    lhs = np.concatenate((-pot[:above] + 0.5 * pot[1::2] + 0.5 * pot[2::2],
-                          -pot[above:] + bellman(nodes["u_phantom"], f_i[above:])))
+    lhs = _gain(bellman(nodes["u"], f_i), bellman(nodes["u_phantom"], f_i[above:]))
     f_sum = np.concatenate((0.5 * f_i[1::2] + 0.5 * f_i[2::2], f_i[above:]))
     m_sum = a + np.concatenate((0.5 * m[1::2] + 0.5 * m[2::2], m[above:] - a[above:]))
     live = nodes["live"]
@@ -821,9 +836,7 @@ def _paraproduct_checks(tree: _Tree, f: StepFunction, seq: CarlesonSequence,
         raise ValueError("M inconsistent with a + sum alpha_k M_k")
     # the lhs term a_I <fw>_I^2 / n_psi is the step's right side over its constant
     term = _bump_term(a, f_i, nodes["n_psi"])
-    rhs = PARAPRODUCT_CONSTANT * term
-    passed = lhs >= rhs - _slack(tol, lhs, rhs)
-    return _live_checks(tree.live_nodes, term, lhs, (rhs,), passed)
+    return _chain(tree.live_nodes, term, lhs, (PARAPRODUCT_CONSTANT * term,), tol)
 
 
 def verify_d_embed(w: DyadicWeight, psi: PsiFunction, j: DyadicInterval = ROOT,
@@ -1004,34 +1017,27 @@ def verify_fd_embed(w: DyadicWeight, f: StepFunction, psi: PsiFunction,
         length * drift * drift / hw.n_psi,
         2.0 * length * haar * drift / hw.n_psi,
         inner ** 2))
-    count = above.pos.size
 
-    constant = 8.0 / psi_min + 128.0 * kernel.C
-    bound = constant * base
     # component budgets from the assembly
     haar_budget = (4.0 / psi_min) * base
     drift_budget = 4.0 * (16.0 * kernel.C) * base
-    if s_haar > haar_budget + tol.slack(haar_budget):
-        failures.append((j.level, j.index, "haar-sum budget", s_haar))
-    if s_drift > drift_budget + tol.slack(drift_budget):
-        failures.append((j.level, j.index, "drift-sum budget", s_drift))
-    if parseval > base + tol.slack(base):
-        failures.append((j.level, j.index, "parseval", parseval))
-    passed = (lhs <= bound + tol.slack(bound, lhs)) and not failures
-    return Certificate("fd-embed", (j.level, j.index), lhs, base, constant,
-                       passed, lhs / base if base > 0 else 0.0,
-                       node_count=count, failures=tuple(failures),
-                       breakdown={
-                           "haar_sum": s_haar,
-                           "drift_sum": s_drift,
-                           "cross_sum": s_cross,
-                           "haar_budget": haar_budget,
-                           "drift_budget": drift_budget,
-                           "parseval_sum": parseval,
-                           "parseval_budget": base,
-                           "max_alpha_excess": max_alpha_excess,
-                           "d_embed_ratio": d_cert.ratio,
-                       })
+    for kind, total, budget in (("haar-sum budget", s_haar, haar_budget),
+                                ("drift-sum budget", s_drift, drift_budget),
+                                ("parseval", parseval, base)):
+        if not _holds(budget, total, tol):
+            failures.append((j.level, j.index, kind, total))
+    return _certificate("fd-embed", j, lhs, base, 8.0 / psi_min + 128.0 * kernel.C,
+                        above.pos.size, failures, {
+                            "haar_sum": s_haar,
+                            "drift_sum": s_drift,
+                            "cross_sum": s_cross,
+                            "haar_budget": haar_budget,
+                            "drift_budget": drift_budget,
+                            "parseval_sum": parseval,
+                            "parseval_budget": base,
+                            "max_alpha_excess": max_alpha_excess,
+                            "d_embed_ratio": d_cert.ratio,
+                        }, tol)
 
 
 # ---------------------------------------------------------------------------

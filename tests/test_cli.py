@@ -51,6 +51,19 @@ def test_unknown_theorem_is_config_error(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "d-embed", "--workers", "abc"],
+    ["verify", "--theorem", "d-embed", "--bogus", "1"],
+    ["verify", "--workers", "1"],
+], ids=["non-integer-workers", "unknown-flag", "missing-theorem"])
+def test_usage_error_is_config_error(argv, capsys):
+    # argparse exits 2, the certificate-failure code, unless told otherwise
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_corpus_is_config_error(tmp_path):
     rc = main(["verify", "--theorem", "d-embed",
                "--corpus", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

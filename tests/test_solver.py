@@ -71,6 +71,15 @@ def test_result_is_the_left_end_of_the_level_set():
     assert _bisect(f, np.ones((2, 3)), 1.0, 8.0).shape == (2, 3)
 
 
+def test_each_element_stops_on_its_own_bracket():
+    # f(lo) >= target breaks the precondition: the element returns the
+    # float after lo, alone or beside an element of a far wider bracket
+    lo, hi = 1.0, 1.0000000000000004
+    assert _bisect(lambda x: x, [0.5], [lo], [hi]).tolist() == [1.0000000000000002]
+    pair = _bisect(lambda x: x, [0.5, 5.0], [lo, 1.0], [hi, 1e300])
+    assert pair.tolist() == [1.0000000000000002, 5.0]
+
+
 # ---------------------------------------------------------------------------
 # the former call sites
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from dyadembed import (
     DyadicInterval,
     DyadicWeight,
     StepFunction,
+    Tolerances,
     carleson_norm,
     corpus_weights,
     failure_demo,
@@ -19,6 +20,7 @@ from dyadembed import (
     normalized_psi,
     psi_closed_form,
     psi_from_phi,
+    scalar_bellman,
     spike_d_embed_closed_form,
     spike_weight,
     verify_buckley_classic,
@@ -30,7 +32,8 @@ from dyadembed import (
     young_function,
 )
 from dyadembed import verifiers
-from dyadembed.verifiers import FAILURE_DEMO_MAX_DEPTH, _embed_checks, _pde_checks
+from dyadembed.verifiers import (FAILURE_DEMO_MAX_DEPTH, _embed_checks, _pde_checks,
+                                 bellman_induction)
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +234,62 @@ def test_embed_telescoping_ledger(psi2):
     # ledger terms add up to the certificate lhs
     total = sum(2.0 ** -lev * term for lev, idx, term, gain in ledger)
     assert total == pytest.approx(cert.lhs, rel=1e-12)
+
+
+def test_embed_and_embed2_telescoping_ledger(psi2):
+    # sum |I| gain = phantom-leaf potentials - root potential: each finest
+    # node I carries its phantom generation at the budget A_I - a_I
+    w = gen_weight(CorpusSpec("random-martingale", 6, (0.5,), 4))
+    seq, _ = gen_carleson_sequence("random", 6, 3).normalized()
+    f = gen_test_function("random-bounded", 6, 5)
+    fw = f.product(w)
+    kernel = BellmanKernel(psi2)
+    acc = seq.accumulators
+    script_t = lambda i, m: kernel.script_T(m + 1.0, w.distribution(i))
+    f2_u = lambda i, m: scalar_bellman(fw.average(i), kernel.u_of_m(w.distribution(i), m))
+    for cert, pot in ((verify_embed(w, seq, psi2), script_t),
+                      (verify_embed2(w, f, seq, psi2), f2_u)):
+        assert cert.passed, cert.theorem
+        leaves = sum(DyadicInterval(6, k).length
+                     * pot(DyadicInterval(6, k), acc[6][k] - seq.levels[6][k])
+                     for k in range(64))
+        assert cert.breakdown["telescoped_gain"] == pytest.approx(
+            leaves - pot(ROOT, acc[0][0]), rel=1e-9), cert.theorem
+
+
+def test_global_checks_under_negative_slack(psi2, monkeypatch):
+    # under Tolerances(ineq_slack=-x) a global check fails once x passes its
+    # relative margin (big - small) / max(1, |big|, |small|), and holds below it
+    w = gen_weight(CorpusSpec("random-martingale", 6, (0.5,), 4))
+    f = gen_test_function("random-bounded", 6, 5)
+    d_cert, fd_cert = verify_d_embed(w, psi2), verify_fd_embed(w, f, psi2)
+
+    def around(big, small):
+        x = (big - small) / max(1.0, abs(big), abs(small))
+        return ((Tolerances(ineq_slack=-x * (1 - 1e-6)), True),
+                (Tolerances(ineq_slack=-x * (1 + 1e-6)), False))
+
+    # d-embed's bound, over node checks decided at the default slack
+    checks = _pde_checks(verifiers._tree(w, psi2), DEFAULT_TOL)
+    for tol, passed in around(d_cert.constant * d_cert.rhs_base, d_cert.lhs):
+        cert = bellman_induction(checks, ROOT, d_cert.constant, d_cert.rhs_base,
+                                 "d-embed", {}, tol)
+        assert cert.passed is passed and not cert.failures
+
+    def fd_embed(tol):
+        return verify_fd_embed(w, f, psi2, tol=tol, d_cert=d_cert)
+
+    b = fd_cert.breakdown
+    for tol, passed in around(b["haar_budget"], b["haar_sum"]):
+        assert ("haar-sum budget" not in [kind for *_, kind, _ in fd_embed(tol).failures]) is passed
+    # fd-embed's bound: its margin is never the least of its checks (lhs <=
+    # 2 s_haar + 2 s_drift, and its constant is twice the two budgets'), so
+    # the budgets and Parseval are set aside
+    bound, holds = fd_cert.constant * fd_cert.rhs_base, verifiers._holds
+    monkeypatch.setattr(verifiers, "_holds",
+                        lambda big, small, tol: big != bound or holds(big, small, tol))
+    for tol, passed in around(bound, fd_cert.lhs):
+        assert fd_embed(tol).passed is passed
 
 
 # ---------------------------------------------------------------------------
